@@ -23,7 +23,7 @@ def _check_nonempty(x):
         raise EmptyTrainingSet("no training examples")
 
 
-def _sigmoid(z):
+def sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
                     np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
 
@@ -37,7 +37,7 @@ class LogisticModel:
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _sigmoid(x @ self.weights + self.bias)
+        return sigmoid(x @ self.weights + self.bias)
 
 
 def logistic_loss(model: LogisticModel, x, y) -> float:
@@ -46,7 +46,7 @@ def logistic_loss(model: LogisticModel, x, y) -> float:
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
-def train_logistic(x, y, learning_rate=0.5, epochs=500, seed=0,
+def train_logistic(x, y, learning_rate=0.5, epochs=500,
                    loss_callback=None) -> LogisticModel:
     """Full-batch gradient descent on cross-entropy vs soft targets in [0,1]."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -56,7 +56,7 @@ def train_logistic(x, y, learning_rate=0.5, epochs=500, seed=0,
     b = 0.0
     n = x.shape[0]
     for _ in range(epochs):
-        residual = _sigmoid(x @ w + b) - y
+        residual = sigmoid(x @ w + b) - y
         w = w - learning_rate * (x.T @ residual) / n
         b = b - learning_rate * float(residual.mean())
         if loss_callback is not None:
@@ -88,7 +88,7 @@ def svm_objective(model: SvmModel, x, y) -> float:
 
 
 def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1, epochs=500,
-              seed=0, loss_callback=None) -> SvmModel:
+              loss_callback=None) -> SvmModel:
     """Subgradient descent on the epsilon-insensitive linear SVR objective.
 
     The step size decays as learning_rate / sqrt(t + 1) so the iterates

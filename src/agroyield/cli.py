@@ -11,47 +11,45 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import evaluation, ingest, pipeline, synthgen
 from .errors import AgroYieldError, DivergedLoss, MalformedConfig
-from .models import load_model, save_model
+from .models import VARIANTS, load_model, save_model
 from .rng import derive_seed
 from .schema import Crop, District, parse_crop
 
 log = logging.getLogger("agroyield")
 
-_CONFIG_FIELDS = {
-    "seed": int,
-    "train_ratio": float,
-    "n": int,
-    "noise_sigma": float,
-    "epochs": int,
-    "lr": float,
-    "trees": int,
-    "batch_size": int,
-    "patience": int,
-    "model": str,
-    "crop": str,
-    "responses": str,
+_POSITIVE = (">= 1", lambda v: v >= 1)
+
+# field -> (type, default, (allowed range, test) or None). Ranges are
+# checked on config-file values and again on the merged configuration.
+_FIELDS = {
+    "seed": (int, 0, None),
+    "train_ratio": (float, 0.8, ("in (0, 1)", lambda v: 0 < v < 1)),
+    "n": (int, 10000, _POSITIVE),
+    "noise_sigma": (float, 0.05,
+                    ("finite and >= 0", lambda v: 0 <= v < math.inf)),
+    "epochs": (int, None, _POSITIVE),
+    "lr": (float, None, ("finite and > 0", lambda v: 0 < v < math.inf)),
+    "trees": (int, 100, _POSITIVE),
+    "batch_size": (int, 32, _POSITIVE),
+    "patience": (int, 20, (">= 0", lambda v: v >= 0)),
+    "model": (str, None, None),
+    "crop": (str, None, None),
+    "responses": (str, None, None),
 }
 
-_DEFAULTS = {
-    "seed": 0,
-    "train_ratio": 0.8,
-    "n": 10000,
-    "noise_sigma": 0.05,
-    "epochs": None,
-    "lr": None,
-    "trees": 100,
-    "batch_size": 32,
-    "patience": 20,
-    "model": None,
-    "crop": None,
-    "responses": None,
-}
+
+def _check_ranges(values: dict, where: str) -> None:
+    for key, (_, _, rule) in _FIELDS.items():
+        value = values.get(key)
+        if rule is not None and value is not None and not rule[1](value):
+            raise MalformedConfig(f"{where}{key} must be {rule[0]}, got {value}")
 
 
 def load_config(path) -> dict:
@@ -69,27 +67,22 @@ def load_config(path) -> dict:
         raise MalformedConfig(f"config {path} must be a JSON object")
     out = {}
     for key, value in raw.items():
-        if key not in _CONFIG_FIELDS:
+        if key not in _FIELDS:
             raise MalformedConfig(f"config {path}: unknown field {key!r}")
         if value is not None:
             try:
-                value = _CONFIG_FIELDS[key](value)
+                value = _FIELDS[key][0](value)
             except (TypeError, ValueError) as exc:
                 raise MalformedConfig(
                     f"config {path}: field {key!r}: {exc}") from exc
         out[key] = value
-    ratio = out.get("train_ratio")
-    if ratio is not None and not 0.0 < ratio < 1.0:
-        raise MalformedConfig(
-            f"config {path}: train_ratio must be in (0, 1), got {ratio}")
-    if out.get("noise_sigma") is not None and out["noise_sigma"] < 0:
-        raise MalformedConfig(f"config {path}: noise_sigma must be >= 0")
+    _check_ranges(out, f"config {path}: ")
     return out
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults < env seed < config file < explicit flags."""
-    effective = dict(_DEFAULTS)
+    effective = {key: default for key, (_, default, _) in _FIELDS.items()}
     env_seed = os.environ.get("AGROYIELD_SEED")
     if env_seed is not None:
         try:
@@ -101,16 +94,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
         for key, value in file_values.items():
             if value is not None:
                 effective[key] = value
-    flag_names = {"seed", "ratio", "n", "noise", "epochs", "lr", "trees",
-                  "model", "crop", "responses"}
-    rename = {"ratio": "train_ratio", "noise": "noise_sigma"}
-    for flag in flag_names:
-        value = getattr(args, flag, None)
+    flag_of = {"train_ratio": "ratio", "noise_sigma": "noise"}
+    for key in _FIELDS:
+        value = getattr(args, flag_of.get(key, key), None)
         if value is not None:
-            effective[rename.get(flag, flag)] = value
-    if not 0.0 < effective["train_ratio"] < 1.0:
-        raise MalformedConfig(
-            f"train_ratio must be in (0, 1), got {effective['train_ratio']}")
+            effective[key] = value
+    _check_ranges(effective, "")
     log.info("effective config: %s", json.dumps(effective, sort_keys=True))
     return effective
 
@@ -122,7 +111,7 @@ def _hyper(cfg: dict) -> pipeline.Hyperparams:
     )
 
 
-def _load_clean(cfg: dict, path) -> ingest.Dataset:
+def _load_clean(path) -> ingest.Dataset:
     return ingest.clean(ingest.load_csv(path))
 
 
@@ -130,6 +119,15 @@ def _write_text(path, text: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _emit_json(doc, path) -> None:
+    """Write indented, key-sorted JSON to `path`, or to stdout if it is None."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
 
 
 # ----------------------------------------------------------- subcommands
@@ -165,23 +163,25 @@ def _cmd_clean(args, cfg):
 def _cmd_train(args, cfg):
     if cfg["model"] is None or cfg["crop"] is None:
         raise MalformedConfig("train requires --model and --crop")
-    crop = parse_crop(cfg["crop"])
-    dataset = _load_clean(cfg, args.data)
+    try:
+        crop = parse_crop(cfg["crop"])
+    except ValueError as exc:
+        raise MalformedConfig(str(exc)) from exc
+    dataset = _load_clean(args.data)
     crop_split = pipeline.prepare_crop_split(
         dataset, crop, cfg["train_ratio"], cfg["seed"])
     model = pipeline.train_variant(cfg["model"], crop_split, cfg["seed"],
                                    _hyper(cfg))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)
-    history = getattr(model, "history", None)
-    if history is not None:
-        _write_text(str(args.out) + ".history.csv", history.to_csv())
+    if model.history is not None:
+        _write_text(str(args.out) + ".history.csv", model.history.to_csv())
     log.info("saved %s model for %s to %s", cfg["model"], crop.name, args.out)
     return 0
 
 
 def _cmd_evaluate(args, cfg):
-    dataset = _load_clean(cfg, args.data)
+    dataset = _load_clean(args.data)
     results = {}
     for path in args.models:
         model = load_model(path)
@@ -197,16 +197,12 @@ def _cmd_evaluate(args, cfg):
             "error_pct": metrics.error_pct,
             "n_test": metrics.n_test,
         }
-    text = json.dumps(results, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(results, args.out)
     return 0
 
 
 def _cmd_report(args, cfg):
-    dataset = _load_clean(cfg, args.data)
+    dataset = _load_clean(args.data)
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     rows_by_crop = {}
@@ -228,14 +224,12 @@ def _cmd_report(args, cfg):
         rows_by_crop=rows_by_crop, source=dataset.source,
         seed=cfg["seed"], train_ratio=cfg["train_ratio"])
     _write_text(out / "report.md", evaluation.render_markdown(report))
-    _write_text(out / "report.json",
-                json.dumps(evaluation.report_to_dict(report), sort_keys=True,
-                           indent=2) + "\n")
+    _emit_json(evaluation.report_to_dict(report), out / "report.json")
     return 0
 
 
 def _cmd_plot_data(args, cfg):
-    dataset = _load_clean(cfg, args.data)
+    dataset = _load_clean(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kinds = [args.kind] if args.kind else list(evaluation.PLOT_KINDS)
@@ -252,7 +246,7 @@ def _cmd_select(args, cfg):
         if model.crop is None:
             raise MalformedConfig(f"model file {path} carries no crop tag")
         per_crop[model.crop] = model
-    dataset = _load_clean(cfg, args.data)
+    dataset = _load_clean(args.data)
     if not dataset.records:
         raise MalformedConfig(f"{args.data} has no valid records")
     record = dataset.records[0]
@@ -263,11 +257,7 @@ def _cmd_select(args, cfg):
         "predicted_yield_t_ha": {c.name: rec.predicted[c] for c in Crop},
         "selected": rec.selected.name,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(doc, args.out)
     return 0
 
 
@@ -303,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model for one crop")
     common(p)
-    p.add_argument("--model", choices=["dnn", "svm", "forest", "logistic"])
+    p.add_argument("--model", choices=list(VARIANTS))
     p.add_argument("--crop")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
@@ -354,10 +344,7 @@ def run(argv=None) -> int:
     except DivergedLoss as exc:
         log.error("training failure: %s", exc)
         return 3
-    except AgroYieldError as exc:
-        log.error("data error: %s", exc)
-        return 2
-    except OSError as exc:
+    except (AgroYieldError, OSError) as exc:
         log.error("data error: %s", exc)
         return 2
 

@@ -9,7 +9,7 @@ so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,17 +22,12 @@ from .errors import (
     NearZeroActual,
     UnknownKind,
 )
-from .models import Model, predict_records
-from .schema import Crop, District
+from .models import VARIANTS, Model, predict_model
+from .schema import Crop
 
 NEAR_ZERO_ACTUAL = 1e-9
 
-METHOD_ORDER = (
-    ("dnn", "Deep Neural Network(DNN)"),
-    ("svm", "Support Vector Machine(SVM)"),
-    ("forest", "Random Forest"),
-    ("logistic", "Logistic Regression"),
-)
+METHOD_ORDER = tuple((name, v.label) for name, v in VARIANTS.items())
 
 TABLE_HEADER = "Method | Training (%) | Testing (%) | Accuracy (%) | MSE (%)"
 
@@ -91,7 +86,9 @@ def mape(predictions, actuals) -> float:
 def evaluate(model: Model, records) -> Metrics:
     if not records:
         raise EmptyTestSet("no test records")
-    predictions = predict_records(model, records)
+    x = ingest.feature_matrix(records)
+    predictions = predict_model(
+        model, ingest.normalize_features(model.normalizer, x))
     actuals = ingest.target_vector(records)
     error = mape(predictions, actuals)
     return Metrics(error_pct=error, accuracy_pct=100.0 - error,
@@ -153,16 +150,7 @@ def report_to_dict(report: EvalReport) -> dict:
         "seed": report.seed,
         "train_ratio": report.train_ratio,
         "crops": {
-            crop.name: [
-                {
-                    "method": r.method,
-                    "training_pct": r.training_pct,
-                    "testing_pct": r.testing_pct,
-                    "accuracy_pct": r.accuracy_pct,
-                    "error_pct": r.error_pct,
-                }
-                for r in rows
-            ]
+            crop.name: [asdict(r) for r in rows]
             for crop, rows in report.rows_by_crop.items()
         },
     }
@@ -173,18 +161,13 @@ def select_crop(per_crop_models: dict, record: schema.AgroRecord) -> CropRecomme
     missing = [c.name for c in Crop if c not in per_crop_models]
     if missing:
         raise MissingCropModel(f"no model for crops: {', '.join(missing)}")
+    # crop is not a feature, so one encoding serves every crop's model
+    x = ingest.feature_matrix([record])
     predicted = {}
     for crop in Crop:
-        adjusted = schema.AgroRecord(
-            district=record.district, year=record.year, crop=crop,
-            weather=record.weather, fertilizer=record.fertilizer,
-            land_fractions=record.land_fractions,
-            soil_fractions=record.soil_fractions,
-            soil_props=record.soil_props, area=record.area,
-            production=record.production, yield_t_ha=record.yield_t_ha,
-        )
-        predicted[crop] = float(
-            predict_records(per_crop_models[crop], [adjusted])[0])
+        model = per_crop_models[crop]
+        predicted[crop] = float(predict_model(
+            model, ingest.normalize_features(model.normalizer, x))[0])
     selected = max(Crop, key=lambda c: (predicted[c], -c.value))
     return CropRecommendation(predicted=predicted, selected=selected)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

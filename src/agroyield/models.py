@@ -1,16 +1,19 @@
-"""Uniform trained-predictor wrapper and its JSON envelope.
+"""The model-family table, the trained-predictor wrapper and its JSON envelope.
 
-Every trained model (dnn | logistic | svm | forest) is stored as
+`VARIANTS` maps each model family's name to how it is fitted, how it
+predicts and how its payload is stored; its order is the row order of the
+report. Every trained model is stored as
     {"schema_version": 1, "variant": ..., "normalizer": ..., "payload": ...}
 so the CLI loads any model file the same way. Predictions are returned in
-original units (t/ha): raw dnn/svm outputs are clamped to [0, 1] before
-denormalization so reported yields are never negative.
+original units (t/ha): the network's and the SVM's raw outputs are clamped
+to [0, 1] before denormalization so reported yields are never negative.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +21,15 @@ from . import baselines, ingest, nn, schema
 from .errors import DimensionMismatch, MalformedConfig
 
 SCHEMA_VERSION = 1
-VARIANTS = ("dnn", "logistic", "svm", "forest")
+
+
+@dataclass(frozen=True)
+class Variant:
+    label: str              # method name in the report tables
+    fit: Callable           # (x, y, hyper, seed) -> (payload, history or None)
+    predict_raw: Callable   # (payload, x_norm) -> normalized predictions
+    to_dict: Callable       # payload -> JSON-ready dict
+    from_dict: Callable     # dict -> payload
 
 
 @dataclass
@@ -27,35 +38,59 @@ class Model:
     payload: object
     normalizer: ingest.Normalizer
     crop: schema.Crop | None = None
+    history: nn.LossHistory | None = None  # set by training, not serialized
 
 
-def predict_model(model: Model, x_norm) -> np.ndarray:
-    """Predict yields (t/ha) from normalized 46-feature rows."""
-    x = np.atleast_2d(np.asarray(x_norm, dtype=float))
-    if x.shape[1] != len(model.normalizer.column_mins):
-        raise DimensionMismatch(
-            f"expected {len(model.normalizer.column_mins)} features, "
-            f"got {x.shape[1]}")
-    if model.variant == "dnn":
-        raw, _ = nn.forward_batch(model.payload, x)
-        raw = np.clip(raw, 0.0, 1.0)
-    elif model.variant == "logistic":
-        raw = model.payload.predict_raw(x)
-    elif model.variant == "svm":
-        raw = np.clip(model.payload.predict_raw(x), 0.0, 1.0)
-    elif model.variant == "forest":
-        raw = baselines.predict_forest_batch(model.payload, x)
-    else:
-        raise ValueError(f"unknown model variant {model.variant!r}")
-    return ingest.denormalize_target(model.normalizer, raw)
+def _default(value, fallback):
+    return fallback if value is None else value
 
 
-def predict_records(model: Model, records) -> np.ndarray:
-    x = ingest.feature_matrix(records)
-    return predict_model(model, ingest.normalize_features(model.normalizer, x))
+# The entries below reach nn and baselines through the module attribute at
+# call time, so a function replaced there (e.g. by a tracer) is the one run.
+
+def _fit_dnn(x, y, hyper, seed):
+    default_sizes = (x.shape[1],) + nn.DEFAULT_LAYER_SIZES[1:]
+    net = nn.init_network(_default(hyper.layer_sizes, default_sizes),
+                          hyper.hidden_activation, seed=seed)
+    cfg = nn.TrainConfig(
+        learning_rate=_default(hyper.learning_rate, 0.01),
+        batch_size=hyper.batch_size,
+        max_epochs=_default(hyper.epochs, 200),
+        patience=hyper.patience,
+        seed=seed,
+    )
+    return nn.train(net, x, y, cfg)
 
 
-# ------------------------------------------------------------ serialization
+def _dnn_to_dict(p: nn.Network) -> dict:
+    return {
+        "layer_sizes": list(p.layer_sizes),
+        "hidden_activation": p.hidden_activation,
+        "weights": [w.tolist() for w in p.weights],
+        "biases": [b.tolist() for b in p.biases],
+    }
+
+
+def _dnn_from_dict(d: dict) -> nn.Network:
+    return nn.Network(
+        layer_sizes=tuple(d["layer_sizes"]),
+        weights=[np.array(w, dtype=float) for w in d["weights"]],
+        biases=[np.array(b, dtype=float) for b in d["biases"]],
+        hidden_activation=d["hidden_activation"],
+    )
+
+
+def _fit_svm(x, y, hyper, seed):
+    return baselines.train_svm(
+        x, y, epsilon=hyper.svm_epsilon, c=hyper.svm_c,
+        learning_rate=_default(hyper.learning_rate, 0.1),
+        epochs=_default(hyper.epochs, 500)), None
+
+
+def _fit_forest(x, y, hyper, seed):
+    return baselines.train_forest(x, y, baselines.ForestConfig(
+        n_trees=hyper.trees, seed=seed)), None
+
 
 def _tree_to_dict(node: baselines.TreeNode) -> dict:
     if node.is_leaf:
@@ -79,58 +114,84 @@ def _tree_from_dict(d: dict) -> baselines.TreeNode:
     )
 
 
-def _payload_to_dict(model: Model) -> dict:
-    p = model.payload
-    if model.variant == "dnn":
-        return {
-            "layer_sizes": list(p.layer_sizes),
-            "hidden_activation": p.hidden_activation,
-            "weights": [w.tolist() for w in p.weights],
-            "biases": [b.tolist() for b in p.biases],
-        }
-    if model.variant == "logistic":
-        return {"weights": p.weights.tolist(), "bias": p.bias}
-    if model.variant == "svm":
-        return {"weights": p.weights.tolist(), "bias": p.bias,
-                "epsilon": p.epsilon, "c": p.c}
-    if model.variant == "forest":
-        cfg = p.config
-        return {
-            "n_trees": cfg.n_trees, "max_depth": cfg.max_depth,
-            "min_leaf": cfg.min_leaf,
-            "features_per_split": cfg.features_per_split,
-            "bootstrap": cfg.bootstrap, "seed": cfg.seed,
-            "trees": [_tree_to_dict(t) for t in p.trees],
-        }
-    raise ValueError(f"unknown model variant {model.variant!r}")
+def _forest_to_dict(p: baselines.ForestModel) -> dict:
+    return {**asdict(p.config), "trees": [_tree_to_dict(t) for t in p.trees]}
 
 
-def _payload_from_dict(variant: str, d: dict):
-    if variant == "dnn":
-        return nn.Network(
-            layer_sizes=tuple(d["layer_sizes"]),
-            weights=[np.array(w, dtype=float) for w in d["weights"]],
-            biases=[np.array(b, dtype=float) for b in d["biases"]],
-            hidden_activation=d["hidden_activation"],
-        )
-    if variant == "logistic":
-        return baselines.LogisticModel(
-            weights=np.array(d["weights"], dtype=float), bias=d["bias"])
-    if variant == "svm":
-        return baselines.SvmModel(
+def _forest_from_dict(d: dict) -> baselines.ForestModel:
+    cfg = baselines.ForestConfig(
+        **{f.name: d[f.name] for f in fields(baselines.ForestConfig)})
+    return baselines.ForestModel(
+        trees=[_tree_from_dict(t) for t in d["trees"]], config=cfg)
+
+
+def _fit_logistic(x, y, hyper, seed):
+    return baselines.train_logistic(
+        x, y, learning_rate=_default(hyper.learning_rate, 0.5),
+        epochs=_default(hyper.epochs, 500)), None
+
+
+VARIANTS = {
+    "dnn": Variant(
+        label="Deep Neural Network(DNN)",
+        fit=_fit_dnn,
+        predict_raw=lambda p, x: np.clip(nn.forward_batch(p, x)[0], 0.0, 1.0),
+        to_dict=_dnn_to_dict,
+        from_dict=_dnn_from_dict,
+    ),
+    "svm": Variant(
+        label="Support Vector Machine(SVM)",
+        fit=_fit_svm,
+        predict_raw=lambda p, x: np.clip(p.predict_raw(x), 0.0, 1.0),
+        to_dict=lambda p: {"weights": p.weights.tolist(), "bias": p.bias,
+                           "epsilon": p.epsilon, "c": p.c},
+        from_dict=lambda d: baselines.SvmModel(
             weights=np.array(d["weights"], dtype=float), bias=d["bias"],
-            epsilon=d["epsilon"], c=d["c"])
-    if variant == "forest":
-        cfg = baselines.ForestConfig(
-            n_trees=d["n_trees"], max_depth=d["max_depth"],
-            min_leaf=d["min_leaf"], features_per_split=d["features_per_split"],
-            bootstrap=d["bootstrap"], seed=d["seed"])
-        return baselines.ForestModel(
-            trees=[_tree_from_dict(t) for t in d["trees"]], config=cfg)
-    raise ValueError(f"unknown model variant {variant!r}")
+            epsilon=d["epsilon"], c=d["c"]),
+    ),
+    "forest": Variant(
+        label="Random Forest",
+        fit=_fit_forest,
+        predict_raw=lambda p, x: baselines.predict_forest_batch(p, x),
+        to_dict=_forest_to_dict,
+        from_dict=_forest_from_dict,
+    ),
+    "logistic": Variant(
+        label="Logistic Regression",
+        fit=_fit_logistic,
+        predict_raw=lambda p, x: p.predict_raw(x),
+        to_dict=lambda p: {"weights": p.weights.tolist(), "bias": p.bias},
+        from_dict=lambda d: baselines.LogisticModel(
+            weights=np.array(d["weights"], dtype=float), bias=d["bias"]),
+    ),
+}
 
+
+def variant_spec(name) -> Variant:
+    """The table entry for a variant name; MalformedConfig if there is none."""
+    try:
+        return VARIANTS[name]
+    except (KeyError, TypeError):
+        raise MalformedConfig(f"unknown model variant {name!r}; expected "
+                              f"one of {', '.join(VARIANTS)}") from None
+
+
+def predict_model(model: Model, x_norm) -> np.ndarray:
+    """Predict yields (t/ha) from normalized 46-feature rows."""
+    spec = variant_spec(model.variant)
+    x = np.atleast_2d(np.asarray(x_norm, dtype=float))
+    if x.shape[1] != len(model.normalizer.column_mins):
+        raise DimensionMismatch(
+            f"expected {len(model.normalizer.column_mins)} features, "
+            f"got {x.shape[1]}")
+    raw = spec.predict_raw(model.payload, x)
+    return ingest.denormalize_target(model.normalizer, raw)
+
+
+# ------------------------------------------------------------ serialization
 
 def model_to_json(model: Model) -> str:
+    spec = variant_spec(model.variant)
     norm = model.normalizer
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -142,7 +203,7 @@ def model_to_json(model: Model) -> str:
             "target_min": norm.target_min,
             "target_max": norm.target_max,
         },
-        "payload": _payload_to_dict(model),
+        "payload": spec.to_dict(model.payload),
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -151,15 +212,14 @@ def model_from_json(text: str) -> Model:
     try:
         doc = json.loads(text)
         variant = doc["variant"]
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+        spec = variant_spec(variant)
         norm = ingest.Normalizer(
             column_mins=np.array(doc["normalizer"]["column_mins"], dtype=float),
             column_maxs=np.array(doc["normalizer"]["column_maxs"], dtype=float),
             target_min=doc["normalizer"]["target_min"],
             target_max=doc["normalizer"]["target_max"],
         )
-        payload = _payload_from_dict(variant, doc["payload"])
+        payload = spec.from_dict(doc["payload"])
         crop_name = doc.get("crop")
         crop = None if crop_name is None else schema.Crop[crop_name]
     except (KeyError, ValueError, TypeError) as exc:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import sigmoid
 from .errors import (
     DimensionMismatch,
     DivergedLoss,
@@ -23,18 +24,9 @@ from .errors import (
 DEFAULT_LAYER_SIZES = (46, 64, 32, 16, 1)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _activate(name, z):
     if name == "sigmoid":
-        return _sigmoid(z)
+        return sigmoid(z)
     if name == "relu":
         return np.maximum(z, 0.0)
     raise ValueError(f"unknown activation {name!r}")

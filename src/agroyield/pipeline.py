@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import baselines, ingest, nn
+from . import ingest
 from .errors import TooFewRecords
-from .models import Model
+from .models import Model, variant_spec
 from .rng import derive_seed
 from .schema import Crop
 
@@ -55,39 +55,10 @@ def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
 def train_variant(variant: str, crop_split: CropSplit, seed: int,
                   hyper: Hyperparams = Hyperparams()) -> Model:
     """Fit one model variant on a prepared crop split."""
-    x, y = crop_split.train_data.x, crop_split.train_data.y
+    spec = variant_spec(variant)
     train_seed = derive_seed(seed, f"train.{variant}.{crop_split.crop.name}")
-    if variant == "dnn":
-        if hyper.layer_sizes is not None:
-            sizes = tuple(hyper.layer_sizes)
-        else:
-            sizes = (x.shape[1], 64, 32, 16, 1)
-        net = nn.init_network(sizes, hyper.hidden_activation, seed=train_seed)
-        cfg = nn.TrainConfig(
-            learning_rate=hyper.learning_rate or 0.01,
-            batch_size=hyper.batch_size,
-            max_epochs=hyper.epochs or 200,
-            patience=hyper.patience,
-            seed=train_seed,
-        )
-        trained, history = nn.train(net, x, y, cfg)
-        model = Model(variant="dnn", payload=trained,
-                      normalizer=crop_split.normalizer, crop=crop_split.crop)
-        model.history = history
-        return model
-    if variant == "logistic":
-        payload = baselines.train_logistic(
-            x, y, learning_rate=hyper.learning_rate or 0.5,
-            epochs=hyper.epochs or 500, seed=train_seed)
-    elif variant == "svm":
-        payload = baselines.train_svm(
-            x, y, epsilon=hyper.svm_epsilon, c=hyper.svm_c,
-            learning_rate=hyper.learning_rate or 0.1,
-            epochs=hyper.epochs or 500, seed=train_seed)
-    elif variant == "forest":
-        payload = baselines.train_forest(x, y, baselines.ForestConfig(
-            n_trees=hyper.trees, seed=train_seed))
-    else:
-        raise ValueError(f"unknown model variant {variant!r}")
+    payload, history = spec.fit(crop_split.train_data.x, crop_split.train_data.y,
+                                hyper, train_seed)
     return Model(variant=variant, payload=payload,
-                 normalizer=crop_split.normalizer, crop=crop_split.crop)
+                 normalizer=crop_split.normalizer, crop=crop_split.crop,
+                 history=history)

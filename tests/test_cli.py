@@ -1,6 +1,10 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agroyield import cli, ingest
 from agroyield.cli import load_config, resolve_config, run
@@ -193,3 +197,86 @@ class TestExitCodes:
         assert run(["train", "--data", str(data_csv), "--model", "dnn",
                     "--crop", "jute", "--epochs", "30", "--lr", "1e18",
                     "--seed", "1", "--out", str(tmp_path / "m.json")]) == 3
+
+
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "forest", "--crop", "banana"],
+        ["train", "--model", "dnn", "--crop", "jute", "--epochs", "0"],
+        ["train", "--model", "svm", "--crop", "jute", "--lr", "-0.1"],
+        ["report", "--trees", "0"],
+    ])
+    def test_bad_training_flag_exits_2(self, argv, data_csv, tmp_path,
+                                       capsys):
+        out = tmp_path / "out"
+        argv = argv + ["--data", str(data_csv), "--out", str(out)]
+        assert run(argv) == 2
+        assert not out.exists()
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", "0"],
+        ["generate", "--noise", "-1"],
+    ])
+    def test_bad_generate_flag_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        self.assert_one_line_error(capsys)
+
+    def test_unknown_model_in_config_exits_2(self, data_csv, tmp_path,
+                                             capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"model": "quantum"}')
+        out = tmp_path / "m.json"
+        assert run(["train", "--data", str(data_csv), "--crop", "jute",
+                    "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        self.assert_one_line_error(capsys)
+
+    @staticmethod
+    def assert_one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith("data error: ")
+
+
+# field -> (flag or None, values outside the field's documented range)
+_OUT_OF_RANGE = {
+    "n": ("--n", st.integers(max_value=0)),
+    "epochs": ("--epochs", st.integers(max_value=0)),
+    "trees": ("--trees", st.integers(max_value=0)),
+    "batch_size": (None, st.integers(max_value=0)),
+    "patience": (None, st.integers(max_value=-1)),
+    "lr": ("--lr", st.floats().filter(lambda v: not 0 < v < math.inf)),
+    "noise_sigma": ("--noise",
+                    st.floats().filter(lambda v: not 0 <= v < math.inf)),
+    "train_ratio": ("--ratio", st.floats().filter(lambda v: not 0 < v < 1)),
+}
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ranges")
+
+
+@pytest.mark.parametrize("field", sorted(_OUT_OF_RANGE))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_out_of_range_value_exits_2(field, data, data_csv, scratch_dir):
+    flag, values = _OUT_OF_RANGE[field]
+    value = data.draw(values, label="value")
+    in_config = flag is None or data.draw(st.booleans(), label="in_config")
+    work = Path(tempfile.mkdtemp(dir=scratch_dir))
+    out = work / "out"
+    if in_config:
+        config = work / "c.json"
+        config.write_text(json.dumps({field: value}))
+        argv = ["report", "--data", str(data_csv), "--config", str(config)]
+    elif field in ("n", "noise_sigma", "train_ratio"):
+        argv = ["generate", f"{flag}={value!r}"]
+    else:
+        argv = ["report", "--data", str(data_csv), f"{flag}={value!r}"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()

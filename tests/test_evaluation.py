@@ -23,7 +23,7 @@ from agroyield.evaluation import (
     select_crop,
 )
 from agroyield.models import Model
-from agroyield.schema import Crop, District, Weather
+from agroyield.schema import Crop, District, Weather, encode_features
 from helpers import make_record
 
 
@@ -143,6 +143,11 @@ class TestSelectCrop:
         rec = select_crop(self.per_crop_models(values), make_record())
         assert rec.selected is Crop.Jute
         assert rec.predicted[Crop.Jute] == pytest.approx(4.5)
+
+    def test_crop_is_not_a_feature(self):
+        # select_crop encodes the request once for all six crop models
+        vectors = {encode_features(make_record(crop=c)).values for c in Crop}
+        assert len(vectors) == 1
 
     def test_all_equal_ties_break_to_first_member(self):
         rec = select_crop(self.per_crop_models([2.0] * 6), make_record())

@@ -4,6 +4,7 @@ import pytest
 from agroyield import baselines, ingest, nn, pipeline, synthgen
 from agroyield.errors import DimensionMismatch, MalformedConfig
 from agroyield.models import (
+    VARIANTS,
     Model,
     load_model,
     model_from_json,
@@ -25,7 +26,31 @@ def crop_split():
 def trained_models(crop_split):
     hyper = pipeline.Hyperparams(epochs=5, trees=3)
     return {variant: pipeline.train_variant(variant, crop_split, 17, hyper)
-            for variant in ("dnn", "logistic", "svm", "forest")}
+            for variant in VARIANTS}
+
+
+class TestVariantTable:
+    def test_report_row_order(self):
+        assert list(VARIANTS) == ["dnn", "svm", "forest", "logistic"]
+
+    def test_unknown_variant_is_malformed_config(self, crop_split):
+        with pytest.raises(MalformedConfig):
+            pipeline.train_variant("quantum", crop_split, 17)
+        model = Model("quantum", None, crop_split.normalizer)
+        with pytest.raises(MalformedConfig):
+            predict_model(model, np.zeros((1, 46)))
+        with pytest.raises(MalformedConfig):
+            model_to_json(model)
+
+    def test_only_the_network_keeps_a_history(self, trained_models):
+        for variant, model in trained_models.items():
+            assert (model.history is not None) == (variant == "dnn")
+        assert len(trained_models["dnn"].history.train_mse) == 5
+
+    def test_zero_epochs_is_not_replaced_by_the_default(self, crop_split):
+        model = pipeline.train_variant("dnn", crop_split, 17,
+                                       pipeline.Hyperparams(epochs=0))
+        assert model.history.train_mse == []
 
 
 class TestPredictModel:
@@ -70,7 +95,7 @@ class TestPredictModel:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("variant", ["dnn", "logistic", "svm", "forest"])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_round_trip_preserves_predictions(self, variant, crop_split,
                                               trained_models, tmp_path):
         model = trained_models[variant]
