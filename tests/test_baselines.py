@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from agroyield import baselines, evaluation, pipeline, synthgen
+from agroyield import baselines, evaluation, models, pipeline, synthgen
 from agroyield.baselines import (
     ForestConfig,
     build_tree,
@@ -225,3 +228,28 @@ class TestForest:
             if err_f <= err_s:
                 wins += 1
         assert wins >= 4
+
+
+# sha256 of the sorted-JSON model dict of the 30-tree forest below
+FOREST_30_SHA256 = (
+    "7f83f478fdad17f1161131a87c62f1ab2101cb0c5c6ae3e1bf828a1be03912eb")
+
+
+def _tied_matrix(n=600, seed=2024):
+    """46 features: 8 with 3 levels, 8 with 4 levels, one constant."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 46))
+    x[:, 0:8] = rng.integers(0, 3, size=(n, 8)) / 2.0
+    x[:, 8:16] = rng.integers(0, 4, size=(n, 8)) / 3.0
+    x[:, 20] = 0.5
+    y = (0.4 * x[:, 0] + 0.3 * x[:, 9] + 0.2 * x[:, 30] ** 2
+         + 0.05 * rng.standard_normal(n))
+    return x, y
+
+
+def test_benchmark_size_forest_bytes_unchanged():
+    # pins every split of a 30-tree forest, ties and constant column included
+    x, y = _tied_matrix()
+    forest = train_forest(x, y, ForestConfig(n_trees=30, seed=1))
+    blob = json.dumps(models._forest_to_dict(forest), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == FOREST_30_SHA256
