@@ -158,38 +158,43 @@ def _best_split(x, y, feature_indices, min_leaf):
     """Best (feature, threshold) by variance reduction.
 
     Candidates are midpoints between consecutive sorted unique values.
-    Ties break toward the lowest feature index, then lowest threshold;
-    iterating features in ascending order with strict improvement gives
-    exactly that.
+    All features are searched at once: each column of the (n, k) block
+    is sorted and prefix-summed on its own, exactly as a loop over the
+    columns would. Ties break toward the lowest feature index, then
+    lowest threshold: argmin takes the first minimum within a column, and
+    features are compared in the given (ascending) order with strict
+    improvement.
     """
     n = len(y)
+    # split after sorted position i puts i+1 samples left; only these
+    # positions leave min_leaf samples on both sides
+    lo, hi = min_leaf - 1, n - min_leaf
+    if lo >= hi:
+        return None
     total_sum = y.sum()
     total_sq = (y * y).sum()
     parent_sse = total_sq - total_sum * total_sum / n
+    block = x[:, feature_indices]
+    order = np.argsort(block, axis=0, kind="stable")
+    cols = np.arange(block.shape[1])
+    xs = block[order, cols]
+    ys = y[order]
+    csum = np.cumsum(ys[:hi], axis=0)[lo:]
+    csq = np.cumsum(ys[:hi] * ys[:hi], axis=0)[lo:]
+    counts = np.arange(lo + 1, hi + 1)[:, None]
+    boundary = xs[lo:hi] < xs[lo + 1:hi + 1]
+    left_sse = csq - csum ** 2 / counts
+    right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - counts)
+    sse = np.where(boundary, left_sse + right_sse, np.inf)
+    rows = np.argmin(sse, axis=0)
+    best_sse = sse[rows, cols]
     best = None  # (sse, feature, threshold)
-    for f in feature_indices:
-        xf = x[:, f]
-        order = np.argsort(xf, kind="stable")
-        xs, ys = xf[order], y[order]
-        # split after position i puts i+1 samples left
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        boundary = xs[:-1] < xs[1:]
-        counts = np.arange(1, n)
-        valid = boundary & (counts >= min_leaf) & (n - counts >= min_leaf)
-        if not valid.any():
-            continue
-        left_sse = csq[:-1] - csum[:-1] ** 2 / counts
-        right_sum = total_sum - csum[:-1]
-        right_sq = total_sq - csq[:-1]
-        right_sse = right_sq - right_sum ** 2 / (n - counts)
-        sse = np.where(valid, left_sse + right_sse, np.inf)
-        k = int(np.argmin(sse))
-        if sse[k] < parent_sse - 1e-12:
-            threshold = 0.5 * (xs[k] + xs[k + 1])
-            cand = (float(sse[k]), f, float(threshold))
-            if best is None or cand[0] < best[0] - 1e-12:
-                best = cand
+    for j in np.flatnonzero(best_sse < parent_sse - 1e-12):
+        cand_sse = float(best_sse[j])
+        if best is None or cand_sse < best[0] - 1e-12:
+            i = lo + rows[j]
+            threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
+            best = (cand_sse, feature_indices[j], float(threshold))
     return best
 
 
@@ -213,11 +218,12 @@ def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
             return node
         chosen = rng.choice(n_features, size=features_per_split, replace=False)
         chosen.sort()
-        found = _best_split(x[idx], yn, chosen, min_leaf)
+        xn = x[idx]
+        found = _best_split(xn, yn, chosen, min_leaf)
         if found is None:
             return node
         _, feature, threshold = found
-        mask = x[idx, feature] <= threshold
+        mask = xn[:, feature] <= threshold
         node.feature = int(feature)
         node.threshold = threshold
         node.left = grow(idx[mask], depth + 1)

@@ -45,11 +45,32 @@ _FIELDS = {
 }
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
 def _check_ranges(values: dict, where: str) -> None:
     for key, (_, _, rule) in _FIELDS.items():
         value = values.get(key)
         if rule is not None and value is not None and not rule[1](value):
             raise MalformedConfig(f"{where}{key} must be {rule[0]}, got {value}")
+
+
+def _typed(key: str, value, where: str):
+    """`value` if it has the field's type; a float field also takes an int.
+
+    Nothing else is converted: a bool, 2.9 or 3.0 for an int field, or a
+    string for a number raises MalformedConfig.
+    """
+    kind = _FIELDS[key][0]
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise MalformedConfig(f"{where}{key} is out of range") from exc
+    if type(value) is not kind:
+        raise MalformedConfig(
+            f"{where}{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def load_config(path) -> dict:
@@ -70,11 +91,7 @@ def load_config(path) -> dict:
         if key not in _FIELDS:
             raise MalformedConfig(f"config {path}: unknown field {key!r}")
         if value is not None:
-            try:
-                value = _FIELDS[key][0](value)
-            except (TypeError, ValueError) as exc:
-                raise MalformedConfig(
-                    f"config {path}: field {key!r}: {exc}") from exc
+            value = _typed(key, value, f"config {path}: ")
         out[key] = value
     _check_ranges(out, f"config {path}: ")
     return out

@@ -23,6 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import schema
+from .errors import MalformedConfig
 from .ingest import Dataset
 from .schema import AgroRecord, Crop, District, Fertilizer, SoilProperty, Weather
 
@@ -99,35 +100,87 @@ def ground_truth_yield(record: AgroRecord, response: CropResponse) -> float:
     return response.base_yield * g * soil * land * fert
 
 
-def _response_from_dict(d: dict) -> CropResponse:
+# list-valued response keys -> required length
+_VECTOR_LENGTHS = {"fertilizer_coeffs": 4, "fertilizer_scales": 4,
+                   "soil_weights": 19, "land_weights": 6}
+
+
+def _number(value, name: str) -> float:
+    """`value` as a float; MalformedConfig unless it is a finite number."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise MalformedConfig(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _response_from_dict(d, crop: str) -> CropResponse:
+    """One crop's entry; MalformedConfig names a missing or ill-typed key."""
+    def get(*path):
+        node = d
+        for depth, key in enumerate(path):
+            if not isinstance(node, dict) or key not in node:
+                raise MalformedConfig(
+                    f"responses for {crop}: missing "
+                    f"{'.'.join(path[:depth + 1])}")
+            node = node[key]
+        return node
+
+    def number(*path):
+        return _number(get(*path), f"responses for {crop}: {'.'.join(path)}")
+
+    def vector(key):
+        value = get(key)
+        length = _VECTOR_LENGTHS[key]
+        if not isinstance(value, list) or len(value) != length:
+            raise MalformedConfig(
+                f"responses for {crop}: {key} must be a list of "
+                f"{length} numbers")
+        for i, item in enumerate(value):
+            _number(item, f"responses for {crop}: {key}[{i}]")
+        return tuple(value)
+
     return CropResponse(
-        base_yield=float(d["base_yield"]),
-        opt_rainfall=float(d["rainfall"]["opt"]),
-        width_rainfall=float(d["rainfall"]["width"]),
-        opt_max_temp=float(d["max_temp"]["opt"]),
-        width_max_temp=float(d["max_temp"]["width"]),
-        opt_humidity=float(d["humidity"]["opt"]),
-        width_humidity=float(d["humidity"]["width"]),
-        fertilizer_coeffs=tuple(d["fertilizer_coeffs"]),
-        fertilizer_scales=tuple(d["fertilizer_scales"]),
-        soil_weights=tuple(d["soil_weights"]),
-        land_weights=tuple(d["land_weights"]),
+        base_yield=number("base_yield"),
+        opt_rainfall=number("rainfall", "opt"),
+        width_rainfall=number("rainfall", "width"),
+        opt_max_temp=number("max_temp", "opt"),
+        width_max_temp=number("max_temp", "width"),
+        opt_humidity=number("humidity", "opt"),
+        width_humidity=number("humidity", "width"),
+        fertilizer_coeffs=vector("fertilizer_coeffs"),
+        fertilizer_scales=vector("fertilizer_scales"),
+        soil_weights=vector("soil_weights"),
+        land_weights=vector("land_weights"),
     )
 
 
 def load_responses(path=None) -> dict:
-    """Load per-crop responses; defaults to the shipped presets."""
-    if path is None:
-        text = resources.files("agroyield").joinpath("responses.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    raw = json.loads(text)
+    """Load per-crop responses; defaults to the shipped presets.
+
+    A document that is not valid JSON, not an object, lacks a crop or has
+    a missing or ill-typed key raises MalformedConfig.
+    """
+    try:
+        if path is None:
+            text = resources.files("agroyield").joinpath(
+                "responses.json").read_text()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        raw = json.loads(text)
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise MalformedConfig(
+            f"responses file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise MalformedConfig(f"responses file {path} must be a JSON object")
     out = {}
     for crop in Crop:
         if crop.name not in raw:
-            raise ValueError(f"responses file missing crop {crop.name}")
-        out[crop] = _response_from_dict(raw[crop.name])
+            raise MalformedConfig(f"responses file missing crop {crop.name}")
+        out[crop] = _response_from_dict(raw[crop.name], crop.name)
     return out
 
 

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agroyield import baselines, evaluation, models, pipeline, synthgen
 from agroyield.baselines import (
@@ -253,3 +255,72 @@ def test_benchmark_size_forest_bytes_unchanged():
     forest = train_forest(x, y, ForestConfig(n_trees=30, seed=1))
     blob = json.dumps(models._forest_to_dict(forest), sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == FOREST_30_SHA256
+
+
+def _reference_best_split(x, y, feature_indices, min_leaf):
+    """The per-feature loop that the one-pass split search replaced."""
+    n = len(y)
+    total_sum = y.sum()
+    total_sq = (y * y).sum()
+    parent_sse = total_sq - total_sum * total_sum / n
+    best = None  # (sse, feature, threshold)
+    for f in feature_indices:
+        xf = x[:, f]
+        order = np.argsort(xf, kind="stable")
+        xs, ys = xf[order], y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        boundary = xs[:-1] < xs[1:]
+        counts = np.arange(1, n)
+        valid = boundary & (counts >= min_leaf) & (n - counts >= min_leaf)
+        if not valid.any():
+            continue
+        left_sse = csq[:-1] - csum[:-1] ** 2 / counts
+        right_sum = total_sum - csum[:-1]
+        right_sq = total_sq - csq[:-1]
+        right_sse = right_sq - right_sum ** 2 / (n - counts)
+        sse = np.where(valid, left_sse + right_sse, np.inf)
+        k = int(np.argmin(sse))
+        if sse[k] < parent_sse - 1e-12:
+            threshold = 0.5 * (xs[k] + xs[k + 1])
+            cand = (float(sse[k]), f, float(threshold))
+            if best is None or cand[0] < best[0] - 1e-12:
+                best = cand
+    return best
+
+
+@st.composite
+def _split_problems(draw):
+    n = draw(st.integers(2, 60))
+    n_features = 46
+    levels = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # few levels per column gives heavy ties; some columns are constant
+    x = rng.integers(0, levels, size=(n, n_features)) / 4.0
+    if draw(st.booleans()):
+        x[:, ::2] = rng.uniform(size=(n, (n_features + 1) // 2))
+    constant = rng.uniform(size=n_features) < 0.2
+    x[:, constant] = 0.25
+    if draw(st.booleans()):
+        y = rng.integers(0, 3, size=n).astype(float)
+    else:
+        y = rng.uniform(size=n)
+    k = draw(st.integers(1, n_features))
+    features = np.sort(rng.choice(n_features, size=k, replace=False))
+    min_leaf = draw(st.integers(1, n))
+    return x, y, features, min_leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_problems())
+def test_best_split_matches_per_feature_loop(problem):
+    x, y, features, min_leaf = problem
+    got = baselines._best_split(x, y, features, min_leaf)
+    want = _reference_best_split(x, y, features, min_leaf)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got[0], int(got[1]), got[2]) == (want[0], int(want[1]),
+                                                 want[2])

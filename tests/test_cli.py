@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,27 @@ class TestConfig:
         with pytest.raises(MalformedConfig):
             load_config(path)
 
+    @pytest.mark.parametrize("doc", [
+        '{"epochs": 2.9}', '{"epochs": 3.0}', '{"seed": true}',
+        '{"trees": false}', '{"n": "10"}', '{"batch_size": [32]}',
+        '{"lr": true}', '{"noise_sigma": "0.1"}', '{"train_ratio": {}}',
+        '{"model": 5}', '{"crop": ["jute"]}', '{"lr": 1%s}' % ("0" * 400),
+    ], ids=lambda doc: doc[:24])
+    def test_ill_typed_value_rejected(self, doc, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(doc)
+        with pytest.raises(MalformedConfig):
+            load_config(path)
+
+    def test_values_keep_their_json_type(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"epochs": 3, "seed": 0, "lr": 1, "noise_sigma": 0,'
+                        ' "train_ratio": 0.5, "model": "svm", "crop": null}')
+        cfg = load_config(path)
+        assert cfg == {"epochs": 3, "seed": 0, "lr": 1.0, "noise_sigma": 0.0,
+                       "train_ratio": 0.5, "model": "svm", "crop": None}
+        assert type(cfg["lr"]) is float and type(cfg["epochs"]) is int
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
@@ -197,6 +219,18 @@ class TestExitCodes:
         assert run(["train", "--data", str(data_csv), "--model", "dnn",
                     "--crop", "jute", "--epochs", "30", "--lr", "1e18",
                     "--seed", "1", "--out", str(tmp_path / "m.json")]) == 3
+
+
+def _shipped_responses(**jute):
+    """The shipped responses with Jute's keys replaced (None deletes one)."""
+    src = resources.files("agroyield").joinpath("responses.json")
+    doc = json.loads(src.read_text())
+    for key, value in jute.items():
+        if value is None:
+            del doc["Jute"][key]
+        else:
+            doc["Jute"][key] = value
+    return doc
 
 
 class TestOutOfRangeValues:
@@ -231,6 +265,19 @@ class TestOutOfRangeValues:
         out = tmp_path / "m.json"
         assert run(["train", "--data", str(data_csv), "--crop", "jute",
                     "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], _shipped_responses(base_yield=None),
+        _shipped_responses(soil_weights="sandy"),
+    ], ids=["empty-object", "array", "no-base_yield", "ill-typed-soil"])
+    def test_malformed_responses_file_exits_2(self, doc, tmp_path, capsys):
+        responses = tmp_path / "r.json"
+        responses.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert run(["generate", "--n", "5", "--responses", str(responses),
+                    "--out", str(out)]) == 2
         assert not out.exists()
         self.assert_one_line_error(capsys)
 
