@@ -80,10 +80,8 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise MalformedConfig(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedConfig(
-            f"config {path} is not valid JSON at line {exc.lineno}: {exc.msg}"
-        ) from exc
+    except (ValueError, RecursionError) as exc:  # bad bytes, JSON or nesting
+        raise MalformedConfig(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise MalformedConfig(f"config {path} must be a JSON object")
     out = {}

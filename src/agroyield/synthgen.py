@@ -117,7 +117,8 @@ def _number(value, name: str) -> float:
 
 
 def _response_from_dict(d, crop: str) -> CropResponse:
-    """One crop's entry; MalformedConfig names a missing or ill-typed key."""
+    """One crop's entry; MalformedConfig names a missing or ill-typed key
+    or a width that is not > 0 (it divides)."""
     def get(*path):
         node = d
         for depth, key in enumerate(path):
@@ -130,6 +131,13 @@ def _response_from_dict(d, crop: str) -> CropResponse:
 
     def number(*path):
         return _number(get(*path), f"responses for {crop}: {'.'.join(path)}")
+
+    def width(key):
+        value = number(key, "width")
+        if value <= 0:
+            raise MalformedConfig(
+                f"responses for {crop}: {key}.width must be > 0, got {value}")
+        return value
 
     def vector(key):
         value = get(key)
@@ -145,11 +153,11 @@ def _response_from_dict(d, crop: str) -> CropResponse:
     return CropResponse(
         base_yield=number("base_yield"),
         opt_rainfall=number("rainfall", "opt"),
-        width_rainfall=number("rainfall", "width"),
+        width_rainfall=width("rainfall"),
         opt_max_temp=number("max_temp", "opt"),
-        width_max_temp=number("max_temp", "width"),
+        width_max_temp=width("max_temp"),
         opt_humidity=number("humidity", "opt"),
-        width_humidity=number("humidity", "width"),
+        width_humidity=width("humidity"),
         fertilizer_coeffs=vector("fertilizer_coeffs"),
         fertilizer_scales=vector("fertilizer_scales"),
         soil_weights=vector("soil_weights"),
@@ -171,7 +179,7 @@ def load_responses(path=None) -> dict:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         raw = json.loads(text)
-    except ValueError as exc:  # undecodable bytes or invalid JSON
+    except (ValueError, RecursionError) as exc:  # bad bytes, JSON or nesting
         raise MalformedConfig(
             f"responses file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

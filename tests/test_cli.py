@@ -177,6 +177,15 @@ class TestConfig:
         with pytest.raises(MalformedConfig):
             load_config(path)
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000,
+    ], ids=["not-utf8", "too-deep"])
+    def test_undecodable_json_rejected(self, content, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        with pytest.raises(MalformedConfig):
+            load_config(path)
+
     @pytest.mark.parametrize("doc", [
         '{"epochs": 2.9}', '{"epochs": 3.0}', '{"seed": true}',
         '{"trees": false}', '{"n": "10"}', '{"batch_size": [32]}',
@@ -271,10 +280,14 @@ class TestOutOfRangeValues:
     @pytest.mark.parametrize("doc", [
         {}, [], _shipped_responses(base_yield=None),
         _shipped_responses(soil_weights="sandy"),
-    ], ids=["empty-object", "array", "no-base_yield", "ill-typed-soil"])
+        _shipped_responses(rainfall={"opt": 1800, "width": 0}),
+        b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000,
+    ], ids=["empty-object", "array", "no-base_yield", "ill-typed-soil",
+            "zero-width", "not-utf8", "too-deep"])
     def test_malformed_responses_file_exits_2(self, doc, tmp_path, capsys):
         responses = tmp_path / "r.json"
-        responses.write_text(json.dumps(doc))
+        responses.write_bytes(
+            doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         out = tmp_path / "out.csv"
         assert run(["generate", "--n", "5", "--responses", str(responses),
                     "--out", str(out)]) == 2
