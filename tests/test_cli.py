@@ -107,6 +107,25 @@ class TestReport:
         assert len(doc["crops"]["Jute"]) == 4
         assert len(list((out / "models").glob("*.json"))) == 24
 
+    def test_each_record_is_encoded_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "coverage.csv"
+        assert run(["generate", "--coverage", "--seed", "13",
+                    "--out", str(data)]) == 0
+        cleaned = ingest.clean(ingest.load_csv(data)).records
+        encoded = []
+        feature_matrix = ingest.feature_matrix
+
+        def counting(records):
+            encoded.extend(records)
+            return feature_matrix(records)
+
+        monkeypatch.setattr(ingest, "feature_matrix", counting)
+        assert run(["report", "--data", str(data), "--seed", "13",
+                    "--epochs", "3", "--trees", "3",
+                    "--out", str(tmp_path / "report")]) == 0
+        assert len(encoded) == len(cleaned)
+        assert set(encoded) == set(cleaned)
+
 
 class TestPlotData:
     def test_all_kinds_written(self, data_csv, tmp_path):
