@@ -130,6 +130,13 @@ def _load_clean(path) -> ingest.Dataset:
     return ingest.clean(ingest.load_csv(path))
 
 
+def _load_crop_model(path):
+    model = load_model(path)
+    if model.crop is None:
+        raise MalformedConfig(f"model file {path} carries no crop tag")
+    return model
+
+
 def _write_text(path, text: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -199,9 +206,7 @@ def _cmd_evaluate(args, cfg):
     dataset = _load_clean(args.data)
     results = {}
     for path in args.models:
-        model = load_model(path)
-        if model.crop is None:
-            raise MalformedConfig(f"model file {path} carries no crop tag")
+        model = _load_crop_model(path)
         crop_split = pipeline.prepare_crop_split(
             dataset, model.crop, cfg["train_ratio"], cfg["seed"])
         metrics = evaluation.evaluate(model, crop_split.test.records)
@@ -255,12 +260,7 @@ def _cmd_plot_data(args, cfg):
 
 
 def _cmd_select(args, cfg):
-    per_crop = {}
-    for path in args.models:
-        model = load_model(path)
-        if model.crop is None:
-            raise MalformedConfig(f"model file {path} carries no crop tag")
-        per_crop[model.crop] = model
+    per_crop = {m.crop: m for m in map(_load_crop_model, args.models)}
     dataset = _load_clean(args.data)
     if not dataset.records:
         raise MalformedConfig(f"{args.data} has no valid records")

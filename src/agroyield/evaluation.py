@@ -83,24 +83,30 @@ def mape(predictions, actuals) -> float:
     return float(100.0 * np.mean(np.abs(p - a) / np.abs(a)))
 
 
-def evaluate(model: Model, records) -> Metrics:
-    if not records:
+def _score(model: Model, x, actuals) -> Metrics:
+    """Metrics of `model` on raw feature rows `x` with yields `actuals`."""
+    if len(actuals) == 0:
         raise EmptyTestSet("no test records")
-    x = ingest.feature_matrix(records)
     predictions = predict_model(
         model, ingest.normalize_features(model.normalizer, x))
-    actuals = ingest.target_vector(records)
     error = mape(predictions, actuals)
     return Metrics(error_pct=error, accuracy_pct=100.0 - error,
-                   n_test=len(records))
+                   n_test=len(actuals))
+
+
+def evaluate(model: Model, records) -> Metrics:
+    return _score(model, ingest.feature_matrix(records),
+                  ingest.target_vector(records))
 
 
 def compare(models: dict, test_records, train_ratio: float = 0.8) -> list:
     """One EvalRow per method in fixed order for a single crop's test set."""
+    x = ingest.feature_matrix(test_records)
+    actuals = ingest.target_vector(test_records)
     training_pct = 100.0 * train_ratio
     rows = []
     for key, label in METHOD_ORDER:
-        metrics = evaluate(models[key], test_records)
+        metrics = _score(models[key], x, actuals)
         rows.append(EvalRow(
             method=label,
             training_pct=training_pct,

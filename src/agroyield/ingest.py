@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import schema
-from .errors import EmptyDataset, EmptyInput, HeaderMismatch, TooFewRecords
+from .errors import (EmptyDataset, EmptyInput, HeaderMismatch,
+                     MalformedConfig, TooFewRecords)
 from .rng import SplitMix64
 
 CSV_HEADER = (
@@ -53,7 +54,7 @@ def _format_value(x) -> str:
 
 
 def record_to_row(record: schema.AgroRecord) -> list:
-    features = schema.encode_features(record).values
+    features = schema.encode_features(record)
     row = [record.district.name.lower(), str(record.year), record.crop.name.lower()]
     row += [_format_value(v) for v in features[1:]]
     row += [_format_value(record.production), _format_value(record.yield_t_ha)]
@@ -81,7 +82,15 @@ def _row_to_record(fields: list) -> schema.AgroRecord:
 
 
 def parse_csv(stream, source: str = "<stream>") -> Dataset:
-    """Parse a CSV stream; malformed rows are logged and skipped."""
+    """Parse a CSV stream; malformed rows are logged and skipped, while
+    bytes that are not UTF-8 or an oversized field raise MalformedConfig."""
+    try:
+        return _parse_rows(stream, source)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedConfig(f"{source} is not a readable CSV file: {exc}") from exc
+
+
+def _parse_rows(stream, source: str) -> Dataset:
     if isinstance(stream, (bytes, bytearray)):
         stream = io.StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
@@ -155,7 +164,7 @@ def clean(dataset: Dataset) -> Dataset:
 
 
 def feature_matrix(records) -> np.ndarray:
-    return np.array([schema.encode_features(r).values for r in records], dtype=float)
+    return np.array([schema.encode_features(r) for r in records], dtype=float)
 
 
 def target_vector(records) -> np.ndarray:
@@ -175,18 +184,10 @@ class Normalizer:
     target_max: float
 
 
-@dataclass
-class NormalizedData:
-    x: np.ndarray  # (n, 46), all values in [0, 1]
-    y: np.ndarray  # (n,), min-max scaled yield
-    columns: tuple
-
-
-def fit_normalizer(train: Dataset) -> Normalizer:
-    if not train.records:
+def fit_normalizer(x: np.ndarray, y: np.ndarray) -> Normalizer:
+    """Ranges of an encoded (n, 46) train matrix and its yield vector."""
+    if len(x) == 0:
         raise EmptyDataset("cannot fit a normalizer on an empty dataset")
-    x = feature_matrix(train.records)
-    y = target_vector(train.records)
     return Normalizer(
         column_mins=x.min(axis=0),
         column_maxs=x.max(axis=0),
@@ -217,16 +218,6 @@ def normalize_target(norm: Normalizer, y: np.ndarray) -> np.ndarray:
 def denormalize_target(norm: Normalizer, y_norm):
     span = norm.target_max - norm.target_min
     return np.asarray(y_norm, dtype=float) * span + norm.target_min
-
-
-def apply_normalizer(norm: Normalizer, dataset: Dataset) -> NormalizedData:
-    x = feature_matrix(dataset.records)
-    y = target_vector(dataset.records)
-    return NormalizedData(
-        x=normalize_features(norm, x),
-        y=normalize_target(norm, y),
-        columns=schema.schema_columns(),
-    )
 
 
 def split(dataset: Dataset, cfg: SplitConfig):

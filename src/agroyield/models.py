@@ -222,7 +222,7 @@ def model_from_json(text: str) -> Model:
         payload = spec.from_dict(doc["payload"])
         crop_name = doc.get("crop")
         crop = None if crop_name is None else schema.Crop[crop_name]
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise MalformedConfig(f"bad model file: {exc}") from exc
     return Model(variant=variant, payload=payload, normalizer=norm, crop=crop)
 
@@ -234,4 +234,8 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedConfig(f"model file {path} is not UTF-8: {exc}") from exc
+    return model_from_json(text)

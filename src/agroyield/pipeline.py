@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ingest
 from .errors import TooFewRecords
 from .models import Model, variant_spec
@@ -27,10 +29,10 @@ class Hyperparams:
 @dataclass
 class CropSplit:
     crop: Crop
-    train: ingest.Dataset
     test: ingest.Dataset
     normalizer: ingest.Normalizer
-    train_data: ingest.NormalizedData
+    x_train: np.ndarray  # (n_train, 46), normalized
+    y_train: np.ndarray  # (n_train,), normalized yield
 
 
 def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
@@ -45,10 +47,13 @@ def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
     split_seed = derive_seed(seed, f"split.{crop.name}")
     train, test = ingest.split(
         subset, ingest.SplitConfig(train_ratio=train_ratio, seed=split_seed))
-    normalizer = ingest.fit_normalizer(train)
+    x = ingest.feature_matrix(train.records)
+    y = ingest.target_vector(train.records)
+    normalizer = ingest.fit_normalizer(x, y)
     return CropSplit(
-        crop=crop, train=train, test=test, normalizer=normalizer,
-        train_data=ingest.apply_normalizer(normalizer, train),
+        crop=crop, test=test, normalizer=normalizer,
+        x_train=ingest.normalize_features(normalizer, x),
+        y_train=ingest.normalize_target(normalizer, y),
     )
 
 
@@ -57,7 +62,7 @@ def train_variant(variant: str, crop_split: CropSplit, seed: int,
     """Fit one model variant on a prepared crop split."""
     spec = variant_spec(variant)
     train_seed = derive_seed(seed, f"train.{variant}.{crop_split.crop.name}")
-    payload, history = spec.fit(crop_split.train_data.x, crop_split.train_data.y,
+    payload, history = spec.fit(crop_split.x_train, crop_split.y_train,
                                 hyper, train_seed)
     return Model(variant=variant, payload=payload,
                  normalizer=crop_split.normalizer, crop=crop_split.crop,

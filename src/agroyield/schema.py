@@ -141,12 +141,6 @@ class AgroRecord:
     yield_t_ha: float      # metric tons / hectare (target)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: tuple
-    column_names: tuple
-
-
 _WEATHER_COLUMNS = ("avg_rainfall", "max_temp", "min_temp", "humidity")
 _FERTILIZER_COLUMNS = ("urea", "tsp", "dap", "mp")
 _SOIL_PROP_COLUMNS = (
@@ -271,13 +265,13 @@ def validate_record(record: AgroRecord) -> list:
     return v
 
 
-def encode_features(record: AgroRecord) -> FeatureVector:
-    """Encode a valid record as the 46-value numeric feature vector."""
+def encode_features(record: AgroRecord) -> tuple:
+    """A valid record's 46 feature values, in `schema_columns()` order."""
     violations = validate_record(record)
     if violations:
         raise InvalidRecord(violations)
     w, f, sp = record.weather, record.fertilizer, record.soil_props
-    values = (
+    return (
         (float(record.year), w.avg_rainfall, w.max_temp, w.min_temp, w.humidity,
          f.urea, f.tsp, f.dap, f.mp)
         + tuple(float(x) for x in record.land_fractions)
@@ -286,4 +280,3 @@ def encode_features(record: AgroRecord) -> FeatureVector:
            sp.structure, sp.composition, float(record.area))
         + encode_district(record.district)
     )
-    return FeatureVector(values=values, column_names=_COLUMNS)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
-from . import schema
 from .errors import MalformedConfig
 from .ingest import Dataset
 from .schema import AgroRecord, Crop, District, Fertilizer, SoilProperty, Weather
@@ -256,13 +255,5 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
         factor = max(0.01, 1.0 + cfg.noise_sigma * float(noise[i]))
         y = gt * factor if cfg.noise_sigma > 0 else gt
         a = float(area[i])
-        record = schema.AgroRecord(
-            district=record.district, year=record.year, crop=record.crop,
-            weather=record.weather, fertilizer=record.fertilizer,
-            land_fractions=record.land_fractions,
-            soil_fractions=record.soil_fractions,
-            soil_props=record.soil_props,
-            area=a, production=y * a, yield_t_ha=y,
-        )
-        records.append(record)
+        records.append(replace(record, area=a, production=y * a, yield_t_ha=y))
     return Dataset(records=records, source=f"synthgen(seed={cfg.seed})")

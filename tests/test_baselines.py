@@ -217,7 +217,7 @@ class TestForest:
                                      noise_sigma=0.0, crops=(Crop.Jute,))
             ds = synthgen.generate(cfg)
             cs = pipeline.prepare_crop_split(ds, Crop.Jute, 0.8, 100 + seed)
-            x, y = cs.train_data.x, cs.train_data.y
+            x, y = cs.x_train, cs.y_train
             forest = train_forest(x, y, ForestConfig(n_trees=20, seed=seed))
             single = train_forest(x, y, ForestConfig(
                 n_trees=1, bootstrap=False, max_depth=64, min_leaf=1,

@@ -261,6 +261,9 @@ def _shipped_responses(**jute):
     return doc
 
 
+_HEADER = ",".join(ingest.CSV_HEADER).encode() + b"\n"
+
+
 class TestOutOfRangeValues:
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "forest", "--crop", "banana"],
@@ -310,6 +313,32 @@ class TestOutOfRangeValues:
         out = tmp_path / "out.csv"
         assert run(["generate", "--n", "5", "--responses", str(responses),
                     "--out", str(out)]) == 2
+        assert not out.exists()
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000, b"\xff\xfe{}",
+    ], ids=["too-deep", "not-utf8"])
+    def test_malformed_model_file_exits_2(self, content, data_csv, tmp_path,
+                                          capsys):
+        model = tmp_path / "m.json"
+        model.write_bytes(content)
+        out = tmp_path / "rec.json"
+        assert run(["select", "--data", str(data_csv), "--out", str(out)]
+                   + [str(model)] * 6) == 2
+        assert not out.exists()
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe" + _HEADER,
+        _HEADER + b"\xff" + b"0," * (len(ingest.CSV_HEADER) - 1) + b"0\n",
+        _HEADER + b"x" * 200000 + b"\n",
+    ], ids=["not-utf8-start", "not-utf8-row-1", "oversized-field"])
+    def test_unreadable_csv_exits_2(self, content, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        out = tmp_path / "cleaned"
+        assert run(["clean", "--data", str(data), "--out", str(out)]) == 2
         assert not out.exists()
         self.assert_one_line_error(capsys)
 

@@ -146,7 +146,7 @@ class TestSelectCrop:
 
     def test_crop_is_not_a_feature(self):
         # select_crop encodes the request once for all six crop models
-        vectors = {encode_features(make_record(crop=c)).values for c in Crop}
+        vectors = {encode_features(make_record(crop=c)) for c in Crop}
         assert len(vectors) == 1
 
     def test_all_equal_ties_break_to_first_member(self):

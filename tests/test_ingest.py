@@ -2,15 +2,20 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agroyield import ingest, schema
-from agroyield.errors import EmptyDataset, EmptyInput, HeaderMismatch, TooFewRecords
+from agroyield.errors import (
+    AgroYieldError,
+    EmptyDataset,
+    EmptyInput,
+    HeaderMismatch,
+    TooFewRecords,
+)
 from agroyield.ingest import (
     CSV_HEADER,
     Dataset,
     SplitConfig,
-    apply_normalizer,
     deduplicate,
     drop_invalid,
     fit_normalizer,
@@ -84,6 +89,29 @@ class TestParseCsv:
         assert ingest.load_csv(path).records == records
 
 
+_HEADER_BYTES = csv_text([]).encode()
+_ROW_BYTES = csv_text([make_record()]).encode()[len(_HEADER_BYTES):]
+
+
+@settings(max_examples=300, deadline=None)
+@given(with_header=st.booleans(),
+       cut=st.integers(0, len(_ROW_BYTES)),
+       tail=st.one_of(st.binary(max_size=300),
+                      st.text(",.-+0123456789eEinfa\"\r\n\x00",
+                              max_size=300).map(str.encode)),
+       as_stream=st.booleans())
+def test_arbitrary_bytes_parse_or_raise_package_error(with_header, cut, tail,
+                                                      as_stream):
+    data = (_HEADER_BYTES if with_header else b"") + _ROW_BYTES[:cut] + tail
+    if as_stream:  # decoded while rows are read, as load_csv does
+        data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    try:
+        ds = parse_csv(data)
+    except AgroYieldError:
+        return
+    assert isinstance(ds, Dataset)
+
+
 class TestDeduplicate:
     def test_exact_duplicate_removed(self):
         r1, r2 = make_record(), make_record(year=2009)
@@ -139,32 +167,38 @@ def rainfall_dataset(values):
     ])
 
 
+def fit_on(dataset):
+    """The normalizer fitted on `dataset` and its normalized feature matrix."""
+    x = ingest.feature_matrix(dataset.records)
+    norm = fit_normalizer(x, ingest.target_vector(dataset.records))
+    return norm, normalize_features(norm, x)
+
+
 class TestNormalizer:
     def test_table1_rainfall_min_max(self):
-        norm = fit_normalizer(rainfall_dataset([2385.0, 1930.0, 1523.0]))
+        norm, _ = fit_on(rainfall_dataset([2385.0, 1930.0, 1523.0]))
         i = schema.schema_columns().index("avg_rainfall")
         assert norm.column_mins[i] == 1523.0
         assert norm.column_maxs[i] == 2385.0
 
     def test_constant_column(self):
-        norm = fit_normalizer(rainfall_dataset([5.0, 5.0, 5.0]))
+        norm, _ = fit_on(rainfall_dataset([5.0, 5.0, 5.0]))
         i = schema.schema_columns().index("avg_rainfall")
         assert norm.column_mins[i] == norm.column_maxs[i] == 5.0
 
     def test_single_record_min_equals_max(self):
-        norm = fit_normalizer(rainfall_dataset([1930.0]))
+        norm, _ = fit_on(rainfall_dataset([1930.0]))
         assert np.all(norm.column_mins == norm.column_maxs)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataset):
-            fit_normalizer(Dataset(records=[]))
+            fit_normalizer(np.zeros((0, 46)), np.zeros(0))
 
     def test_endpoints_and_interior_value(self):
         train = rainfall_dataset([2385.0, 1930.0, 1523.0])
-        norm = fit_normalizer(train)
-        data = apply_normalizer(norm, train)
+        norm, x = fit_on(train)
         i = schema.schema_columns().index("avg_rainfall")
-        col = sorted(data.x[:, i])
+        col = sorted(x[:, i])
         assert col[0] == 0.0
         assert col[-1] == 1.0
         # (1930 - 1523) / (2385 - 1523), by hand
@@ -172,14 +206,13 @@ class TestNormalizer:
 
     def test_constant_column_maps_to_zero(self):
         train = rainfall_dataset([5.0, 5.0])
-        norm = fit_normalizer(train)
-        data = apply_normalizer(norm, train)
+        norm, x = fit_on(train)
         i = schema.schema_columns().index("avg_rainfall")
-        assert np.all(data.x[:, i] == 0.0)
+        assert np.all(x[:, i] == 0.0)
 
     def test_out_of_range_values_clipped(self):
         train = rainfall_dataset([1523.0, 2385.0])
-        norm = fit_normalizer(train)
+        norm, _ = fit_on(train)
         test = ingest.feature_matrix(rainfall_dataset([100.0, 9000.0]).records)
         out = normalize_features(norm, test)
         i = schema.schema_columns().index("avg_rainfall")
@@ -190,21 +223,19 @@ class TestNormalizer:
         records = [make_record(district=d, year=2008 + i)
                    for i, d in enumerate(schema.District)]
         ds = Dataset(records=records)
-        norm = fit_normalizer(ds)
-        data = apply_normalizer(norm, ds)
+        norm, x = fit_on(ds)
         raw = ingest.feature_matrix(records)
-        assert np.array_equal(data.x[:, -5:], raw[:, -5:])
+        assert np.array_equal(x[:, -5:], raw[:, -5:])
 
     def test_train_columns_hit_0_and_1(self):
         ds = rainfall_dataset([1000.0, 1500.0, 2000.0, 2500.0])
-        norm = fit_normalizer(ds)
-        data = apply_normalizer(norm, ds)
+        norm, x = fit_on(ds)
         span = norm.column_maxs - norm.column_mins
-        for j in range(data.x.shape[1]):
+        for j in range(x.shape[1]):
             if span[j] == 0 or schema.schema_columns()[j].startswith("district_"):
                 continue
-            assert abs(data.x[:, j].min()) <= 1e-12
-            assert abs(data.x[:, j].max() - 1.0) <= 1e-12
+            assert abs(x[:, j].min()) <= 1e-12
+            assert abs(x[:, j].max() - 1.0) <= 1e-12
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30, unique=True))
     def test_order_preserving_per_column(self, values):

@@ -56,7 +56,8 @@ class TestVariantTable:
 class TestPredictModel:
     def test_all_variants_predict_finite_yields(self, crop_split,
                                                 trained_models):
-        x = ingest.apply_normalizer(crop_split.normalizer, crop_split.test).x
+        x = ingest.normalize_features(
+            crop_split.normalizer, ingest.feature_matrix(crop_split.test.records))
         for model in trained_models.values():
             preds = predict_model(model, x)
             assert preds.shape == (len(crop_split.test.records),)
@@ -104,7 +105,8 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.variant == variant
         assert loaded.crop is Crop.Wheat
-        x = ingest.apply_normalizer(crop_split.normalizer, crop_split.test).x
+        x = ingest.normalize_features(
+            crop_split.normalizer, ingest.feature_matrix(crop_split.test.records))
         np.testing.assert_array_equal(predict_model(model, x),
                                       predict_model(loaded, x))
 

@@ -95,23 +95,23 @@ class TestValidateRecord:
 class TestEncodeFeatures:
     def test_dhaka_reference_level_all_zero(self):
         fv = encode_features(make_record(district=District.Dhaka))
-        assert fv.values[-5:] == (0.0,) * 5
+        assert fv[-5:] == (0.0,) * 5
 
     def test_land_fractions_copied(self):
         fv = encode_features(make_record())
         cols = schema_columns()
         start = cols.index("land_frac_highland")
-        assert fv.values[start:start + 6] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert fv[start:start + 6] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_table1_values_verbatim(self):
         r = make_record()
         fv = encode_features(r)
         cols = schema_columns()
-        assert fv.values[cols.index("avg_rainfall")] == 2385.0
-        assert fv.values[cols.index("humidity")] == 71.0
-        assert fv.values[cols.index("urea")] == 25967.0
-        assert fv.values[cols.index("tsp")] == 8262.0
-        assert fv.values[cols.index("dap")] == 1573.0
+        assert fv[cols.index("avg_rainfall")] == 2385.0
+        assert fv[cols.index("humidity")] == 71.0
+        assert fv[cols.index("urea")] == 25967.0
+        assert fv[cols.index("tsp")] == 8262.0
+        assert fv[cols.index("dap")] == 1573.0
 
     def test_invalid_record_raises(self):
         r = make_record(weather=Weather(2385.0, 34.0, 12.0, 150.0))
@@ -120,7 +120,7 @@ class TestEncodeFeatures:
 
     def test_column_names_match_schema(self):
         fv = encode_features(make_record())
-        assert fv.column_names == schema_columns()
+        assert len(fv) == len(schema_columns())
 
 
 class TestDistrictEncoding:
@@ -171,13 +171,13 @@ class TestProperties:
     @given(valid_records())
     def test_encoding_length_and_finiteness(self, record):
         fv = encode_features(record)
-        assert len(fv.values) == 46
-        assert all(math.isfinite(v) for v in fv.values)
+        assert len(fv) == 46
+        assert all(math.isfinite(v) for v in fv)
 
     @given(valid_records())
     def test_district_round_trip_through_features(self, record):
         fv = encode_features(record)
-        assert decode_district(fv.values[-5:]) is record.district
+        assert decode_district(fv[-5:]) is record.district
 
     @given(valid_records(), st.sampled_from(list(District)))
     def test_district_injectivity(self, record, other_district):
@@ -191,4 +191,4 @@ class TestProperties:
             soil_props=record.soil_props, area=record.area,
             yield_t_ha=record.yield_t_ha,
         )
-        assert encode_features(changed).values != encode_features(record).values
+        assert encode_features(changed) != encode_features(record)
