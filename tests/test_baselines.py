@@ -257,6 +257,31 @@ def test_benchmark_size_forest_bytes_unchanged():
     assert hashlib.sha256(blob.encode()).hexdigest() == FOREST_30_SHA256
 
 
+# sha256 of the preorder node tuples of the same forest, walked node by node,
+# so it does not depend on how trees are stored or serialized
+FOREST_30_NODES_SHA256 = (
+    "d4df1c2aab00e385a2d57ecc6a9e8cd445e82dfd736bd8798ddc346ef5b2b720")
+
+
+def _preorder(root):
+    """(feature, threshold, value, n_samples) of each node, in preorder."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            yield (None, None, node.value, node.n_samples)
+        else:
+            yield (node.feature, node.threshold, None, node.n_samples)
+            stack += [node.right, node.left]
+
+
+def test_benchmark_size_forest_nodes_unchanged():
+    x, y = _tied_matrix()
+    forest = train_forest(x, y, ForestConfig(n_trees=30, seed=1))
+    blob = json.dumps([list(_preorder(t)) for t in forest.trees])
+    assert hashlib.sha256(blob.encode()).hexdigest() == FOREST_30_NODES_SHA256
+
+
 def _reference_best_split(x, y, feature_indices, min_leaf):
     """The per-feature loop that the one-pass split search replaced."""
     n = len(y)

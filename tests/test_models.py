@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,3 +124,36 @@ class TestSerialization:
         with pytest.raises(MalformedConfig):
             model_from_json('{"variant": "quantum", "normalizer": {}, '
                             '"payload": {}}')
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _v1_fixture_recipe():
+    """The data, forest and probe rows behind tests/data/forest_v1.json."""
+    rng = np.random.default_rng(505)
+    x = rng.integers(0, 4, size=(80, 46)) / 3.0
+    y = 0.5 * x[:, 0] + 0.3 * x[:, 5] + 0.1 * rng.uniform(size=80)
+    forest = baselines.train_forest(x, y, baselines.ForestConfig(
+        n_trees=3, max_depth=4, min_leaf=3, seed=5))
+    norm = ingest.Normalizer(column_mins=np.zeros(46),
+                             column_maxs=np.ones(46),
+                             target_min=1.0, target_max=3.0)
+    probes = np.vstack([x, rng.uniform(size=(40, 46))])
+    return Model("forest", forest, norm, Crop.Jute), probes
+
+
+class TestSchemaV1:
+    """forest_v1.json is a schema-1 forest file; the predictions beside it
+    were computed when that format was current."""
+
+    def test_v1_forest_predicts_exactly_as_before(self):
+        model = load_model(DATA / "forest_v1.json")
+        _, probes = _v1_fixture_recipe()
+        want = json.loads((DATA / "forest_v1_predictions.json").read_text())
+        assert predict_model(model, probes).tolist() == want
+
+    def test_v1_forest_loads_as_the_same_forest_trained_now(self):
+        trained, _ = _v1_fixture_recipe()
+        loaded = load_model(DATA / "forest_v1.json")
+        assert model_to_json(loaded) == model_to_json(trained)
