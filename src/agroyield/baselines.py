@@ -117,19 +117,56 @@ def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1, epochs=500,
 # ------------------------------------------------------------------ forest
 
 @dataclass
+class FlatTree:
+    """A CART tree as parallel preorder lists; node i's left child is i + 1.
+
+    This is the one stored form of a tree, in memory and in model files.
+    """
+    feature: list    # split feature index; -1 at a leaf
+    value: list      # split threshold, or the mean target at a leaf
+    right: list      # index of the right child; -1 at a leaf
+    n_samples: list  # training samples that reached the node
+
+
 class TreeNode:
-    # internal node: feature/threshold/left/right set, value is None
-    # leaf: value/n_samples set, feature is None
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | None = None
-    n_samples: int = 0
+    """Read-only view of node `index` of a FlatTree, for walking it node by
+    node. Prediction and loading read the lists and create no views."""
+
+    __slots__ = ("tree", "index")
+
+    def __init__(self, tree: FlatTree, index: int = 0):
+        self.tree = tree
+        self.index = index
 
     @property
     def is_leaf(self):
-        return self.feature is None
+        return self.tree.feature[self.index] < 0
+
+    @property
+    def feature(self):
+        return None if self.is_leaf else self.tree.feature[self.index]
+
+    @property
+    def threshold(self):
+        return None if self.is_leaf else self.tree.value[self.index]
+
+    @property
+    def value(self):
+        return self.tree.value[self.index] if self.is_leaf else None
+
+    @property
+    def n_samples(self):
+        return self.tree.n_samples[self.index]
+
+    @property
+    def left(self):
+        return None if self.is_leaf else TreeNode(self.tree, self.index + 1)
+
+    @property
+    def right(self):
+        if self.is_leaf:
+            return None
+        return TreeNode(self.tree, self.tree.right[self.index])
 
 
 @dataclass(frozen=True)
@@ -150,8 +187,13 @@ class ForestConfig:
 
 @dataclass
 class ForestModel:
-    trees: list
+    flat_trees: list  # one FlatTree per bagged tree
     config: ForestConfig
+
+    @property
+    def trees(self) -> list:
+        """The root of each tree as a TreeNode view."""
+        return [TreeNode(t) for t in self.flat_trees]
 
 
 def _best_split(x, y, feature_indices, min_leaf):
@@ -200,7 +242,11 @@ def _best_split(x, y, feature_indices, min_leaf):
 
 def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
                seed=0) -> TreeNode:
-    """Grow a CART regression tree; leaves predict the mean target."""
+    """Grow a CART regression tree; leaves predict the mean target.
+
+    Nodes are appended to the FlatTree in preorder as they are grown; the
+    root's view is returned.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
@@ -210,34 +256,47 @@ def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
         features_per_split = n_features
     features_per_split = min(features_per_split, n_features)
     rng = np.random.default_rng(seed)
+    tree = FlatTree(feature=[], value=[], right=[], n_samples=[])
 
     def grow(idx, depth):
+        i = len(tree.feature)
         yn = y[idx]
-        node = TreeNode(value=float(yn.mean()), n_samples=len(idx))
+        tree.feature.append(-1)
+        tree.value.append(float(yn.mean()))
+        tree.right.append(-1)
+        tree.n_samples.append(len(idx))
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(yn == yn[0]):
-            return node
+            return
         chosen = rng.choice(n_features, size=features_per_split, replace=False)
         chosen.sort()
         xn = x[idx]
         found = _best_split(xn, yn, chosen, min_leaf)
         if found is None:
-            return node
+            return
         _, feature, threshold = found
         mask = xn[:, feature] <= threshold
-        node.feature = int(feature)
-        node.threshold = threshold
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
-        return node
+        tree.feature[i] = int(feature)
+        tree.value[i] = threshold
+        grow(idx[mask], depth + 1)
+        tree.right[i] = len(tree.feature)
+        grow(idx[~mask], depth + 1)
 
-    return grow(np.arange(len(y)), 0)
+    grow(np.arange(len(y)), 0)
+    return TreeNode(tree)
+
+
+def _walk(tree: FlatTree, row, i=0) -> float:
+    """The leaf value reached from node i; `row` is indexable by feature."""
+    feature, value, right = tree.feature, tree.value, tree.right
+    f = feature[i]
+    while f >= 0:
+        i = i + 1 if row[f] <= value[i] else right[i]
+        f = feature[i]
+    return value[i]
 
 
 def predict_tree(node: TreeNode, x) -> float:
-    x = np.asarray(x, dtype=float)
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.value
+    return _walk(node.tree, np.asarray(x, dtype=float).tolist(), node.index)
 
 
 def train_forest(x, y, config: ForestConfig = ForestConfig()) -> ForestModel:
@@ -261,14 +320,18 @@ def train_forest(x, y, config: ForestConfig = ForestConfig()) -> ForestModel:
             min_leaf=config.min_leaf,
             features_per_split=config.features_per_split,
             seed=tree_seed,
-        ))
-    return ForestModel(trees=trees, config=config)
+        ).tree)
+    return ForestModel(flat_trees=trees, config=config)
+
+
+def _forest_mean(model: ForestModel, row: list) -> float:
+    return float(np.mean([_walk(t, row) for t in model.flat_trees]))
 
 
 def predict_forest(model: ForestModel, x) -> float:
-    return float(np.mean([predict_tree(t, x) for t in model.trees]))
+    return _forest_mean(model, np.asarray(x, dtype=float).tolist())
 
 
 def predict_forest_batch(model: ForestModel, x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return np.array([predict_forest(model, row) for row in x])
+    rows = np.atleast_2d(np.asarray(x, dtype=float)).tolist()
+    return np.array([_forest_mean(model, row) for row in rows])

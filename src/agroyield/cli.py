@@ -207,9 +207,9 @@ def _cmd_evaluate(args, cfg):
     results = {}
     for path in args.models:
         model = _load_crop_model(path)
-        crop_split = pipeline.prepare_crop_split(
+        _, test = pipeline.split_crop(
             dataset, model.crop, cfg["train_ratio"], cfg["seed"])
-        metrics = evaluation.evaluate(model, crop_split.test.records)
+        metrics = evaluation.evaluate(model, test.records)
         results[str(path)] = {
             "variant": model.variant,
             "crop": model.crop.name,

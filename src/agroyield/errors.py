@@ -69,5 +69,9 @@ class MissingCropModel(AgroYieldError):
     pass
 
 
+class NonFinitePrediction(AgroYieldError):
+    pass
+
+
 class MalformedConfig(AgroYieldError):
     pass

@@ -3,24 +3,40 @@
 `VARIANTS` maps each model family's name to how it is fitted, how it
 predicts and how its payload is stored; its order is the row order of the
 report. Every trained model is stored as
-    {"schema_version": 1, "variant": ..., "normalizer": ..., "payload": ...}
-so the CLI loads any model file the same way. Predictions are returned in
-original units (t/ha): the network's and the SVM's raw outputs are clamped
-to [0, 1] before denormalization so reported yields are never negative.
+    {"schema_version": 2, "variant": ..., "crop": ..., "normalizer": ...,
+     "payload": ...}
+so the CLI loads any model file the same way. A forest payload holds the
+`ForestConfig` fields and, per tree, the `baselines.FlatTree` lists
+`feature`, `value`, `right` and `n_samples`, so loading builds no object per
+node. Schema 1 differs only there: each tree is nested node dicts, which
+`_tree_from_v1` flattens into the same lists.
+
+`model_from_json` checks every file before it is used: arrays have 46
+finite entries, network weight shapes match `layer_sizes` (46 ... 1), and
+every walk through a tree moves forward to a leaf, with a bounded number
+of NumPy operations per forest. Anything else raises MalformedConfig.
+
+Predictions are returned in original units (t/ha): the network's and the
+SVM's raw outputs are clamped to [0, 1] before denormalization so reported
+yields are never negative; a non-finite prediction raises
+NonFinitePrediction.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from . import baselines, ingest, nn, schema
-from .errors import DimensionMismatch, MalformedConfig
+from .errors import DimensionMismatch, MalformedConfig, NonFinitePrediction
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+N_FEATURES = len(schema.schema_columns())
 
 
 @dataclass(frozen=True)
@@ -43,6 +59,28 @@ class Model:
 
 def _default(value, fallback):
     return fallback if value is None else value
+
+
+def _number(value, what) -> float:
+    """A finite JSON number (not a bool) as a float; MalformedConfig if not."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise MalformedConfig(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, what, size=None, integer=False) -> np.ndarray:
+    """A JSON list of finite numbers (integers if `integer`; never bools) as
+    an array of `size` entries; MalformedConfig if it is anything else."""
+    kinds = {int} if integer else {int, float}
+    if (type(values) is not list or not set(map(type, values)) <= kinds
+            or size is not None and len(values) != size):
+        count = "" if size is None else f"{size} "
+        raise MalformedConfig(f"{what} must be a list of {count}"
+                              f"{'integers' if integer else 'numbers'}")
+    arr = np.array(values, dtype=np.int64 if integer else float)
+    if not np.isfinite(arr).all():
+        raise MalformedConfig(f"{what} must be finite")
+    return arr
 
 
 # The entries below reach nn and baselines through the module attribute at
@@ -72,10 +110,33 @@ def _dnn_to_dict(p: nn.Network) -> dict:
 
 
 def _dnn_from_dict(d: dict) -> nn.Network:
+    sizes = d["layer_sizes"]
+    if (type(sizes) is not list or len(sizes) < 2
+            or any(type(n) is not int or n < 1 for n in sizes)
+            or sizes[0] != N_FEATURES or sizes[-1] != 1):
+        raise MalformedConfig(f"dnn layer_sizes must be positive integers "
+                              f"from {N_FEATURES} to 1, got {sizes!r}")
+    shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in)
+    weights, biases = d["weights"], d["biases"]
+    if (type(weights) is not list or len(weights) != len(shapes)
+            or type(biases) is not list or len(biases) != len(shapes)):
+        raise MalformedConfig("dnn weights and biases must have one entry "
+                              "per layer")
+    for w, (fan_out, fan_in) in zip(weights, shapes):
+        if (type(w) is not list or len(w) != fan_out
+                or any(type(row) is not list or len(row) != fan_in
+                       for row in w)):
+            raise MalformedConfig(f"dnn weights must have shape "
+                                  f"({fan_out}, {fan_in})")
+    if d["hidden_activation"] not in nn.HIDDEN_ACTIVATIONS:
+        raise MalformedConfig(f"unknown dnn hidden_activation "
+                              f"{d['hidden_activation']!r}")
     return nn.Network(
-        layer_sizes=tuple(d["layer_sizes"]),
-        weights=[np.array(w, dtype=float) for w in d["weights"]],
-        biases=[np.array(b, dtype=float) for b in d["biases"]],
+        layer_sizes=tuple(sizes),
+        weights=[_numbers(list(chain.from_iterable(w)), "dnn weights")
+                 .reshape(shape) for w, shape in zip(weights, shapes)],
+        biases=[_numbers(b, "dnn biases", fan_out)
+                for b, (fan_out, _) in zip(biases, shapes)],
         hidden_activation=d["hidden_activation"],
     )
 
@@ -92,37 +153,77 @@ def _fit_forest(x, y, hyper, seed):
         n_trees=hyper.trees, seed=seed)), None
 
 
-def _tree_to_dict(node: baselines.TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value, "n_samples": node.n_samples}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(d: dict) -> baselines.TreeNode:
-    if "value" in d:
-        return baselines.TreeNode(value=d["value"], n_samples=d["n_samples"])
-    return baselines.TreeNode(
-        feature=d["feature"],
-        threshold=d["threshold"],
-        left=_tree_from_dict(d["left"]),
-        right=_tree_from_dict(d["right"]),
-    )
-
-
 def _forest_to_dict(p: baselines.ForestModel) -> dict:
-    return {**asdict(p.config), "trees": [_tree_to_dict(t) for t in p.trees]}
+    return {**asdict(p.config), "trees": [vars(t) for t in p.flat_trees]}
+
+
+def _check_trees(trees: list) -> None:
+    """MalformedConfig unless each tree's lists are valid and every walk
+    through a tree moves forward to a leaf.
+
+    The lists of all trees are checked together as flat arrays: a bounded
+    number of NumPy operations per forest, no Python loop per node.
+    """
+    sizes = [len(t.feature) for t in trees]
+    for t, n in zip(trees, sizes):
+        if n == 0 or any(type(c) is not list or len(c) != n
+                         for c in (t.feature, t.value, t.right, t.n_samples)):
+            raise MalformedConfig("forest tree lists must be non-empty "
+                                  "lists of equal length")
+
+    def column(name, integer):
+        return _numbers(list(chain.from_iterable(getattr(t, name)
+                                                 for t in trees)),
+                        f"forest tree {name}", integer=integer)
+
+    feature, right = column("feature", True), column("right", True)
+    column("value", False)
+    column("n_samples", True)
+    size = np.repeat(sizes, sizes)
+    index = np.arange(len(feature)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    internal = feature >= 0
+    ok = np.where(internal, (index + 1 < right) & (right < size), right == -1)
+    if not (ok.all() and feature.min() >= -1 and feature.max() < N_FEATURES):
+        raise MalformedConfig(
+            f"forest tree has a feature outside [-1, {N_FEATURES}) or a right "
+            f"child that does not point forward within its tree")
 
 
 def _forest_from_dict(d: dict) -> baselines.ForestModel:
     cfg = baselines.ForestConfig(
         **{f.name: d[f.name] for f in fields(baselines.ForestConfig)})
-    return baselines.ForestModel(
-        trees=[_tree_from_dict(t) for t in d["trees"]], config=cfg)
+    trees = [baselines.FlatTree(**t) for t in d["trees"]]
+    if len(trees) != cfg.n_trees:
+        raise MalformedConfig(f"forest has {len(trees)} trees, "
+                              f"n_trees is {cfg.n_trees!r}")
+    _check_trees(trees)
+    return baselines.ForestModel(flat_trees=trees, config=cfg)
+
+
+def _tree_from_v1(root: dict) -> dict:
+    """A schema-1 tree of nested node dicts as schema-2 preorder lists.
+
+    Schema 1 stores no count at an internal node; it is the sum of its
+    children's, as `build_tree` records it.
+    """
+    tree = {"feature": [], "value": [], "right": [], "n_samples": []}
+
+    def visit(node):
+        i = len(tree["feature"])
+        leaf = "value" in node
+        tree["feature"].append(-1 if leaf else node["feature"])
+        tree["value"].append(node["value"] if leaf else node["threshold"])
+        tree["right"].append(-1)
+        tree["n_samples"].append(node["n_samples"] if leaf else 0)
+        if not leaf:
+            visit(node["left"])
+            tree["right"][i] = right = len(tree["feature"])
+            visit(node["right"])
+            tree["n_samples"][i] = (tree["n_samples"][i + 1]
+                                    + tree["n_samples"][right])
+
+    visit(root)
+    return tree
 
 
 def _fit_logistic(x, y, hyper, seed):
@@ -146,8 +247,10 @@ VARIANTS = {
         to_dict=lambda p: {"weights": p.weights.tolist(), "bias": p.bias,
                            "epsilon": p.epsilon, "c": p.c},
         from_dict=lambda d: baselines.SvmModel(
-            weights=np.array(d["weights"], dtype=float), bias=d["bias"],
-            epsilon=d["epsilon"], c=d["c"]),
+            weights=_numbers(d["weights"], "svm weights", N_FEATURES),
+            bias=_number(d["bias"], "svm bias"),
+            epsilon=_number(d["epsilon"], "svm epsilon"),
+            c=_number(d["c"], "svm c")),
     ),
     "forest": Variant(
         label="Random Forest",
@@ -162,7 +265,8 @@ VARIANTS = {
         predict_raw=lambda p, x: p.predict_raw(x),
         to_dict=lambda p: {"weights": p.weights.tolist(), "bias": p.bias},
         from_dict=lambda d: baselines.LogisticModel(
-            weights=np.array(d["weights"], dtype=float), bias=d["bias"]),
+            weights=_numbers(d["weights"], "logistic weights", N_FEATURES),
+            bias=_number(d["bias"], "logistic bias")),
     ),
 }
 
@@ -185,7 +289,11 @@ def predict_model(model: Model, x_norm) -> np.ndarray:
             f"expected {len(model.normalizer.column_mins)} features, "
             f"got {x.shape[1]}")
     raw = spec.predict_raw(model.payload, x)
-    return ingest.denormalize_target(model.normalizer, raw)
+    yields = ingest.denormalize_target(model.normalizer, raw)
+    if not np.isfinite(yields).all():
+        raise NonFinitePrediction(
+            f"{model.variant} model predicts a non-finite yield")
+    return yields
 
 
 # ------------------------------------------------------------ serialization
@@ -211,18 +319,32 @@ def model_to_json(model: Model) -> str:
 def model_from_json(text: str) -> Model:
     try:
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise MalformedConfig("a model file must be a JSON object")
+        version = doc.get("schema_version")
+        if type(version) is not int or version not in (1, SCHEMA_VERSION):
+            raise MalformedConfig(f"unsupported model schema_version "
+                                  f"{version!r}; expected 1 or 2")
         variant = doc["variant"]
         spec = variant_spec(variant)
+        d = doc["normalizer"]
         norm = ingest.Normalizer(
-            column_mins=np.array(doc["normalizer"]["column_mins"], dtype=float),
-            column_maxs=np.array(doc["normalizer"]["column_maxs"], dtype=float),
-            target_min=doc["normalizer"]["target_min"],
-            target_max=doc["normalizer"]["target_max"],
+            column_mins=_numbers(d["column_mins"], "normalizer column_mins",
+                                 N_FEATURES),
+            column_maxs=_numbers(d["column_maxs"], "normalizer column_maxs",
+                                 N_FEATURES),
+            target_min=_number(d["target_min"], "normalizer target_min"),
+            target_max=_number(d["target_max"], "normalizer target_max"),
         )
-        payload = spec.from_dict(doc["payload"])
+        payload = doc["payload"]
+        if version == 1 and variant == "forest":
+            payload = {**payload,
+                       "trees": [_tree_from_v1(t) for t in payload["trees"]]}
+        payload = spec.from_dict(payload)
         crop_name = doc.get("crop")
         crop = None if crop_name is None else schema.Crop[crop_name]
-    except (KeyError, ValueError, TypeError, RecursionError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError,
+            RecursionError) as exc:
         raise MalformedConfig(f"bad model file: {exc}") from exc
     return Model(variant=variant, payload=payload, normalizer=norm, crop=crop)
 

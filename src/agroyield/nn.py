@@ -22,6 +22,7 @@ from .errors import (
 )
 
 DEFAULT_LAYER_SIZES = (46, 64, 32, 16, 1)
+HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
 
 
 def _activate(name, z):

@@ -35,9 +35,10 @@ class CropSplit:
     y_train: np.ndarray  # (n_train,), normalized yield
 
 
-def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
-                       train_ratio: float, seed: int) -> CropSplit:
-    """Filter one crop, split 80/20-style, fit the normalizer on train."""
+def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
+               seed: int) -> tuple:
+    """One crop's records, split 80/20-style into (train, test) datasets
+    with a seed derived from `seed` and the crop."""
     records = [r for r in dataset.records if r.crop is crop]
     if len(records) < 2:
         raise TooFewRecords(
@@ -45,8 +46,14 @@ def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
     subset = ingest.Dataset(records=records,
                             source=f"{dataset.source}[{crop.name}]")
     split_seed = derive_seed(seed, f"split.{crop.name}")
-    train, test = ingest.split(
+    return ingest.split(
         subset, ingest.SplitConfig(train_ratio=train_ratio, seed=split_seed))
+
+
+def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
+                       train_ratio: float, seed: int) -> CropSplit:
+    """Split one crop's records and fit the normalizer on the train part."""
+    train, test = split_crop(dataset, crop, train_ratio, seed)
     x = ingest.feature_matrix(train.records)
     y = ingest.target_vector(train.records)
     normalizer = ingest.fit_normalizer(x, y)

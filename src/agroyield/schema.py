@@ -15,6 +15,7 @@ ones = Narsingdi, exactly one = that district.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -196,13 +197,18 @@ def decode_district(indicators) -> District:
     raise ValueError(f"unrecognized district indicator pattern: {indicators}")
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def validate_record(record: AgroRecord) -> list:
     """Return every violated invariant (empty list means valid)."""
     v = []
     w, f, sp = record.weather, record.fertilizer, record.soil_props
 
+    # year is an int; math.isfinite raises on one beyond float range
+    if not -_FLOAT_MAX <= record.year <= _FLOAT_MAX:
+        v.append("year not finite")
     numeric = {
-        "year": record.year,
         "avg_rainfall": w.avg_rainfall,
         "max_temp": w.max_temp,
         "min_temp": w.min_temp,

@@ -1,5 +1,8 @@
 """Shared fixtures for building valid records and tiny datasets."""
 
+import signal
+from contextlib import contextmanager
+
 from agroyield.schema import (
     AgroRecord,
     Crop,
@@ -34,3 +37,26 @@ def make_record(**over) -> AgroRecord:
     )
     fields.update(over)
     return AgroRecord(**fields)
+
+
+class Hung(Exception):
+    """Raised by `time_limit`; no package or OS error, so nothing catches it."""
+
+
+@contextmanager
+def time_limit(seconds):
+    """Interrupt the block with `Hung` if it runs longer than `seconds`.
+
+    A per-example deadline that also stops an endless loop, which a
+    deadline checked after the call returns cannot.
+    """
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

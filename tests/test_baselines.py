@@ -234,7 +234,7 @@ class TestForest:
 
 # sha256 of the sorted-JSON model dict of the 30-tree forest below
 FOREST_30_SHA256 = (
-    "7f83f478fdad17f1161131a87c62f1ab2101cb0c5c6ae3e1bf828a1be03912eb")
+    "16417362802a01102231fc8a51cde5cde2b386dce349869cced3d69b31520e40")
 
 
 def _tied_matrix(n=600, seed=2024):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import tempfile
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from agroyield import cli, ingest
 from agroyield.cli import load_config, resolve_config, run
 from agroyield.errors import MalformedConfig
+from helpers import time_limit
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,20 @@ class TestClean:
         log = [json.loads(l)
                for l in (out / "cleaning_log.jsonl").read_text().splitlines()]
         assert log == [{"row": 420, "reason": "duplicate"}]
+
+    def test_year_beyond_float_range_is_logged(self, data_csv, tmp_path):
+        lines = data_csv.read_text().splitlines(keepends=True)
+        district, _, rest = lines[1].split(",", 2)
+        lines[1] = ",".join([district, "9" * 400, rest])
+        huge = tmp_path / "huge.csv"
+        huge.write_text("".join(lines))
+        out = tmp_path / "cleaned"
+        assert run(["clean", "--data", str(huge), "--out", str(out)]) == 0
+        kept = len((out / "cleaned.csv").read_text().splitlines()) - 1
+        log = [json.loads(l)
+               for l in (out / "cleaning_log.jsonl").read_text().splitlines()]
+        assert log == [{"row": 0, "reason": "year not finite"}]
+        assert kept + len(log) == len(lines) - 1
 
 
 class TestTrainEvaluateSelect:
@@ -125,6 +141,14 @@ class TestReport:
                     "--out", str(tmp_path / "report")]) == 0
         assert len(encoded) == len(cleaned)
         assert set(encoded) == set(cleaned)
+
+        # evaluate encodes only the test rows; the model file has the ranges
+        encoded.clear()
+        model = tmp_path / "report" / "models" / "jute_forest.json"
+        metrics = tmp_path / "metrics.json"
+        assert run(["evaluate", "--data", str(data), "--seed", "13",
+                    str(model), "--out", str(metrics)]) == 0
+        assert len(encoded) == json.loads(metrics.read_text())[str(model)]["n_test"]
 
 
 class TestPlotData:
@@ -263,6 +287,43 @@ def _shipped_responses(**jute):
 
 _HEADER = ",".join(ingest.CSV_HEADER).encode() + b"\n"
 
+# id -> (variant, path to a value in its model file, new value from old)
+_MODEL_MUTATIONS = {
+    "normalizer-truncated": ("logistic", ("normalizer", "column_mins"),
+                             lambda v: v[:10]),
+    "normalizer-infinite": ("svm", ("normalizer", "column_maxs", 0),
+                            lambda v: math.inf),
+    "dnn-weight-row-truncated": ("dnn", ("payload", "weights", 1, 0),
+                                 lambda v: v[:-1]),
+    "dnn-input-size": ("dnn", ("payload", "layer_sizes", 0), lambda v: 45),
+    "dnn-bias-truncated": ("dnn", ("payload", "biases", 0), lambda v: v[:-1]),
+    "svm-weights-truncated": ("svm", ("payload", "weights"), lambda v: v[:45]),
+    "svm-epsilon-string": ("svm", ("payload", "epsilon"), str),
+    "logistic-bias-infinite": ("logistic", ("payload", "bias"),
+                               lambda v: math.inf),
+    "forest-right-self": ("forest", ("payload", "trees", 0, "right", 0),
+                          lambda v: 0),
+    "forest-feature-99": ("forest", ("payload", "trees", 0, "feature", 0),
+                          lambda v: 99),
+    "forest-feature-bool": ("forest", ("payload", "trees", 0, "feature", 0),
+                            lambda v: True),
+    "schema-version-3": ("forest", ("schema_version",), lambda v: 3),
+}
+
+
+@pytest.fixture(scope="module")
+def model_docs(data_csv, tmp_path_factory):
+    """One small trained model file per variant, as parsed JSON."""
+    work = tmp_path_factory.mktemp("models")
+    docs = {}
+    for variant in ("dnn", "svm", "forest", "logistic"):
+        path = work / f"{variant}.json"
+        assert run(["train", "--data", str(data_csv), "--model", variant,
+                    "--crop", "jute", "--epochs", "2", "--trees", "2",
+                    "--seed", "5", "--out", str(path)]) == 0
+        docs[variant] = json.loads(path.read_text())
+    return docs
+
 
 class TestOutOfRangeValues:
     @pytest.mark.parametrize("argv", [
@@ -326,6 +387,24 @@ class TestOutOfRangeValues:
         out = tmp_path / "rec.json"
         assert run(["select", "--data", str(data_csv), "--out", str(out)]
                    + [str(model)] * 6) == 2
+        assert not out.exists()
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("mutation", list(_MODEL_MUTATIONS))
+    def test_mutated_model_file_exits_2(self, mutation, model_docs, data_csv,
+                                        tmp_path, capsys):
+        variant, path, change = _MODEL_MUTATIONS[mutation]
+        doc = copy.deepcopy(model_docs[variant])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = change(parent[path[-1]])
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "metrics.json"
+        with time_limit(30):
+            assert run(["evaluate", "--data", str(data_csv), "--seed", "5",
+                        str(model), "--out", str(out)]) == 2
         assert not out.exists()
         self.assert_one_line_error(capsys)
 

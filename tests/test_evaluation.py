@@ -30,8 +30,9 @@ from helpers import make_record
 def constant_model(value, target_min=0.0, target_max=10.0, crop=None):
     """A forest of one leaf predicting `value` t/ha for any input."""
     span = target_max - target_min
-    leaf = baselines.TreeNode(value=(value - target_min) / span, n_samples=1)
-    forest = baselines.ForestModel(trees=[leaf],
+    leaf = baselines.FlatTree(feature=[-1], value=[(value - target_min) / span],
+                              right=[-1], n_samples=[1])
+    forest = baselines.ForestModel(flat_trees=[leaf],
                                    config=baselines.ForestConfig(n_trees=1))
     norm = ingest.Normalizer(column_mins=np.zeros(46),
                              column_maxs=np.ones(46),

@@ -15,7 +15,7 @@ import pytest
 
 from agroyield.cli import run
 
-FINGERPRINT = "918c1d812e9df4f5b9f36049a0444574bc95e681d8742ea4bb44accb545ddc3d"
+FINGERPRINT = "fd35a89fbe29722de7cbeedb8b27e11c91002dbbf4acd47e8b492a7f36174663"
 REPORT_OUTPUT_SHA256 = (
     "17f3a42f2320241a1e66a82911ba79b2d2e61e89d47a99d06f20805fc94ff107")
 

@@ -1,11 +1,14 @@
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agroyield import baselines, ingest, nn, pipeline, synthgen
-from agroyield.errors import DimensionMismatch, MalformedConfig
+from agroyield.errors import AgroYieldError, DimensionMismatch, MalformedConfig
 from agroyield.models import (
     VARIANTS,
     Model,
@@ -16,6 +19,7 @@ from agroyield.models import (
     save_model,
 )
 from agroyield.schema import Crop
+from helpers import time_limit
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +95,9 @@ class TestPredictModel:
         norm = ingest.Normalizer(column_mins=np.zeros(46),
                                  column_maxs=np.ones(46),
                                  target_min=1.0, target_max=3.0)
-        leaf = baselines.TreeNode(value=0.5, n_samples=4)
-        forest = baselines.ForestModel(trees=[leaf, leaf],
+        leaf = baselines.FlatTree(feature=[-1], value=[0.5], right=[-1],
+                                  n_samples=[4])
+        forest = baselines.ForestModel(flat_trees=[leaf, leaf],
                                        config=baselines.ForestConfig(n_trees=2))
         model = Model("forest", forest, norm)
         assert predict_model(model, np.ones((1, 46)))[0] == pytest.approx(2.0)
@@ -157,3 +162,89 @@ class TestSchemaV1:
         trained, _ = _v1_fixture_recipe()
         loaded = load_model(DATA / "forest_v1.json")
         assert model_to_json(loaded) == model_to_json(trained)
+
+
+# ------------------------------------------------------------------ fuzzing
+
+@pytest.fixture(scope="module")
+def small_docs(crop_split):
+    """A small valid model file of each variant, parsed, plus the schema-1
+    forest fixture."""
+    hyper = pipeline.Hyperparams(epochs=2, trees=2, layer_sizes=(46, 3, 1))
+    docs = {variant: json.loads(model_to_json(
+        pipeline.train_variant(variant, crop_split, 17, hyper)))
+        for variant in VARIANTS}
+    docs["forest-v1"] = json.loads((DATA / "forest_v1.json").read_text())
+    return docs
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4)
+
+
+def _nodes(value, path=()):
+    """(path, value) of every value in a parsed JSON document."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _nodes(item, path + (i,))
+
+
+def _mutate(data, doc):
+    """Apply one drawn mutation to `doc` in place."""
+    nodes = list(_nodes(doc))
+    kinds = ["resize", "replace", "schema_version"]
+    trees = doc["payload"].get("trees", [])
+    if trees and isinstance(trees[0]["right"], list):  # schema 2
+        kinds.append("right")
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind == "resize":
+        path, old = data.draw(st.sampled_from(
+            [(p, v) for p, v in nodes if isinstance(v, list)]), label="list")
+        size = data.draw(st.integers(0, len(old) + 3).filter(
+            lambda n: n != len(old)), label="size")
+        new = old[:size] + [copy.deepcopy(old[i % len(old)]) if old
+                            else data.draw(_JSON_VALUES)
+                            for i in range(size - len(old))]
+    elif kind == "replace":
+        path, _ = data.draw(st.sampled_from(
+            [(p, v) for p, v in nodes if type(v) in (int, float)]),
+            label="number")
+        new = data.draw(_JSON_VALUES, label="value")
+    elif kind == "right":
+        t = data.draw(st.integers(0, len(trees) - 1), label="tree")
+        internal = [i for i, f in enumerate(trees[t]["feature"]) if f >= 0]
+        if not internal:
+            return
+        i = data.draw(st.sampled_from(internal), label="node")
+        path = ("payload", "trees", t, "right", i)
+        new = data.draw(st.integers(0, i), label="backwards or self")
+    else:
+        path = ("schema_version",)
+        new = data.draw(st.integers(-1, 4) | _JSON_VALUES, label="version")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_model_file_loads_or_raises_package_error(small_docs, data):
+    name = data.draw(st.sampled_from(sorted(small_docs)), label="file")
+    doc = copy.deepcopy(small_docs[name])
+    _mutate(data, doc)
+    text = json.dumps(doc)
+    with time_limit(10), np.errstate(all="ignore"):
+        try:
+            preds = predict_model(model_from_json(text), np.zeros((1, 46)))
+        except AgroYieldError:
+            return
+    assert preds.shape == (1,) and np.isfinite(preds).all()

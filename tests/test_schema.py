@@ -91,6 +91,14 @@ class TestValidateRecord:
         r = make_record(area=100.0, production=500.0, yield_t_ha=2.0)
         assert any("inconsistent" in v for v in validate_record(r))
 
+    @pytest.mark.parametrize("year", [10 ** 400, -10 ** 400],
+                             ids=["huge", "huge-negative"])
+    def test_year_beyond_float_range_is_a_violation(self, year):
+        r = make_record(year=year)
+        assert validate_record(r)[0] == "year not finite"
+        with pytest.raises(InvalidRecord):
+            encode_features(r)
+
 
 class TestEncodeFeatures:
     def test_dhaka_reference_level_all_zero(self):
