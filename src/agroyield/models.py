@@ -77,7 +77,7 @@ def _numbers(values, what, size=None, integer=False) -> np.ndarray:
         count = "" if size is None else f"{size} "
         raise MalformedConfig(f"{what} must be a list of {count}"
                               f"{'integers' if integer else 'numbers'}")
-    arr = np.array(values, dtype=np.int64 if integer else float)
+    arr = np.fromiter(values, np.int64 if integer else float, len(values))
     if not np.isfinite(arr).all():
         raise MalformedConfig(f"{what} must be finite")
     return arr
