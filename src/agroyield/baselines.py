@@ -5,7 +5,8 @@
 - Linear SVM: epsilon-insensitive support vector regression trained by
   subgradient descent on 1/2 ||w||^2 / n + C * mean(hinge residuals).
 - Random forest: bagged CART regression trees, variance-reduction splits
-  over a seeded random feature subset per node.
+  over a seeded random feature subset per node. Each tree is a FlatTree:
+  parallel preorder lists, the layout of scikit-learn's `Tree`.
 """
 
 from __future__ import annotations

@@ -148,7 +148,8 @@ class TestReport:
         metrics = tmp_path / "metrics.json"
         assert run(["evaluate", "--data", str(data), "--seed", "13",
                     str(model), "--out", str(metrics)]) == 0
-        assert len(encoded) == json.loads(metrics.read_text())[str(model)]["n_test"]
+        n_test = json.loads(metrics.read_text())[str(model)]["n_test"]
+        assert len(encoded) == n_test
 
 
 class TestPlotData:
@@ -302,6 +303,8 @@ _MODEL_MUTATIONS = {
     "logistic-bias-infinite": ("logistic", ("payload", "bias"),
                                lambda v: math.inf),
     "forest-right-self": ("forest", ("payload", "trees", 0, "right", 0),
+                          lambda v: 0),
+    "forest-leaf-right": ("forest", ("payload", "trees", 0, "right", -1),
                           lambda v: 0),
     "forest-feature-99": ("forest", ("payload", "trees", 0, "feature", 0),
                           lambda v: 99),

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agroyield import baselines, ingest, nn, pipeline, synthgen
-from agroyield.errors import AgroYieldError, DimensionMismatch, MalformedConfig
+from agroyield.errors import (
+    AgroYieldError,
+    DimensionMismatch,
+    MalformedConfig,
+    NonFinitePrediction,
+)
 from agroyield.models import (
     VARIANTS,
     Model,
@@ -101,6 +106,16 @@ class TestPredictModel:
                                        config=baselines.ForestConfig(n_trees=2))
         model = Model("forest", forest, norm)
         assert predict_model(model, np.ones((1, 46)))[0] == pytest.approx(2.0)
+
+    def test_non_finite_prediction_raises(self):
+        # finite bounds whose span overflows to infinity
+        norm = ingest.Normalizer(column_mins=np.zeros(46),
+                                 column_maxs=np.ones(46),
+                                 target_min=-1e308, target_max=1e308)
+        model = Model("logistic", baselines.LogisticModel(np.zeros(46), 0.0),
+                      norm)
+        with pytest.raises(NonFinitePrediction), np.errstate(over="ignore"):
+            predict_model(model, np.zeros((1, 46)))
 
 
 class TestSerialization:
@@ -235,6 +250,11 @@ def _mutate(data, doc):
     parent[path[-1]] = new
 
 
+# normalized rows: zeros, ones and uniform rows reach both sides of splits
+_PROBES = np.vstack([np.zeros(46), np.ones(46),
+                     np.random.default_rng(0).uniform(size=(30, 46))])
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_mutated_model_file_loads_or_raises_package_error(small_docs, data):
@@ -244,7 +264,9 @@ def test_mutated_model_file_loads_or_raises_package_error(small_docs, data):
     text = json.dumps(doc)
     with time_limit(10), np.errstate(all="ignore"):
         try:
-            preds = predict_model(model_from_json(text), np.zeros((1, 46)))
+            model = model_from_json(text)
+            ingest.normalize_features(model.normalizer, np.zeros((1, 46)))
+            preds = predict_model(model, _PROBES)
         except AgroYieldError:
             return
-    assert preds.shape == (1,) and np.isfinite(preds).all()
+    assert preds.shape == (len(_PROBES),) and np.isfinite(preds).all()
