@@ -245,8 +245,9 @@ def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
                seed=0) -> TreeNode:
     """Grow a CART regression tree; leaves predict the mean target.
 
-    Nodes are appended to the FlatTree in preorder as they are grown; the
-    root's view is returned.
+    Nodes are appended to the FlatTree in preorder as they are grown, so
+    the random feature subsets are drawn in the same order as by a
+    recursive grower; the root's view is returned.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -258,31 +259,33 @@ def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
     features_per_split = min(features_per_split, n_features)
     rng = np.random.default_rng(seed)
     tree = FlatTree(feature=[], value=[], right=[], n_samples=[])
-
-    def grow(idx, depth):
+    # (sample indices, depth, index of the node whose right child this is);
+    # the left child is pushed last, so nodes are grown in preorder
+    stack = [(np.arange(len(y)), 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
         i = len(tree.feature)
+        if parent >= 0:
+            tree.right[parent] = i
         yn = y[idx]
         tree.feature.append(-1)
         tree.value.append(float(yn.mean()))
         tree.right.append(-1)
         tree.n_samples.append(len(idx))
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(yn == yn[0]):
-            return
+            continue
         chosen = rng.choice(n_features, size=features_per_split, replace=False)
         chosen.sort()
         xn = x[idx]
         found = _best_split(xn, yn, chosen, min_leaf)
         if found is None:
-            return
+            continue
         _, feature, threshold = found
         mask = xn[:, feature] <= threshold
         tree.feature[i] = int(feature)
         tree.value[i] = threshold
-        grow(idx[mask], depth + 1)
-        tree.right[i] = len(tree.feature)
-        grow(idx[~mask], depth + 1)
-
-    grow(np.arange(len(y)), 0)
+        stack.append((idx[~mask], depth + 1, i))
+        stack.append((idx[mask], depth + 1, -1))
     return TreeNode(tree)
 
 
