@@ -5,7 +5,9 @@ report.json and the 24 model files: a change that alters any model's
 bytes or any reported metric changes it, and a refactor that keeps
 behaviour keeps it. `REPORT_OUTPUT_SHA256` covers report.json and
 report.md alone, so it pins every reported figure across a change of the
-model-file format.
+model-file format. `PREP_OUTPUTS_SHA256` pins the data-preparation
+outputs: a generated CSV and what `clean` and `plot-data` make of a
+mutated copy of it.
 """
 
 import hashlib
@@ -50,3 +52,62 @@ def test_report_outputs_unchanged(report_dir):
     assert _digest(report_dir, [report_dir / "report.json",
                                 report_dir / "report.md"]) \
         == REPORT_OUTPUT_SHA256
+
+
+PREP_OUTPUTS_SHA256 = (
+    "96b29c55ed65e8789445679fbbf39ce726954cd765856fd9957f2d46a7bbce66")
+
+
+def _mutated(lines):
+    """`lines` (header first) with every kind of row `clean` must handle."""
+    head, rows = lines[0], [line.split(",") for line in lines[1:]]
+
+    def row(i, **cols):
+        fields = list(rows[i])
+        for col, value in cols.items():
+            fields[int(col[1:])] = value
+        return fields
+
+    def fractions_times(i, factor):
+        fields = list(rows[i])
+        for j in range(11, 17):
+            fields[j] = repr(float(fields[j]) * factor)
+        return fields
+
+    zero = list(rows[41])
+    zero[11] = repr(float(zero[11]) + float(zero[16]))
+    zero[16] = "0"
+    negative_zero = zero[:16] + ["-0.0"] + zero[17:]
+    contradicting = row(31, **{f"c{j}": "1" for j in range(43, 48)})
+    rows[3] = row(3, c0="atlantis")
+    rows[7] = rows[7] + ["999"]
+    rows[11] = row(11, c1="2010.0")
+    rows[13] = row(13, c1="9" * 400)
+    rows[17] = row(17, c6="150")
+    rows[19] = fractions_times(19, 0.9)
+    rows[23] = row(23, c36=" 3.50")
+    rows[29] = row(29, c3="1e3")
+    rows[31] = contradicting
+    rows[37] = row(37, **{f"c{j}": "0.5" for j in range(43, 48)})
+    rows[41] = zero
+    rows[43] = row(43, c6="nan")
+    extra = [rows[1], rows[2], negative_zero, rows[43], rows[1]]
+    return "\n".join([head] + [",".join(r) for r in rows + extra]) + "\n"
+
+
+def test_prep_outputs_unchanged(tmp_path):
+    """Pins generate's CSV and what clean and plot-data make of a file
+    holding duplicates, unparsable rows and invalid values."""
+    raw = tmp_path / "raw.csv"
+    assert run(["generate", "--n", "2000", "--seed", "3",
+                "--out", str(raw)]) == 0
+    mutated = tmp_path / "mutated.csv"
+    mutated.write_text(_mutated(raw.read_text().splitlines()))
+    out = tmp_path / "out"
+    assert run(["clean", "--data", str(mutated), "--out", str(out)]) == 0
+    assert run(["plot-data", "--data", str(out / "cleaned.csv"),
+                "--out", str(out / "plots")]) == 0
+    paths = [raw, out / "cleaned.csv", out / "cleaning_log.jsonl"] + sorted(
+        (out / "plots").glob("*.csv"))
+    assert len(paths) == 8
+    assert _digest(tmp_path, paths) == PREP_OUTPUTS_SHA256
