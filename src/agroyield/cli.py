@@ -167,7 +167,7 @@ def _cmd_generate(args, cfg):
     dataset = synthgen.generate(gen_cfg, responses)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     ingest.write_csv(dataset, args.out)
-    log.info("wrote %d records to %s", len(dataset.records), args.out)
+    log.info("wrote %d records to %s", len(dataset), args.out)
     return 0
 
 
@@ -178,7 +178,7 @@ def _cmd_clean(args, cfg):
     ingest.write_csv(dataset, out / "cleaned.csv")
     _write_text(out / "cleaning_log.jsonl", ingest.cleaning_log_jsonl(dataset))
     log.info("kept %d records, logged %d removals",
-             len(dataset.records), len(dataset.cleaning_log))
+             len(dataset), len(dataset.cleaning_log))
     return 0
 
 
@@ -209,7 +209,7 @@ def _cmd_evaluate(args, cfg):
         model = _load_crop_model(path)
         _, test = pipeline.split_crop(
             dataset, model.crop, cfg["train_ratio"], cfg["seed"])
-        metrics = evaluation.evaluate(model, test.records)
+        metrics = evaluation.evaluate(model, test)
         results[str(path)] = {
             "variant": model.variant,
             "crop": model.crop.name,
@@ -227,7 +227,7 @@ def _cmd_report(args, cfg):
     (out / "models").mkdir(parents=True, exist_ok=True)
     rows_by_crop = {}
     for crop in Crop:
-        if not any(r.crop is crop for r in dataset.records):
+        if not (dataset.crop == crop.value).any():
             continue
         crop_split = pipeline.prepare_crop_split(
             dataset, crop, cfg["train_ratio"], cfg["seed"])
@@ -238,7 +238,7 @@ def _cmd_report(args, cfg):
             trained[variant] = model
             save_model(model, out / "models" / f"{crop.name.lower()}_{variant}.json")
         rows_by_crop[crop] = evaluation.compare(
-            trained, crop_split.test.records, cfg["train_ratio"])
+            trained, crop_split.test, cfg["train_ratio"])
         log.info("evaluated %s", crop.name)
     report = evaluation.EvalReport(
         rows_by_crop=rows_by_crop, source=dataset.source,
@@ -262,7 +262,7 @@ def _cmd_plot_data(args, cfg):
 def _cmd_select(args, cfg):
     per_crop = {m.crop: m for m in map(_load_crop_model, args.models)}
     dataset = _load_clean(args.data)
-    if not dataset.records:
+    if len(dataset) == 0:
         raise MalformedConfig(f"{args.data} has no valid records")
     record = dataset.records[0]
     rec = evaluation.select_crop(per_crop, record)

@@ -23,7 +23,7 @@ from .errors import (
     UnknownKind,
 )
 from .models import VARIANTS, Model, predict_model
-from .schema import Crop
+from .schema import Crop, District
 
 NEAR_ZERO_ACTUAL = 1e-9
 
@@ -94,15 +94,16 @@ def _score(model: Model, x, actuals) -> Metrics:
                    n_test=len(actuals))
 
 
-def evaluate(model: Model, records) -> Metrics:
-    return _score(model, ingest.feature_matrix(records),
-                  ingest.target_vector(records))
+def evaluate(model: Model, test: ingest.Dataset) -> Metrics:
+    return _score(model, ingest.feature_matrix(test),
+                  ingest.target_vector(test))
 
 
-def compare(models: dict, test_records, train_ratio: float = 0.8) -> list:
+def compare(models: dict, test: ingest.Dataset,
+            train_ratio: float = 0.8) -> list:
     """One EvalRow per method in fixed order for a single crop's test set."""
-    x = ingest.feature_matrix(test_records)
-    actuals = ingest.target_vector(test_records)
+    x = ingest.feature_matrix(test)
+    actuals = ingest.target_vector(test)
     training_pct = 100.0 * train_ratio
     rows = []
     for key, label in METHOD_ORDER:
@@ -168,7 +169,7 @@ def select_crop(per_crop_models: dict, record: schema.AgroRecord) -> CropRecomme
     if missing:
         raise MissingCropModel(f"no model for crops: {', '.join(missing)}")
     # crop is not a feature, so one encoding serves every crop's model
-    x = ingest.feature_matrix([record])
+    x = ingest.feature_matrix(ingest.record_dataset(record))
     predicted = {}
     for crop in Crop:
         model = per_crop_models[crop]
@@ -186,32 +187,23 @@ def emit_plot_data(dataset: ingest.Dataset, kind: str) -> PlotSeries:
     """
     if kind not in PLOT_KINDS:
         raise UnknownKind(f"unknown plot kind {kind!r}")
-    if not dataset.records:
+    if len(dataset) == 0:
         raise EmptyDataset("no records to plot")
-    groups = {}
-    for r in dataset.records:
-        if kind in _WEATHER_KINDS:
-            key = (r.district, r.year, None)
-            value = getattr(r.weather, kind)
-        elif kind == "production":
-            key = (r.district, r.year, r.crop)
-            value = r.production
-        else:  # yield
-            key = (r.district, r.year, r.crop)
-            value = r.yield_t_ha
-        groups.setdefault(key, []).append(value)
-
-    def sort_key(item):
-        (district, year, crop), _ = item
-        return (district.value, year, -1 if crop is None else crop.value)
-
+    crop = np.full(len(dataset), -1) if kind in _WEATHER_KINDS else dataset.crop
+    column = schema.VALUE_COLUMNS.index(kind)
+    # stable, so each group keeps the dataset's order and `sum` adds in it
+    order = np.lexsort((crop, dataset.year, dataset.district))
+    keys = np.column_stack([dataset.district, dataset.year, crop])[order]
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    values = dataset.values[order, column].tolist()
     points = []
-    for (district, year, crop), values in sorted(groups.items(), key=sort_key):
-        if kind == "production":
-            agg = float(sum(values))
-        else:
-            agg = float(sum(values) / len(values))
-        points.append((district, year, crop, agg))
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
+        district, year, crop_value = keys[start].tolist()
+        total = sum(values[start:stop])
+        points.append((
+            District(district), year,
+            None if crop_value < 0 else Crop(crop_value),
+            float(total if kind == "production" else total / (stop - start))))
     return PlotSeries(kind=kind, points=points)
 
 

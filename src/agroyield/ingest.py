@@ -1,5 +1,10 @@
 """CSV parsing, cleaning, min-max normalization, seeded splits.
 
+A `Dataset` holds columns: `district` and `crop` enum values, an int64
+`year`, and an (n, 47) float matrix `values` of the features other than
+the year, production and yield (`schema.VALUE_COLUMNS`). Every layer works
+on the arrays; `Dataset.records` builds an `AgroRecord` view when read.
+
 CSV contract: UTF-8, comma-separated, `.` decimal point, mandatory header
     district, year, crop, <45 remaining schema columns>, production, yield
 The schema's year column doubles as the identifier, so it appears once.
@@ -12,7 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +28,7 @@ from . import schema
 from .errors import (EmptyDataset, EmptyInput, HeaderMismatch,
                      MalformedConfig, TooFewRecords)
 from .rng import SplitMix64
+from .schema import Crop, District
 
 CSV_HEADER = (
     ("district", "year", "crop")
@@ -27,12 +36,59 @@ CSV_HEADER = (
     + ("production", "yield")
 )
 
+# Rows parsed or formatted per block: large enough to amortize the NumPy
+# calls, small enough that the text of a block stays a few hundred KB.
+_CHUNK_ROWS = 1024
+_YIELD = schema.VALUE_COLUMNS.index("yield")
+_DISTRICT_NAMES = [d.name.lower() for d in District]
+_CROP_NAMES = [c.name.lower() for c in Crop]
 
-@dataclass
+
+@dataclass(eq=False)
 class Dataset:
-    records: list
+    district: np.ndarray  # (n,) District values
+    crop: np.ndarray      # (n,) Crop values
+    year: np.ndarray      # (n,) int64, as `schema.year64` stores it
+    values: np.ndarray    # (n, 47) float, `schema.VALUE_COLUMNS`
     source: str = "<memory>"
     cleaning_log: list = field(default_factory=list)  # (row_index, reason)
+
+    def __len__(self) -> int:
+        return len(self.year)
+
+    @property
+    def records(self) -> "Records":
+        return Records(self)
+
+    def take(self, index, source: str, cleaning_log=()) -> "Dataset":
+        """Rows `index`, in that order, as a new dataset."""
+        return Dataset(self.district[index], self.crop[index],
+                       self.year[index], self.values[index], source,
+                       list(cleaning_log))
+
+
+class Records(Sequence):
+    """Read-only `AgroRecord` views of a dataset's rows, built when read."""
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset)
+
+    def __getitem__(self, i) -> schema.AgroRecord:
+        ds = self._dataset
+        return schema.record_from_values(
+            District(int(ds.district[i])), int(ds.year[i]),
+            Crop(int(ds.crop[i])), ds.values[i].tolist())
+
+
+def record_dataset(record: schema.AgroRecord) -> Dataset:
+    """A one-row dataset holding `record`."""
+    return Dataset(np.array([record.district.value]),
+                   np.array([record.crop.value]),
+                   np.array([schema.year64(record.year)], dtype=np.int64),
+                   np.array([schema.record_values(record)], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -45,40 +101,26 @@ class SplitConfig:
             raise ValueError("train_ratio must be in (0, 1)")
 
 
-def _format_value(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if float(x).is_integer() and abs(x) < 1e15:
-        return str(int(x))
-    return repr(float(x))
+@lru_cache(maxsize=256)
+def _code(parse, text: str) -> int:
+    """The enum value `parse` reads from `text`; few distinct texts occur."""
+    return parse(text).value
 
 
-def record_to_row(record: schema.AgroRecord) -> list:
-    features = schema.encode_features(record)
-    row = [record.district.name.lower(), str(record.year), record.crop.name.lower()]
-    row += [_format_value(v) for v in features[1:]]
-    row += [_format_value(record.production), _format_value(record.yield_t_ha)]
-    return row
-
-
-def _row_to_record(fields: list) -> schema.AgroRecord:
-    district = schema.parse_district(fields[0])
-    year = int(fields[1])
-    crop = schema.parse_crop(fields[2])
-    # positions relative to CSV_HEADER; indicators at the tail are ignored
-    nums = [float(x) for x in fields[3:]]
-    w = schema.Weather(*nums[0:4])
-    f = schema.Fertilizer(*nums[4:8])
-    land = tuple(nums[8:14])
-    soil = tuple(nums[14:33])
-    props = schema.SoilProperty(*nums[33:39])
-    area = nums[39]
-    production, yield_t_ha = nums[45], nums[46]
-    return schema.AgroRecord(
-        district=district, year=year, crop=crop, weather=w, fertilizer=f,
-        land_fractions=land, soil_fractions=soil, soil_props=props,
-        area=area, production=production, yield_t_ha=yield_t_ha,
-    )
+def _columns(rows: list) -> tuple:
+    """(district, crop, year, values) of CSV rows; ValueError if any row
+    is malformed."""
+    if any(len(fields) != len(CSV_HEADER) for fields in rows):
+        raise ValueError("wrong field count")
+    district = np.array([_code(schema.parse_district, f[0]) for f in rows],
+                        dtype=np.int64)
+    crop = np.array([_code(schema.parse_crop, f[2]) for f in rows],
+                    dtype=np.int64)
+    year = np.array([schema.year64(int(f[1])) for f in rows], dtype=np.int64)
+    values = np.array([f[3:] for f in rows], dtype=float).reshape(
+        len(rows), len(schema.VALUE_COLUMNS))
+    values[:, schema.INDICATORS] = schema.INDICATOR_PATTERNS[district]
+    return district, crop, year, values
 
 
 def parse_csv(stream, source: str = "<stream>") -> Dataset:
@@ -104,15 +146,19 @@ def _parse_rows(stream, source: str) -> Dataset:
         raise HeaderMismatch(
             f"header does not match schema contract (got {len(header)} columns)"
         )
-    records, log = [], []
-    for row_index, fields in enumerate(reader):
+    parts, log, start = [_columns([])], [], 0
+    while rows := list(islice(reader, _CHUNK_ROWS)):
         try:
-            if len(fields) != len(CSV_HEADER):
-                raise ValueError("wrong field count")
-            records.append(_row_to_record(fields))
-        except (ValueError, IndexError):
-            log.append((row_index, "parse failure"))
-    return Dataset(records=records, source=source, cleaning_log=log)
+            parts.append(_columns(rows))
+        except ValueError:  # find the bad rows one by one
+            for i, fields in enumerate(rows):
+                try:
+                    parts.append(_columns([fields]))
+                except ValueError:
+                    log.append((start + i, "parse failure"))
+        start += len(rows)
+    return Dataset(*map(np.concatenate, zip(*parts)), source=source,
+                   cleaning_log=log)
 
 
 def load_csv(path) -> Dataset:
@@ -120,12 +166,30 @@ def load_csv(path) -> Dataset:
         return parse_csv(fh, source=str(path))
 
 
+def _format_floats(column: np.ndarray) -> list:
+    """Integral values below 1e15 as integers, every other value by repr."""
+    integral = (column == np.trunc(column)) & (np.abs(column) < 1e15)
+    if integral.all():
+        return list(map(str, column.astype(np.int64).tolist()))
+    text = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(integral).tolist():
+        text[i] = str(int(column[i]))
+    return text
+
+
 def write_csv(dataset: Dataset, path) -> None:
+    """Write a valid dataset; InvalidRecord if a row is not valid."""
+    schema.require_valid(dataset.year, dataset.values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for record in dataset.records:
-            writer.writerow(record_to_row(record))
+        fh.write(",".join(CSV_HEADER) + "\n")
+        for start in range(0, len(dataset), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            columns = [
+                [_DISTRICT_NAMES[d] for d in dataset.district[rows].tolist()],
+                list(map(str, dataset.year[rows].tolist())),
+                [_CROP_NAMES[c] for c in dataset.crop[rows].tolist()],
+            ] + [_format_floats(col) for col in dataset.values[rows].T]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def cleaning_log_jsonl(dataset: Dataset) -> str:
@@ -134,41 +198,53 @@ def cleaning_log_jsonl(dataset: Dataset) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _first_occurrences(dataset: Dataset) -> np.ndarray:
+    """True at the first of each group of equal rows. As with float
+    equality, -0.0 equals 0.0 and a row holding NaN equals no other."""
+    keys = np.column_stack([dataset.district, dataset.crop, dataset.year,
+                            (dataset.values + 0.0).view(np.int64)])
+    first, seen = np.ones(len(dataset), dtype=bool), set()
+    for i in np.flatnonzero(~np.isnan(dataset.values).any(axis=1)).tolist():
+        key = keys[i].tobytes()
+        first[i] = key not in seen
+        seen.add(key)
+    return first
+
+
 def deduplicate(dataset: Dataset) -> Dataset:
     """Drop exact duplicates, keeping the first occurrence of each record."""
-    seen = set()
-    kept, log = [], list(dataset.cleaning_log)
-    for i, record in enumerate(dataset.records):
-        if record in seen:
-            log.append((i, "duplicate"))
-        else:
-            seen.add(record)
-            kept.append(record)
-    return Dataset(records=kept, source=dataset.source, cleaning_log=log)
+    first = _first_occurrences(dataset)
+    log = dataset.cleaning_log + [(i, "duplicate")
+                                  for i in np.flatnonzero(~first).tolist()]
+    return dataset.take(np.flatnonzero(first), dataset.source, log)
 
 
 def drop_invalid(dataset: Dataset) -> Dataset:
     """Drop records failing validation, logging every violation."""
-    kept, log = [], list(dataset.cleaning_log)
-    for i, record in enumerate(dataset.records):
-        violations = schema.validate_record(record)
-        if violations:
-            log.append((i, "; ".join(violations)))
-        else:
-            kept.append(record)
-    return Dataset(records=kept, source=dataset.source, cleaning_log=log)
+    mask = schema.violations(dataset.year, dataset.values)
+    bad = mask.any(axis=1)
+    log = dataset.cleaning_log + [
+        (i, "; ".join(schema.violation_messages(mask[i])))
+        for i in np.flatnonzero(bad).tolist()]
+    return dataset.take(np.flatnonzero(~bad), dataset.source, log)
 
 
 def clean(dataset: Dataset) -> Dataset:
     return drop_invalid(deduplicate(dataset))
 
 
-def feature_matrix(records) -> np.ndarray:
-    return np.array([schema.encode_features(r) for r in records], dtype=float)
+def feature_matrix(dataset: Dataset) -> np.ndarray:
+    """The (n, 46) feature matrix of a valid dataset, in
+    `schema.schema_columns()` order; InvalidRecord if a row is not valid."""
+    schema.require_valid(dataset.year, dataset.values)
+    x = np.empty((len(dataset), 46))
+    x[:, 0] = dataset.year
+    x[:, 1:] = dataset.values[:, :45]
+    return x
 
 
-def target_vector(records) -> np.ndarray:
-    return np.array([r.yield_t_ha for r in records], dtype=float)
+def target_vector(dataset: Dataset) -> np.ndarray:
+    return dataset.values[:, _YIELD].copy()
 
 
 _INDICATOR_MASK = np.array(
@@ -222,14 +298,10 @@ def denormalize_target(norm: Normalizer, y_norm):
 
 def split(dataset: Dataset, cfg: SplitConfig):
     """Seeded shuffle split; train gets the first floor(n * ratio) records."""
-    n = len(dataset.records)
+    n = len(dataset)
     if n < 2:
         raise TooFewRecords(f"need at least 2 records to split, got {n}")
     order = SplitMix64(cfg.seed).permutation(n)
     n_train = int(n * cfg.train_ratio)
-    train_records = [dataset.records[i] for i in order[:n_train]]
-    test_records = [dataset.records[i] for i in order[n_train:]]
-    return (
-        Dataset(records=train_records, source=f"{dataset.source}[train]"),
-        Dataset(records=test_records, source=f"{dataset.source}[test]"),
-    )
+    return (dataset.take(order[:n_train], f"{dataset.source}[train]"),
+            dataset.take(order[n_train:], f"{dataset.source}[test]"))

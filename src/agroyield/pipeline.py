@@ -39,12 +39,11 @@ def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
                seed: int) -> tuple:
     """One crop's records, split 80/20-style into (train, test) datasets
     with a seed derived from `seed` and the crop."""
-    records = [r for r in dataset.records if r.crop is crop]
-    if len(records) < 2:
+    rows = np.flatnonzero(dataset.crop == crop.value)
+    if len(rows) < 2:
         raise TooFewRecords(
-            f"crop {crop.name} has {len(records)} records; need at least 2")
-    subset = ingest.Dataset(records=records,
-                            source=f"{dataset.source}[{crop.name}]")
+            f"crop {crop.name} has {len(rows)} records; need at least 2")
+    subset = dataset.take(rows, f"{dataset.source}[{crop.name}]")
     split_seed = derive_seed(seed, f"split.{crop.name}")
     return ingest.split(
         subset, ingest.SplitConfig(train_ratio=train_ratio, seed=split_seed))
@@ -54,8 +53,8 @@ def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
                        train_ratio: float, seed: int) -> CropSplit:
     """Split one crop's records and fit the normalizer on the train part."""
     train, test = split_crop(dataset, crop, train_ratio, seed)
-    x = ingest.feature_matrix(train.records)
-    y = ingest.target_vector(train.records)
+    x = ingest.feature_matrix(train)
+    y = ingest.target_vector(train)
     normalizer = ingest.fit_normalizer(x, y)
     return CropSplit(
         crop=crop, test=test, normalizer=normalizer,

@@ -14,10 +14,11 @@ ones = Narsingdi, exactly one = that district.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import InvalidRecord
 
@@ -197,92 +198,164 @@ def decode_district(indicators) -> District:
     raise ValueError(f"unrecognized district indicator pattern: {indicators}")
 
 
+# A record's stored values, as columns of a dataset's (n, 47) float
+# matrix: every feature but the year (indicators included), then the
+# production and the target.
+VALUE_COLUMNS = _COLUMNS[1:] + ("production", "yield")
+LAND = slice(8, 14)
+SOIL = slice(14, 33)
+INDICATORS = slice(40, 45)
+_V = {name: j for j, name in enumerate(VALUE_COLUMNS)}
+
+# indicator pattern of each district, indexed by District value
+INDICATOR_PATTERNS = np.array([encode_district(d) for d in District])
+
+
+def record_values(record: AgroRecord) -> tuple:
+    """The record's 47 stored values, in `VALUE_COLUMNS` order."""
+    if len(record.land_fractions) != 6 or len(record.soil_fractions) != 19:
+        raise InvalidRecord(["fractions must be 6 land and 19 soil entries"])
+    w, f, sp = record.weather, record.fertilizer, record.soil_props
+    return (
+        (w.avg_rainfall, w.max_temp, w.min_temp, w.humidity,
+         f.urea, f.tsp, f.dap, f.mp)
+        + tuple(record.land_fractions) + tuple(record.soil_fractions)
+        + (sp.moisture, sp.texture, sp.consistency, sp.reaction,
+           sp.structure, sp.composition, record.area)
+        + encode_district(record.district)
+        + (record.production, record.yield_t_ha)
+    )
+
+
+def record_from_values(district: District, year: int, crop: Crop,
+                       values: list) -> AgroRecord:
+    """The inverse of `record_values`; indicator values are not read."""
+    return AgroRecord(
+        district=district, year=year, crop=crop,
+        weather=Weather(*values[0:4]), fertilizer=Fertilizer(*values[4:8]),
+        land_fractions=tuple(values[LAND]), soil_fractions=tuple(values[SOIL]),
+        soil_props=SoilProperty(*values[33:39]), area=values[39],
+        production=values[45], yield_t_ha=values[46],
+    )
+
+
 _FLOAT_MAX = sys.float_info.max
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+YEAR_NOT_FINITE = _INT64_MIN     # a year beyond float range
+YEAR_OUT_OF_RANGE = _INT64_MAX   # a year from 2**63 - 1 to the float limit
+
+
+def year64(year: int) -> int:
+    """`year` as the year column stores it: unchanged when int64 holds it,
+    else one of the two codes above, or int64's minimum + 1 for a negative
+    year within float range (which fails `year < 1900` like the year)."""
+    if _INT64_MIN < year < _INT64_MAX:
+        return year
+    if not -_FLOAT_MAX <= year <= _FLOAT_MAX:
+        return YEAR_NOT_FINITE
+    return YEAR_OUT_OF_RANGE if year > 0 else _INT64_MIN + 1
+
+
+def sum_in_order(terms) -> np.ndarray:
+    """Elementwise 0 + terms[0] + terms[1] + ..., left to right: the
+    additions `sum` makes, so each element equals `sum` of its terms."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _outside(name, lo, hi=np.inf):
+    """Violated unless lo <= value <= hi; NaN violates."""
+    return lambda y, v: ~((lo <= v[:, _V[name]]) & (v[:, _V[name]] <= hi))
+
+
+def _fractions(name, cols):
+    def negative(y, v):
+        return (v[:, cols] < 0).any(axis=1)
+
+    def sum_off(y, v):
+        return ~negative(y, v) & (
+            np.abs(sum_in_order(v[:, cols].T) - 1.0) > FRACTION_SUM_TOL)
+
+    return ((f"{name} has negative entry", negative),
+            (f"{name} sum != 1", sum_off))
+
+
+def _yield_inconsistent(y, v):
+    area, production, target = v[:, 39], v[:, 45], v[:, 46]
+    implied = production / np.where(area > 0, area, 1.0)
+    tol = YIELD_CONSISTENCY_TOL * np.maximum(1.0, target)
+    return (area > 0) & (np.abs(target - implied) > tol)
+
+
+# (message, violated(year, values) -> (n,) bool), in report order. A row
+# failing a rule of the first group is reported on that group alone, so
+# the second group sees finite values wherever it compares with 0.
+_NONNEGATIVE = ("area", "production", "yield")
+_FINITE_RULES = (
+    ("year not finite", lambda y, v: y == YEAR_NOT_FINITE),
+    *((f"{name} not finite", lambda y, v, j=_V[name]: ~np.isfinite(v[:, j]))
+      for name in _WEATHER_COLUMNS + _FERTILIZER_COLUMNS + _NONNEGATIVE),
+    *((f"{name}_fractions not finite",
+       lambda y, v, cols=cols: ~np.isfinite(v[:, cols]).all(axis=1))
+      for name, cols in (("land", LAND), ("soil", SOIL))),
+)
+_RANGE_RULES = (
+    ("year < 1900", lambda y, v: y < 1900),
+    ("year out of range", lambda y, v: y == YEAR_OUT_OF_RANGE),
+    ("min_temp < max_temp violated",
+     lambda y, v: ~(v[:, _V["min_temp"]] < v[:, _V["max_temp"]])),
+    ("humidity out of [0,100]", _outside("humidity", 0.0, 100.0)),
+    *((f"{name} < 0", _outside(name, 0.0))
+      for name in ("avg_rainfall",) + _FERTILIZER_COLUMNS),
+    *_fractions("land_fractions", LAND),
+    *_fractions("soil_fractions", SOIL),
+    *((f"soil {name} out of [1,5]", _outside(f"soil_{name}", 1.0, 5.0))
+      for name in ("moisture", "texture", "consistency", "structure",
+                   "composition")),
+    ("soil reaction out of [3,10]", _outside("soil_reaction", 3.0, 10.0)),
+    *((f"{name} < 0", _outside(name, 0.0)) for name in _NONNEGATIVE),
+    ("yield inconsistent with production/area", _yield_inconsistent),
+)
+_MESSAGES = tuple(m for m, _ in _FINITE_RULES + _RANGE_RULES)
+
+
+def violations(year: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(n, rules) mask of the invariants each row violates, from a year
+    column of `year64` values and an (n, 47) `VALUE_COLUMNS` matrix."""
+    def mask(rules):
+        return np.column_stack([rule(year, values) for _, rule in rules])
+
+    with np.errstate(all="ignore"):
+        finite, ranged = mask(_FINITE_RULES), mask(_RANGE_RULES)
+    ranged &= ~finite.any(axis=1, keepdims=True)
+    return np.hstack([finite, ranged])
+
+
+def violation_messages(row_mask: np.ndarray) -> list:
+    """The messages of one row of a `violations` mask, in report order."""
+    return [_MESSAGES[j] for j in np.flatnonzero(row_mask)]
+
+
+def require_valid(year: np.ndarray, values: np.ndarray) -> None:
+    """Raise InvalidRecord with the violations of the first invalid row."""
+    mask = violations(year, values)
+    bad = np.flatnonzero(mask.any(axis=1))
+    if len(bad):
+        raise InvalidRecord(violation_messages(mask[bad[0]]))
 
 
 def validate_record(record: AgroRecord) -> list:
     """Return every violated invariant (empty list means valid)."""
-    v = []
-    w, f, sp = record.weather, record.fertilizer, record.soil_props
-
-    # year is an int; math.isfinite raises on one beyond float range
-    if not -_FLOAT_MAX <= record.year <= _FLOAT_MAX:
-        v.append("year not finite")
-    numeric = {
-        "avg_rainfall": w.avg_rainfall,
-        "max_temp": w.max_temp,
-        "min_temp": w.min_temp,
-        "humidity": w.humidity,
-        "urea": f.urea, "tsp": f.tsp, "dap": f.dap, "mp": f.mp,
-        "area": record.area,
-        "production": record.production,
-        "yield": record.yield_t_ha,
-    }
-    for name, value in numeric.items():
-        if not math.isfinite(value):
-            v.append(f"{name} not finite")
-    if any(not math.isfinite(x) for x in record.land_fractions):
-        v.append("land_fractions not finite")
-    if any(not math.isfinite(x) for x in record.soil_fractions):
-        v.append("soil_fractions not finite")
-    if v:
-        return v
-
-    if record.year < 1900:
-        v.append("year < 1900")
-    if not w.min_temp < w.max_temp:
-        v.append("min_temp < max_temp violated")
-    if not 0.0 <= w.humidity <= 100.0:
-        v.append("humidity out of [0,100]")
-    if w.avg_rainfall < 0:
-        v.append("avg_rainfall < 0")
-    for name in ("urea", "tsp", "dap", "mp"):
-        if getattr(f, name) < 0:
-            v.append(f"{name} < 0")
-    if len(record.land_fractions) != 6:
-        v.append("land_fractions length != 6")
-    elif min(record.land_fractions) < 0:
-        v.append("land_fractions has negative entry")
-    elif abs(sum(record.land_fractions) - 1.0) > FRACTION_SUM_TOL:
-        v.append("land_fractions sum != 1")
-    if len(record.soil_fractions) != 19:
-        v.append("soil_fractions length != 19")
-    elif min(record.soil_fractions) < 0:
-        v.append("soil_fractions has negative entry")
-    elif abs(sum(record.soil_fractions) - 1.0) > FRACTION_SUM_TOL:
-        v.append("soil_fractions sum != 1")
-    for name in ("moisture", "texture", "consistency", "structure", "composition"):
-        val = getattr(sp, name)
-        if not 1.0 <= val <= 5.0:
-            v.append(f"soil {name} out of [1,5]")
-    if not 3.0 <= sp.reaction <= 10.0:
-        v.append("soil reaction out of [3,10]")
-    if record.area < 0:
-        v.append("area < 0")
-    if record.production < 0:
-        v.append("production < 0")
-    if record.yield_t_ha < 0:
-        v.append("yield < 0")
-    if record.area > 0:
-        implied = record.production / record.area
-        tol = YIELD_CONSISTENCY_TOL * max(1.0, record.yield_t_ha)
-        if abs(record.yield_t_ha - implied) > tol:
-            v.append("yield inconsistent with production/area")
-    return v
+    mask = violations(np.array([year64(record.year)], dtype=np.int64),
+                      np.array([record_values(record)], dtype=float))
+    return violation_messages(mask[0])
 
 
 def encode_features(record: AgroRecord) -> tuple:
     """A valid record's 46 feature values, in `schema_columns()` order."""
-    violations = validate_record(record)
-    if violations:
-        raise InvalidRecord(violations)
-    w, f, sp = record.weather, record.fertilizer, record.soil_props
-    return (
-        (float(record.year), w.avg_rainfall, w.max_temp, w.min_temp, w.humidity,
-         f.urea, f.tsp, f.dap, f.mp)
-        + tuple(float(x) for x in record.land_fractions)
-        + tuple(float(x) for x in record.soil_fractions)
-        + (sp.moisture, sp.texture, sp.consistency, sp.reaction,
-           sp.structure, sp.composition, float(record.area))
-        + encode_district(record.district)
-    )
+    found = validate_record(record)
+    if found:
+        raise InvalidRecord(found)
+    return (float(record.year),) + tuple(map(float, record_values(record)[:45]))

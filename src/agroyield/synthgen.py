@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .errors import MalformedConfig
 from .ingest import Dataset
-from .schema import AgroRecord, Crop, District, Fertilizer, SoilProperty, Weather
+from .schema import (INDICATOR_PATTERNS, INDICATORS, LAND, SOIL, VALUE_COLUMNS,
+                     AgroRecord, Crop, District, record_values, sum_in_order)
 
 MAX_TEMP_RANGE = (22.5, 35.0)
 MIN_TEMP_RANGE = (10.0, 22.0)
@@ -73,30 +74,37 @@ class CropResponse:
     land_weights: tuple               # 6 suitability weights in (0, 1]
 
 
-def _bump(x: float, opt: float, width: float) -> float:
-    z = (x - opt) / width
-    return math.exp(-z * z)
+def _oracle(values: np.ndarray, which: np.ndarray, table: list) -> np.ndarray:
+    """Noise-free yield in t/ha of each row of a `VALUE_COLUMNS` matrix,
+    under the response `table[which[i]]`. Each bump is one `math.exp`, and
+    sums and products run in the order of the scalar formula, so a row's
+    yield does not depend on the rows beside it."""
+    def param(name):
+        return np.array([getattr(r, name) for r in table], dtype=float)[which]
+
+    def bump(column, key):
+        z = (values[:, VALUE_COLUMNS.index(column)] - param(f"opt_{key}")) \
+            / param(f"width_{key}")
+        return np.array([math.exp(-t * t) for t in z.tolist()])
+
+    def weighted(columns, weights):
+        return sum_in_order((values[:, columns] * weights).T)
+
+    g = (bump("avg_rainfall", "rainfall") * bump("max_temp", "max_temp")
+         * bump("humidity", "humidity"))
+    coeffs, scales = param("fertilizer_coeffs"), param("fertilizer_scales")
+    amounts = values[:, 4:8]
+    with np.errstate(all="ignore"):  # a / (a + s) is not used where a <= 0
+        fert = 1.0 + sum_in_order(np.where(
+            amounts > 0, coeffs * (amounts / (amounts + scales)), 0.0).T)
+    return (param("base_yield") * g * weighted(SOIL, param("soil_weights"))
+            * weighted(LAND, param("land_weights")) * fert)
 
 
 def ground_truth_yield(record: AgroRecord, response: CropResponse) -> float:
     """Noise-free yield in t/ha for a record under a crop response."""
-    w, f = record.weather, record.fertilizer
-    g = (
-        _bump(w.avg_rainfall, response.opt_rainfall, response.width_rainfall)
-        * _bump(w.max_temp, response.opt_max_temp, response.width_max_temp)
-        * _bump(w.humidity, response.opt_humidity, response.width_humidity)
-    )
-    soil = sum(frac * wt for frac, wt
-               in zip(record.soil_fractions, response.soil_weights))
-    land = sum(frac * wt for frac, wt
-               in zip(record.land_fractions, response.land_weights))
-    amounts = (f.urea, f.tsp, f.dap, f.mp)
-    fert = 1.0 + sum(
-        c * (a / (a + s)) if a > 0 else 0.0
-        for c, a, s in zip(response.fertilizer_coeffs, amounts,
-                           response.fertilizer_scales)
-    )
-    return response.base_yield * g * soil * land * fert
+    values = np.array([record_values(record)], dtype=float)
+    return float(_oracle(values, np.zeros(1, dtype=int), [response])[0])
 
 
 # list-valued response keys -> required length
@@ -202,14 +210,15 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
         responses = load_responses()
     rng = np.random.default_rng(cfg.seed)
     years = range(cfg.years[0], cfg.years[1] + 1)
-    triples = [(d, y, c) for d in cfg.districts for y in years for c in cfg.crops]
+    triples = np.array([(d.value, y, k) for d in cfg.districts for y in years
+                        for k in range(len(cfg.crops))], dtype=np.int64)
 
     n = cfg.n_records
     max_temp = rng.uniform(*MAX_TEMP_RANGE, n)
     min_temp = rng.uniform(*MIN_TEMP_RANGE, n)
     rainfall = rng.uniform(*RAINFALL_RANGE, n)
     humidity = rng.uniform(*HUMIDITY_RANGE, n)
-    fert = {k: rng.uniform(lo, hi, n) for k, (lo, hi) in FERTILIZER_RANGES.items()}
+    fert = [rng.uniform(lo, hi, n) for lo, hi in FERTILIZER_RANGES.values()]
     land_raw = rng.exponential(1.0, (n, 6))
     soil_raw = rng.exponential(1.0, (n, 19))
     ordinals = rng.integers(1, 6, (n, 5)).astype(float)
@@ -217,43 +226,20 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
     area = rng.uniform(*AREA_RANGE, n)
     noise = rng.standard_normal(n)
 
-    land_fracs = land_raw / land_raw.sum(axis=1, keepdims=True)
-    soil_fracs = soil_raw / soil_raw.sum(axis=1, keepdims=True)
-
-    records = []
-    for i in range(n):
-        district, year, crop = triples[i % len(triples)]
-        record = AgroRecord(
-            district=district,
-            year=year,
-            crop=crop,
-            weather=Weather(
-                avg_rainfall=float(rainfall[i]),
-                max_temp=float(max_temp[i]),
-                min_temp=float(min_temp[i]),
-                humidity=float(humidity[i]),
-            ),
-            fertilizer=Fertilizer(
-                urea=float(fert["urea"][i]),
-                tsp=float(fert["tsp"][i]),
-                dap=float(fert["dap"][i]),
-                mp=float(fert["mp"][i]),
-            ),
-            land_fractions=tuple(float(x) for x in land_fracs[i]),
-            soil_fractions=tuple(float(x) for x in soil_fracs[i]),
-            soil_props=SoilProperty(
-                moisture=float(ordinals[i, 0]),
-                texture=float(ordinals[i, 1]),
-                consistency=float(ordinals[i, 2]),
-                reaction=float(reaction[i]),
-                structure=float(ordinals[i, 3]),
-                composition=float(ordinals[i, 4]),
-            ),
-            area=0.0, production=0.0, yield_t_ha=0.0,
-        )
-        gt = ground_truth_yield(record, responses[crop])
-        factor = max(0.01, 1.0 + cfg.noise_sigma * float(noise[i]))
-        y = gt * factor if cfg.noise_sigma > 0 else gt
-        a = float(area[i])
-        records.append(replace(record, area=a, production=y * a, yield_t_ha=y))
-    return Dataset(records=records, source=f"synthgen(seed={cfg.seed})")
+    district, year, which = triples[np.arange(n) % len(triples)].T
+    values = np.empty((n, len(VALUE_COLUMNS)))
+    values[:, :8] = np.column_stack([rainfall, max_temp, min_temp, humidity]
+                                    + fert)
+    values[:, LAND] = land_raw / land_raw.sum(axis=1, keepdims=True)
+    values[:, SOIL] = soil_raw / soil_raw.sum(axis=1, keepdims=True)
+    values[:, 33:40] = np.column_stack([ordinals[:, :3], reaction,
+                                        ordinals[:, 3:], area])
+    values[:, INDICATORS] = INDICATOR_PATTERNS[district]
+    y = _oracle(values, which, [responses[c] for c in cfg.crops])
+    if cfg.noise_sigma > 0:
+        y = y * np.maximum(0.01, 1.0 + cfg.noise_sigma * noise)
+    values[:, -2] = y * area
+    values[:, -1] = y
+    crop = np.array([c.value for c in cfg.crops])[which]
+    return Dataset(district, crop, year, values,
+                   source=f"synthgen(seed={cfg.seed})")

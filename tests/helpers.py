@@ -3,6 +3,9 @@
 import signal
 from contextlib import contextmanager
 
+import numpy as np
+
+from agroyield import ingest, schema
 from agroyield.schema import (
     AgroRecord,
     Crop,
@@ -37,6 +40,17 @@ def make_record(**over) -> AgroRecord:
     )
     fields.update(over)
     return AgroRecord(**fields)
+
+
+def dataset_of(records, source="<memory>") -> ingest.Dataset:
+    """A dataset whose rows are `records`, in order."""
+    return ingest.Dataset(
+        district=np.array([r.district.value for r in records], dtype=np.int64),
+        crop=np.array([r.crop.value for r in records], dtype=np.int64),
+        year=np.array([schema.year64(r.year) for r in records], dtype=np.int64),
+        values=np.array([schema.record_values(r) for r in records],
+                        dtype=float).reshape(len(records), 47),
+        source=source)
 
 
 class Hung(Exception):

@@ -17,7 +17,7 @@ from agroyield import baselines, evaluation, ingest, nn, pipeline, synthgen
 from agroyield.cli import run
 from agroyield.evaluation import METHOD_ORDER, EvalReport, compare, render_markdown
 from agroyield.schema import Crop
-from helpers import make_record
+from helpers import dataset_of, make_record
 from test_evaluation import constant_model
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -99,7 +99,7 @@ def test_criterion_2_oracle_learnability():
         }
         for variant, hyper in hypers.items():
             model = pipeline.train_variant(variant, cs, seed, hyper)
-            errs[variant] = evaluation.evaluate(model, cs.test.records).error_pct
+            errs[variant] = evaluation.evaluate(model, cs.test).error_pct
         dnn_ok += errs["dnn"] <= 10.0
         forest_ok += errs["forest"] <= 10.0
         logistic_worse += (errs["logistic"] > errs["dnn"]
@@ -135,7 +135,7 @@ def test_criterion_4_report_fidelity():
     for j, crop in enumerate(Crop):
         models = {key: constant_model(2.0 + 0.3 * (i + j))
                   for i, (key, _) in enumerate(METHOD_ORDER)}
-        rows_by_crop[crop] = compare(models, records)
+        rows_by_crop[crop] = compare(models, dataset_of(records))
     report = EvalReport(rows_by_crop=rows_by_crop, source="golden-fixture",
                         seed=12345)
     golden = (DATA_DIR / "golden_report.md").read_text()
@@ -145,17 +145,21 @@ def test_criterion_4_report_fidelity():
 # ------------------------------------------------------------------------
 @criterion(5, "split sizes exact, disjoint, exhaustive, seed-stable")
 def test_criterion_5_split_exactness():
+    one = dataset_of([make_record()])
     for n in (10, 999, 300000):
-        ds = ingest.Dataset(records=list(range(n)))
+        # n rows that differ only in the year, so the year names the row
+        ds = ingest.Dataset(one.district.repeat(n), one.crop.repeat(n),
+                            1900 + np.arange(n), one.values.repeat(n, axis=0))
         cfg = ingest.SplitConfig(train_ratio=0.8, seed=77)
         train_a, test_a = ingest.split(ds, cfg)
         train_b, test_b = ingest.split(ds, cfg)
         assert len(train_a.records) == int(0.8 * n)
         assert len(test_a.records) == n - int(0.8 * n)
-        assert set(train_a.records).isdisjoint(test_a.records)
-        assert sorted(train_a.records + test_a.records) == list(range(n))
-        assert train_a.records == train_b.records
-        assert test_a.records == test_b.records
+        assert set(train_a.year.tolist()).isdisjoint(test_a.year.tolist())
+        assert sorted(train_a.year.tolist() + test_a.year.tolist()) \
+            == list(range(1900, 1900 + n))
+        assert train_a.year.tolist() == train_b.year.tolist()
+        assert test_a.year.tolist() == test_b.year.tolist()
 
 
 # ------------------------------------------------------------------------
@@ -163,8 +167,8 @@ def test_criterion_5_split_exactness():
 def test_criterion_6_normalization():
     rng = np.random.default_rng(6)
     ds = synthgen.generate(synthgen.GenConfig(n_records=200, seed=6))
-    x = ingest.feature_matrix(ds.records)
-    norm = ingest.fit_normalizer(x, ingest.target_vector(ds.records))
+    x = ingest.feature_matrix(ds)
+    norm = ingest.fit_normalizer(x, ingest.target_vector(ds))
     z = ingest.normalize_features(norm, x)
     span = x.max(axis=0) - x.min(axis=0)
     for col in range(46):
@@ -196,16 +200,16 @@ def test_criterion_7_cleaning():
     base = [make_record(year=2008 + i, yield_t_ha=2.0 + 0.1 * i)
             for i in range(4)]
     records = base + [base[0], base[2], base[0]]  # verbatim duplicates
-    ds = ingest.Dataset(records=records)
+    ds = dataset_of(records)
     once = ingest.deduplicate(ds)
-    assert once.records == base  # first occurrences, original order
+    assert list(once.records) == base  # first occurrences, original order
     assert [row for row, _ in once.cleaning_log] == [4, 5, 6]
     assert all(reason == "duplicate" for _, reason in once.cleaning_log)
     twice = ingest.deduplicate(once)
-    assert twice.records == once.records
+    assert list(twice.records) == list(once.records)
     assert twice.cleaning_log == once.cleaning_log
     cleaned = ingest.clean(ds)
-    assert cleaned.records == base
+    assert list(cleaned.records) == base
     assert len(cleaned.cleaning_log) == 3
 
 

@@ -225,8 +225,8 @@ class TestForest:
             from agroyield.models import Model
             m_forest = Model("forest", forest, cs.normalizer, Crop.Jute)
             m_single = Model("forest", single, cs.normalizer, Crop.Jute)
-            err_f = evaluation.evaluate(m_forest, cs.test.records).error_pct
-            err_s = evaluation.evaluate(m_single, cs.test.records).error_pct
+            err_f = evaluation.evaluate(m_forest, cs.test).error_pct
+            err_s = evaluation.evaluate(m_single, cs.test).error_pct
             if err_f <= err_s:
                 wins += 1
         assert wins >= 4

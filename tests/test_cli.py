@@ -127,13 +127,13 @@ class TestReport:
         data = tmp_path / "coverage.csv"
         assert run(["generate", "--coverage", "--seed", "13",
                     "--out", str(data)]) == 0
-        cleaned = ingest.clean(ingest.load_csv(data)).records
+        cleaned = list(ingest.clean(ingest.load_csv(data)).records)
         encoded = []
         feature_matrix = ingest.feature_matrix
 
-        def counting(records):
-            encoded.extend(records)
-            return feature_matrix(records)
+        def counting(dataset):
+            encoded.extend(dataset.records)
+            return feature_matrix(dataset)
 
         monkeypatch.setattr(ingest, "feature_matrix", counting)
         assert run(["report", "--data", str(data), "--seed", "13",

@@ -24,7 +24,7 @@ from agroyield.evaluation import (
 )
 from agroyield.models import Model
 from agroyield.schema import Crop, District, Weather, encode_features
-from helpers import make_record
+from helpers import dataset_of, make_record
 
 
 def constant_model(value, target_min=0.0, target_max=10.0, crop=None):
@@ -70,25 +70,25 @@ class TestMape:
 class TestEvaluate:
     def test_oracle_model_scores_100(self):
         records = [make_record(yield_t_ha=4.0, year=2008 + i) for i in range(3)]
-        metrics = evaluate(constant_model(4.0), records)
+        metrics = evaluate(constant_model(4.0), dataset_of(records))
         assert metrics.accuracy_pct == pytest.approx(100.0)
         assert metrics.error_pct == pytest.approx(0.0)
 
     def test_uniform_ten_percent_overprediction(self):
         records = [make_record(yield_t_ha=2.0, year=2008 + i) for i in range(4)]
-        metrics = evaluate(constant_model(2.2), records)
+        metrics = evaluate(constant_model(2.2), dataset_of(records))
         assert metrics.error_pct == pytest.approx(10.0)
 
     def test_complement_identity(self):
         records = [make_record(yield_t_ha=1.0 + i, year=2008 + i)
                    for i in range(5)]
-        metrics = evaluate(constant_model(1.7), records)
+        metrics = evaluate(constant_model(1.7), dataset_of(records))
         assert metrics.accuracy_pct + metrics.error_pct == pytest.approx(
             100.0, abs=1e-9)
 
     def test_empty_test_set(self):
         with pytest.raises(EmptyTestSet):
-            evaluate(constant_model(1.0), [])
+            evaluate(constant_model(1.0), dataset_of([]))
 
 
 class TestCompare:
@@ -98,7 +98,7 @@ class TestCompare:
 
     def test_four_rows_fixed_order(self):
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
-        rows = compare(self.models(), records)
+        rows = compare(self.models(), dataset_of(records))
         assert [r.method for r in rows] == [
             "Deep Neural Network(DNN)",
             "Support Vector Machine(SVM)",
@@ -111,12 +111,13 @@ class TestCompare:
     def test_identical_model_gives_identical_rows(self):
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
         same = constant_model(3.0)
-        rows = compare({key: same for key, _ in METHOD_ORDER}, records)
+        rows = compare({key: same for key, _ in METHOD_ORDER},
+                       dataset_of(records))
         assert len({(r.accuracy_pct, r.error_pct) for r in rows}) == 1
 
     def test_row_complement_identity(self):
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
-        for row in compare(self.models(), records):
+        for row in compare(self.models(), dataset_of(records)):
             assert row.accuracy_pct + row.error_pct == pytest.approx(
                 100.0, abs=1e-9)
 
@@ -124,7 +125,7 @@ class TestCompare:
 class TestRenderMarkdown:
     def test_exact_header_and_method_order(self):
         rows = compare({key: constant_model(2.0) for key, _ in METHOD_ORDER},
-                       [make_record(yield_t_ha=2.0)])
+                       dataset_of([make_record(yield_t_ha=2.0)]))
         report = EvalReport(rows_by_crop={Crop.Jute: rows}, source="unit",
                             seed=0)
         text = render_markdown(report)
@@ -189,10 +190,10 @@ class TestEmitPlotData:
             make_record(district=District.Tangail, year=2009,
                         crop=Crop.Wheat, yield_t_ha=3.0),
         ]
-        return ingest.Dataset(records=records)
+        return dataset_of(records)
 
     def test_single_record_series(self):
-        ds = ingest.Dataset(records=[make_record()])
+        ds = dataset_of([make_record()])
         series = emit_plot_data(ds, "max_temp")
         assert series.points == [(District.Dhaka, 2008, None, 34.0)]
 
@@ -225,7 +226,7 @@ class TestEmitPlotData:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            emit_plot_data(ingest.Dataset(records=[]), "yield")
+            emit_plot_data(dataset_of([]), "yield")
 
     def test_csv_export_shape(self):
         text = plot_series_to_csv(emit_plot_data(self.dataset(), "yield"))

@@ -1,10 +1,14 @@
+import csv
 import io
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroyield import ingest, schema
+from agroyield import ingest, schema, synthgen
 from agroyield.errors import (
     AgroYieldError,
     EmptyDataset,
@@ -21,20 +25,19 @@ from agroyield.ingest import (
     fit_normalizer,
     normalize_features,
     parse_csv,
-    record_to_row,
     split,
     write_csv,
 )
-from agroyield.schema import Weather
-from helpers import make_record
+from agroyield.schema import Fertilizer, Weather
+from helpers import dataset_of, make_record
+from test_schema import valid_records
 
 
 def csv_text(records):
-    out = io.StringIO()
-    out.write(",".join(CSV_HEADER) + "\n")
-    for r in records:
-        out.write(",".join(record_to_row(r)) + "\n")
-    return out.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_csv(dataset_of(records), path)
+        return path.read_text(encoding="utf-8")
 
 
 class TestParseCsv:
@@ -50,14 +53,14 @@ class TestParseCsv:
 
     def test_header_only_gives_empty_dataset(self):
         ds = parse_csv(",".join(CSV_HEADER) + "\n")
-        assert ds.records == []
+        assert list(ds.records) == []
         assert ds.cleaning_log == []
 
     def test_non_numeric_field_logged_and_skipped(self):
         text = csv_text([make_record()])
         text = text.replace("71,25967", "soggy,25967")
         ds = parse_csv(text)
-        assert ds.records == []
+        assert list(ds.records) == []
         assert ds.cleaning_log == [(0, "parse failure")]
 
     def test_header_mismatch(self):
@@ -85,8 +88,8 @@ class TestParseCsv:
         records = [make_record(year=2008 + i, yield_t_ha=1.0 + i)
                    for i in range(5)]
         path = tmp_path / "d.csv"
-        write_csv(Dataset(records=records), path)
-        assert ingest.load_csv(path).records == records
+        write_csv(dataset_of(records), path)
+        assert list(ingest.load_csv(path).records) == records
 
 
 _HEADER_BYTES = csv_text([]).encode()
@@ -115,53 +118,53 @@ def test_arbitrary_bytes_parse_or_raise_package_error(with_header, cut, tail,
 class TestDeduplicate:
     def test_exact_duplicate_removed(self):
         r1, r2 = make_record(), make_record(year=2009)
-        ds = deduplicate(Dataset(records=[r1, r1, r2]))
-        assert ds.records == [r1, r2]
+        ds = deduplicate(dataset_of([r1, r1, r2]))
+        assert list(ds.records) == [r1, r2]
         assert ds.cleaning_log == [(1, "duplicate")]
 
     def test_distinct_records_unchanged(self):
         r1, r2 = make_record(), make_record(year=2009)
-        ds = deduplicate(Dataset(records=[r1, r2]))
-        assert ds.records == [r1, r2]
+        ds = deduplicate(dataset_of([r1, r2]))
+        assert list(ds.records) == [r1, r2]
 
     def test_idempotent(self):
-        d = Dataset(records=[make_record(), make_record(), make_record(year=2010)])
+        d = dataset_of([make_record(), make_record(), make_record(year=2010)])
         once = deduplicate(d)
         twice = deduplicate(once)
-        assert twice.records == once.records
+        assert list(twice.records) == list(once.records)
 
     @given(st.lists(st.sampled_from([2008, 2009, 2010, 2011]), max_size=20))
     def test_never_grows_and_idempotent(self, years):
-        d = Dataset(records=[make_record(year=y) for y in years])
+        d = dataset_of([make_record(year=y) for y in years])
         once = deduplicate(d)
         assert len(once.records) <= len(d.records)
-        assert deduplicate(once).records == once.records
+        assert list(deduplicate(once).records) == list(once.records)
 
 
 class TestDropInvalid:
     def test_inverted_temps_removed_with_reason(self):
         bad = make_record(weather=Weather(2385.0, 20.0, 30.0, 71.0))
-        ds = drop_invalid(Dataset(records=[bad]))
-        assert ds.records == []
+        ds = drop_invalid(dataset_of([bad]))
+        assert list(ds.records) == []
         assert "min_temp < max_temp violated" in ds.cleaning_log[0][1]
 
     def test_all_valid_is_noop(self):
         records = [make_record(year=2008 + i) for i in range(3)]
-        ds = drop_invalid(Dataset(records=records))
-        assert ds.records == records
+        ds = drop_invalid(dataset_of(records))
+        assert list(ds.records) == records
         assert ds.cleaning_log == []
 
     def test_mixed_counts(self):
         good = [make_record(year=2008 + i) for i in range(3)]
         bad = [make_record(weather=Weather(0.0, 20.0, 30.0, 71.0), year=y)
                for y in (2014, 2015)]
-        ds = drop_invalid(Dataset(records=good + bad))
+        ds = drop_invalid(dataset_of(good + bad))
         assert len(ds.records) == 3
         assert len(ds.cleaning_log) == 2
 
 
 def rainfall_dataset(values):
-    return Dataset(records=[
+    return dataset_of([
         make_record(weather=Weather(v, 34.0, 12.0, 71.0), year=2008 + i)
         for i, v in enumerate(values)
     ])
@@ -169,8 +172,8 @@ def rainfall_dataset(values):
 
 def fit_on(dataset):
     """The normalizer fitted on `dataset` and its normalized feature matrix."""
-    x = ingest.feature_matrix(dataset.records)
-    norm = fit_normalizer(x, ingest.target_vector(dataset.records))
+    x = ingest.feature_matrix(dataset)
+    norm = fit_normalizer(x, ingest.target_vector(dataset))
     return norm, normalize_features(norm, x)
 
 
@@ -213,7 +216,7 @@ class TestNormalizer:
     def test_out_of_range_values_clipped(self):
         train = rainfall_dataset([1523.0, 2385.0])
         norm, _ = fit_on(train)
-        test = ingest.feature_matrix(rainfall_dataset([100.0, 9000.0]).records)
+        test = ingest.feature_matrix(rainfall_dataset([100.0, 9000.0]))
         out = normalize_features(norm, test)
         i = schema.schema_columns().index("avg_rainfall")
         assert out[0, i] == 0.0
@@ -222,9 +225,9 @@ class TestNormalizer:
     def test_indicator_columns_pass_through(self):
         records = [make_record(district=d, year=2008 + i)
                    for i, d in enumerate(schema.District)]
-        ds = Dataset(records=records)
+        ds = dataset_of(records)
         norm, x = fit_on(ds)
-        raw = ingest.feature_matrix(records)
+        raw = ingest.feature_matrix(ds)
         assert np.array_equal(x[:, -5:], raw[:, -5:])
 
     def test_train_columns_hit_0_and_1(self):
@@ -248,7 +251,7 @@ class TestNormalizer:
 
 class TestSplit:
     def make_dataset(self, n):
-        return Dataset(records=[make_record(year=1900 + i) for i in range(n)])
+        return dataset_of([make_record(year=1900 + i) for i in range(n)])
 
     def test_sizes_floor_rule(self):
         train, test = split(self.make_dataset(10), SplitConfig(0.8, seed=1))
@@ -258,19 +261,19 @@ class TestSplit:
         ds = self.make_dataset(20)
         a = split(ds, SplitConfig(0.8, seed=42))
         b = split(ds, SplitConfig(0.8, seed=42))
-        assert a[0].records == b[0].records
-        assert a[1].records == b[1].records
+        assert list(a[0].records) == list(b[0].records)
+        assert list(a[1].records) == list(b[1].records)
 
     def test_different_seed_differs(self):
         ds = self.make_dataset(50)
         a = split(ds, SplitConfig(0.8, seed=1))
         b = split(ds, SplitConfig(0.8, seed=2))
-        assert a[0].records != b[0].records
+        assert list(a[0].records) != list(b[0].records)
 
     def test_partition(self):
         ds = self.make_dataset(31)
         train, test = split(ds, SplitConfig(0.8, seed=3))
-        combined = sorted(r.year for r in train.records + test.records)
+        combined = sorted(r.year for r in [*train.records, *test.records])
         assert combined == sorted(r.year for r in ds.records)
 
     def test_too_few_records(self):
@@ -280,3 +283,123 @@ class TestSplit:
     def test_ratio_bounds(self):
         with pytest.raises(ValueError):
             SplitConfig(train_ratio=1.5)
+
+
+# ------------------------------------------------------------------------
+# The column code against the per-record code it replaced.
+
+def _reference_deduplicate(records):
+    """Dataclass-equality dedupe over record objects, as it was: the kept
+    positions and the log."""
+    seen, kept, log = set(), [], []
+    for i, record in enumerate(records):
+        if record in seen:
+            log.append((i, "duplicate"))
+        else:
+            seen.add(record)
+            kept.append(i)
+    return kept, log
+
+
+def _variant(base, kind):
+    """`base`, or a copy with a zero fraction negated or a NaN humidity."""
+    if kind == "negative-zero":
+        return make_record(year=base.year, yield_t_ha=base.yield_t_ha,
+                           land_fractions=(1.0, -0.0, 0.0, 0.0, 0.0, 0.0))
+    if kind == "nan":
+        return make_record(year=base.year, yield_t_ha=base.yield_t_ha,
+                           weather=Weather(2385.0, 34.0, 12.0, math.nan))
+    return base
+
+
+_BASES = [make_record(year=y, yield_t_ha=t) for y in (2008, 2009)
+          for t in (2.0, 0.0, -0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_BASES),
+                          st.sampled_from(["plain", "negative-zero", "nan"])),
+                max_size=25))
+def test_deduplicate_matches_dataclass_equality(picks):
+    ds = dataset_of([_variant(base, kind) for base, kind in picks])
+    # fresh objects per row, as parsing makes them: no NaN is shared
+    kept, log = _reference_deduplicate(list(ds.records))
+    once = deduplicate(ds)
+    assert once.cleaning_log == log
+    assert np.array_equal(once.values, ds.values[kept], equal_nan=True)
+    assert once.year.tolist() == ds.year[kept].tolist()
+
+
+def _reference_format_value(x) -> str:
+    if isinstance(x, int):
+        return str(x)
+    if float(x).is_integer() and abs(x) < 1e15:
+        return str(int(x))
+    return repr(float(x))
+
+
+def _reference_csv(records) -> str:
+    """The CSV text of the per-value writer that `write_csv` replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in records:
+        features = schema.encode_features(r)
+        writer.writerow(
+            [r.district.name.lower(), str(r.year), r.crop.name.lower()]
+            + [_reference_format_value(v) for v in features[1:]]
+            + [_reference_format_value(r.production),
+               _reference_format_value(r.yield_t_ha)])
+    return out.getvalue()
+
+
+_NEAR_1E15 = st.one_of(
+    st.sampled_from([1e15, 1e15 - 1, 1e15 + 2, 999999999999999.9, 1e16,
+                     2.0 ** 53, 0.0, -0.0, 0.5, 1e-300]),
+    st.integers(10 ** 15 - 5, 10 ** 15 + 5).map(float),
+    st.floats(0.0, 1e17),
+    st.floats(-1e16, 1e16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | _NEAR_1E15,
+                max_size=40))
+def test_column_formatting_matches_per_value_formatting(column):
+    assert ingest._format_floats(np.array(column, dtype=float)) \
+        == [_reference_format_value(x) for x in column]
+
+
+@st.composite
+def large_valued_records(draw):
+    """Valid records whose unbounded columns hold values near 1e15."""
+    base = draw(valid_records())
+    non_negative = _NEAR_1E15.map(abs)
+    return make_record(
+        district=base.district, crop=base.crop, year=base.year,
+        weather=Weather(draw(non_negative), base.weather.max_temp,
+                        base.weather.min_temp, base.weather.humidity),
+        fertilizer=Fertilizer(*(draw(non_negative) for _ in range(4))),
+        land_fractions=base.land_fractions,
+        soil_fractions=base.soil_fractions, soil_props=base.soil_props,
+        area=base.area, yield_t_ha=base.yield_t_ha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(large_valued_records(), max_size=8))
+def test_write_csv_matches_per_value_writer(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    ds = dataset_of(records)
+    write_csv(ds, path)
+    assert path.read_text(encoding="utf-8") == _reference_csv(records)
+    back = ingest.load_csv(path)
+    assert back.cleaning_log == []
+    for name in ("district", "crop", "year", "values"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name))
+
+
+def test_write_then_load_keeps_the_arrays_of_a_generated_dataset(tmp_path):
+    ds = synthgen.generate(synthgen.GenConfig(n_records=3000, seed=8))
+    write_csv(ds, tmp_path / "d.csv")
+    back = ingest.load_csv(tmp_path / "d.csv")
+    for name in ("district", "crop", "year", "values"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name))

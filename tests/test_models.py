@@ -69,7 +69,7 @@ class TestPredictModel:
     def test_all_variants_predict_finite_yields(self, crop_split,
                                                 trained_models):
         x = ingest.normalize_features(
-            crop_split.normalizer, ingest.feature_matrix(crop_split.test.records))
+            crop_split.normalizer, ingest.feature_matrix(crop_split.test))
         for model in trained_models.values():
             preds = predict_model(model, x)
             assert preds.shape == (len(crop_split.test.records),)
@@ -129,7 +129,7 @@ class TestSerialization:
         assert loaded.variant == variant
         assert loaded.crop is Crop.Wheat
         x = ingest.normalize_features(
-            crop_split.normalizer, ingest.feature_matrix(crop_split.test.records))
+            crop_split.normalizer, ingest.feature_matrix(crop_split.test))
         np.testing.assert_array_equal(predict_model(model, x),
                                       predict_model(loaded, x))
 

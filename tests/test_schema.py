@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from agroyield import schema
 from agroyield.errors import InvalidRecord
@@ -21,7 +22,7 @@ from agroyield.schema import (
     schema_columns,
     validate_record,
 )
-from helpers import make_record
+from helpers import dataset_of, make_record
 
 
 class TestEnums:
@@ -200,3 +201,123 @@ class TestProperties:
             yield_t_ha=record.yield_t_ha,
         )
         assert encode_features(changed) != encode_features(record)
+
+
+# ------------------------------------------------------------------------
+# The column validator against the scalar validator it replaced.
+
+def _reference_validate_record(record):
+    """The per-record validator the rule table replaced, kept verbatim."""
+    v = []
+    w, f, sp = record.weather, record.fertilizer, record.soil_props
+    if not -sys.float_info.max <= record.year <= sys.float_info.max:
+        v.append("year not finite")
+    numeric = {
+        "avg_rainfall": w.avg_rainfall,
+        "max_temp": w.max_temp,
+        "min_temp": w.min_temp,
+        "humidity": w.humidity,
+        "urea": f.urea, "tsp": f.tsp, "dap": f.dap, "mp": f.mp,
+        "area": record.area,
+        "production": record.production,
+        "yield": record.yield_t_ha,
+    }
+    for name, value in numeric.items():
+        if not math.isfinite(value):
+            v.append(f"{name} not finite")
+    if any(not math.isfinite(x) for x in record.land_fractions):
+        v.append("land_fractions not finite")
+    if any(not math.isfinite(x) for x in record.soil_fractions):
+        v.append("soil_fractions not finite")
+    if v:
+        return v
+
+    if record.year < 1900:
+        v.append("year < 1900")
+    if not w.min_temp < w.max_temp:
+        v.append("min_temp < max_temp violated")
+    if not 0.0 <= w.humidity <= 100.0:
+        v.append("humidity out of [0,100]")
+    if w.avg_rainfall < 0:
+        v.append("avg_rainfall < 0")
+    for name in ("urea", "tsp", "dap", "mp"):
+        if getattr(f, name) < 0:
+            v.append(f"{name} < 0")
+    if len(record.land_fractions) != 6:
+        v.append("land_fractions length != 6")
+    elif min(record.land_fractions) < 0:
+        v.append("land_fractions has negative entry")
+    elif abs(sum(record.land_fractions) - 1.0) > schema.FRACTION_SUM_TOL:
+        v.append("land_fractions sum != 1")
+    if len(record.soil_fractions) != 19:
+        v.append("soil_fractions length != 19")
+    elif min(record.soil_fractions) < 0:
+        v.append("soil_fractions has negative entry")
+    elif abs(sum(record.soil_fractions) - 1.0) > schema.FRACTION_SUM_TOL:
+        v.append("soil_fractions sum != 1")
+    for name in ("moisture", "texture", "consistency", "structure", "composition"):
+        val = getattr(sp, name)
+        if not 1.0 <= val <= 5.0:
+            v.append(f"soil {name} out of [1,5]")
+    if not 3.0 <= sp.reaction <= 10.0:
+        v.append("soil reaction out of [3,10]")
+    if record.area < 0:
+        v.append("area < 0")
+    if record.production < 0:
+        v.append("production < 0")
+    if record.yield_t_ha < 0:
+        v.append("yield < 0")
+    if record.area > 0:
+        implied = record.production / record.area
+        tol = schema.YIELD_CONSISTENCY_TOL * max(1.0, record.yield_t_ha)
+        if abs(record.yield_t_ha - implied) > tol:
+            v.append("yield inconsistent with production/area")
+    return v
+
+
+_EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 3.0, 5.0,
+                10.0, 100.0, -1.0, 0.5, 1e-300, 1e300)
+# years the two validators agree on; 2**63 - 1 and up differ (see below)
+_YEARS = st.one_of(st.integers(1800, 2100),
+                   st.sampled_from([1899, 1900, 10 ** 400, -10 ** 400,
+                                    -2 ** 70, -2 ** 63, 2 ** 62]))
+
+
+@st.composite
+def edgy_records(draw):
+    """A valid record with a few values replaced by edge cases, and maybe
+    a fraction group shifted to sum to about 1 +- 1e-9."""
+    base = draw(valid_records())
+    values = list(schema.record_values(base))
+    for j in draw(st.lists(st.integers(0, 46), max_size=5)):
+        values[j] = draw(st.one_of(st.sampled_from(_EDGE_VALUES),
+                                   st.floats(), st.floats(-200.0, 200.0)))
+    group = draw(st.sampled_from([None, schema.LAND, schema.SOIL]))
+    if group is not None:
+        values[group.start] += draw(st.sampled_from(
+            [1e-9, -1e-9, 0.9e-9, -0.9e-9, 1.1e-9, -1.1e-9]))
+    return schema.record_from_values(base.district, draw(_YEARS), base.crop,
+                                     values)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edgy_records())
+def test_validate_record_matches_scalar_reference(record):
+    assert validate_record(record) == _reference_validate_record(record)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(edgy_records(), max_size=12))
+def test_column_violations_match_scalar_reference_per_row(records):
+    ds = dataset_of(records)
+    mask = schema.violations(ds.year, ds.values)
+    assert mask.shape[0] == len(records)
+    assert [schema.violation_messages(row) for row in mask] \
+        == [_reference_validate_record(r) for r in records]
+
+
+@pytest.mark.parametrize("year", [2 ** 63 - 1, 2 ** 63, 10 ** 300])
+def test_year_beyond_int64_is_out_of_range(year):
+    # the year column is int64; the scalar validator accepted these years
+    assert _reference_validate_record(make_record(year=year)) == []
+    assert validate_record(make_record(year=year)) == ["year out of range"]
