@@ -1,9 +1,10 @@
 """CSV parsing, cleaning, min-max normalization, seeded splits.
 
 A `Dataset` holds columns: `district` and `crop` enum values, an int64
-`year`, and an (n, 47) float matrix `values` of the features other than
-the year, production and yield (`schema.VALUE_COLUMNS`). Every layer works
-on the arrays; `Dataset.records` builds an `AgroRecord` view when read.
+`year`, an (n, 47) float matrix `values` of the features other than the
+year, production and yield (`schema.VALUE_COLUMNS`), and `row`, the 0-based
+data row of the source file, which the cleaning log names. Every layer
+works on the arrays; `Dataset.records` builds an `AgroRecord` view when read.
 
 CSV contract: UTF-8, comma-separated, `.` decimal point, mandatory header
     district, year, crop, <45 remaining schema columns>, production, yield
@@ -50,6 +51,7 @@ class Dataset:
     crop: np.ndarray      # (n,) Crop values
     year: np.ndarray      # (n,) int64, as `schema.year64` stores it
     values: np.ndarray    # (n, 47) float, `schema.VALUE_COLUMNS`
+    row: np.ndarray       # (n,) int64, 0-based data row of the source
     source: str = "<memory>"
     cleaning_log: list = field(default_factory=list)  # (row_index, reason)
 
@@ -63,8 +65,8 @@ class Dataset:
     def take(self, index, source: str, cleaning_log=()) -> "Dataset":
         """Rows `index`, in that order, as a new dataset."""
         return Dataset(self.district[index], self.crop[index],
-                       self.year[index], self.values[index], source,
-                       list(cleaning_log))
+                       self.year[index], self.values[index], self.row[index],
+                       source, list(cleaning_log))
 
 
 class Records(Sequence):
@@ -88,7 +90,8 @@ def record_dataset(record: schema.AgroRecord) -> Dataset:
     return Dataset(np.array([record.district.value]),
                    np.array([record.crop.value]),
                    np.array([schema.year64(record.year)], dtype=np.int64),
-                   np.array([schema.record_values(record)], dtype=float))
+                   np.array([schema.record_values(record)], dtype=float),
+                   np.zeros(1, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,9 @@ def _code(parse, text: str) -> int:
     return parse(text).value
 
 
-def _columns(rows: list) -> tuple:
-    """(district, crop, year, values) of CSV rows; ValueError if any row
-    is malformed."""
+def _columns(rows: list, start: int) -> tuple:
+    """(district, crop, year, values, row) of CSV data rows `start`, ...;
+    ValueError if any row is malformed."""
     if any(len(fields) != len(CSV_HEADER) for fields in rows):
         raise ValueError("wrong field count")
     district = np.array([_code(schema.parse_district, f[0]) for f in rows],
@@ -120,7 +123,7 @@ def _columns(rows: list) -> tuple:
     values = np.array([f[3:] for f in rows], dtype=float).reshape(
         len(rows), len(schema.VALUE_COLUMNS))
     values[:, schema.INDICATORS] = schema.INDICATOR_PATTERNS[district]
-    return district, crop, year, values
+    return district, crop, year, values, np.arange(start, start + len(rows))
 
 
 def parse_csv(stream, source: str = "<stream>") -> Dataset:
@@ -146,14 +149,14 @@ def _parse_rows(stream, source: str) -> Dataset:
         raise HeaderMismatch(
             f"header does not match schema contract (got {len(header)} columns)"
         )
-    parts, log, start = [_columns([])], [], 0
+    parts, log, start = [_columns([], 0)], [], 0
     while rows := list(islice(reader, _CHUNK_ROWS)):
         try:
-            parts.append(_columns(rows))
+            parts.append(_columns(rows, start))
         except ValueError:  # find the bad rows one by one
             for i, fields in enumerate(rows):
                 try:
-                    parts.append(_columns([fields]))
+                    parts.append(_columns([fields], start + i))
                 except ValueError:
                     log.append((start + i, "parse failure"))
         start += len(rows)
@@ -214,8 +217,8 @@ def _first_occurrences(dataset: Dataset) -> np.ndarray:
 def deduplicate(dataset: Dataset) -> Dataset:
     """Drop exact duplicates, keeping the first occurrence of each record."""
     first = _first_occurrences(dataset)
-    log = dataset.cleaning_log + [(i, "duplicate")
-                                  for i in np.flatnonzero(~first).tolist()]
+    log = dataset.cleaning_log + [(row, "duplicate")
+                                  for row in dataset.row[~first].tolist()]
     return dataset.take(np.flatnonzero(first), dataset.source, log)
 
 
@@ -224,8 +227,8 @@ def drop_invalid(dataset: Dataset) -> Dataset:
     mask = schema.violations(dataset.year, dataset.values)
     bad = mask.any(axis=1)
     log = dataset.cleaning_log + [
-        (i, "; ".join(schema.violation_messages(mask[i])))
-        for i in np.flatnonzero(bad).tolist()]
+        (int(dataset.row[i]), "; ".join(schema.violation_messages(mask[i])))
+        for i in np.flatnonzero(bad)]
     return dataset.take(np.flatnonzero(~bad), dataset.source, log)
 
 

@@ -241,5 +241,5 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
     values[:, -2] = y * area
     values[:, -1] = y
     crop = np.array([c.value for c in cfg.crops])[which]
-    return Dataset(district, crop, year, values,
+    return Dataset(district, crop, year, values, np.arange(n),
                    source=f"synthgen(seed={cfg.seed})")

@@ -50,7 +50,7 @@ def dataset_of(records, source="<memory>") -> ingest.Dataset:
         year=np.array([schema.year64(r.year) for r in records], dtype=np.int64),
         values=np.array([schema.record_values(r) for r in records],
                         dtype=float).reshape(len(records), 47),
-        source=source)
+        row=np.arange(len(records)), source=source)
 
 
 class Hung(Exception):

@@ -149,7 +149,8 @@ def test_criterion_5_split_exactness():
     for n in (10, 999, 300000):
         # n rows that differ only in the year, so the year names the row
         ds = ingest.Dataset(one.district.repeat(n), one.crop.repeat(n),
-                            1900 + np.arange(n), one.values.repeat(n, axis=0))
+                            1900 + np.arange(n), one.values.repeat(n, axis=0),
+                            np.arange(n))
         cfg = ingest.SplitConfig(train_ratio=0.8, seed=77)
         train_a, test_a = ingest.split(ds, cfg)
         train_b, test_b = ingest.split(ds, cfg)

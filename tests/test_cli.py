@@ -68,6 +68,26 @@ class TestClean:
         assert kept + len(log) == len(lines) - 1
 
 
+    def test_log_names_the_source_row_of_every_removal(self, data_csv,
+                                                        tmp_path):
+        lines = data_csv.read_text().splitlines(keepends=True)
+        valid = lines[1]
+        unknown = "atlantis," + valid.split(",", 1)[1]
+        fields = valid.split(",")
+        fields[ingest.CSV_HEADER.index("humidity")] = "150"
+        humid = ",".join(fields)
+        path = tmp_path / "four.csv"
+        path.write_text(lines[0] + unknown + valid + valid + humid)
+        out = tmp_path / "cleaned"
+        assert run(["clean", "--data", str(path), "--out", str(out)]) == 0
+        log = [json.loads(l)
+               for l in (out / "cleaning_log.jsonl").read_text().splitlines()]
+        assert log == [{"row": 0, "reason": "parse failure"},
+                       {"row": 2, "reason": "duplicate"},
+                       {"row": 3, "reason": "humidity out of [0,100]"}]
+        assert len((out / "cleaned.csv").read_text().splitlines()) == 2
+
+
 class TestTrainEvaluateSelect:
     def test_train_then_evaluate(self, data_csv, tmp_path):
         model_path = tmp_path / "jute_forest.json"

@@ -55,7 +55,7 @@ def test_report_outputs_unchanged(report_dir):
 
 
 PREP_OUTPUTS_SHA256 = (
-    "96b29c55ed65e8789445679fbbf39ce726954cd765856fd9957f2d46a7bbce66")
+    "03e147e5b5a56398e270693690eeccf858f29e3933d4b4ab846e49b4ff260858")
 
 
 def _mutated(lines):
