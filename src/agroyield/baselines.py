@@ -15,13 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, EmptyTrainingSet
+from .errors import DivergedLoss, EmptySample, EmptyTrainingSet
 from .rng import derive_seed
 
 
 def _check_nonempty(x):
     if len(x) == 0:
         raise EmptyTrainingSet("no training examples")
+
+
+def _check_finite(w, b, name, epoch):
+    if not np.isfinite(np.append(w, b)).all():
+        raise DivergedLoss(f"{name} weights stopped being finite in epoch "
+                           f"{epoch}")
 
 
 def sigmoid(z):
@@ -56,12 +62,14 @@ def train_logistic(x, y, learning_rate=0.5, epochs=500,
     w = np.zeros(x.shape[1])
     b = 0.0
     n = x.shape[0]
-    for _ in range(epochs):
-        residual = sigmoid(x @ w + b) - y
-        w = w - learning_rate * (x.T @ residual) / n
-        b = b - learning_rate * float(residual.mean())
-        if loss_callback is not None:
-            loss_callback(logistic_loss(LogisticModel(w, b), x, y))
+    with np.errstate(all="ignore"):  # _check_finite reports divergence
+        for epoch in range(epochs):
+            residual = sigmoid(x @ w + b) - y
+            w = w - learning_rate * (x.T @ residual) / n
+            b = b - learning_rate * float(residual.mean())
+            _check_finite(w, b, "logistic", epoch)
+            if loss_callback is not None:
+                loss_callback(logistic_loss(LogisticModel(w, b), x, y))
     return LogisticModel(weights=w, bias=b)
 
 
@@ -101,17 +109,20 @@ def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1, epochs=500,
     n = x.shape[0]
     w = np.zeros(x.shape[1])
     b = 0.0
-    for t in range(epochs):
-        step = learning_rate / np.sqrt(t + 1.0)
-        residual = x @ w + b - y
-        active = np.abs(residual) > epsilon  # inside the tube: zero subgradient
-        sign = np.sign(residual) * active
-        grad_w = w / n + c * (x.T @ sign) / n
-        grad_b = c * float(sign.mean())
-        w = w - step * grad_w
-        b = b - step * grad_b
-        if loss_callback is not None:
-            loss_callback(svm_objective(SvmModel(w, b, epsilon, c), x, y))
+    with np.errstate(all="ignore"):  # _check_finite reports divergence
+        for t in range(epochs):
+            step = learning_rate / np.sqrt(t + 1.0)
+            residual = x @ w + b - y
+            # inside the tube: zero subgradient
+            active = np.abs(residual) > epsilon
+            sign = np.sign(residual) * active
+            grad_w = w / n + c * (x.T @ sign) / n
+            grad_b = c * float(sign.mean())
+            w = w - step * grad_w
+            b = b - step * grad_b
+            _check_finite(w, b, "svm", t)
+            if loss_callback is not None:
+                loss_callback(svm_objective(SvmModel(w, b, epsilon, c), x, y))
     return SvmModel(weights=w, bias=b, epsilon=epsilon, c=c)
 
 

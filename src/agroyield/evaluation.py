@@ -189,7 +189,8 @@ def emit_plot_data(dataset: ingest.Dataset, kind: str) -> PlotSeries:
         raise UnknownKind(f"unknown plot kind {kind!r}")
     if len(dataset) == 0:
         raise EmptyDataset("no records to plot")
-    crop = np.full(len(dataset), -1) if kind in _WEATHER_KINDS else dataset.crop
+    weather = kind in _WEATHER_KINDS
+    crop = np.full(len(dataset), -1) if weather else dataset.crop
     column = schema.VALUE_COLUMNS.index(kind)
     # stable, so each group keeps the dataset's order and `sum` adds in it
     order = np.lexsort((crop, dataset.year, dataset.district))
@@ -197,7 +198,8 @@ def emit_plot_data(dataset: ingest.Dataset, kind: str) -> PlotSeries:
     starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
     values = dataset.values[order, column].tolist()
     points = []
-    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
+    stops = starts[1:].tolist() + [len(order)]
+    for start, stop in zip(starts.tolist(), stops):
         district, year, crop_value = keys[start].tolist()
         total = sum(values[start:stop])
         points.append((

@@ -358,4 +358,5 @@ def encode_features(record: AgroRecord) -> tuple:
     found = validate_record(record)
     if found:
         raise InvalidRecord(found)
-    return (float(record.year),) + tuple(map(float, record_values(record)[:45]))
+    values = record_values(record)[:45]
+    return (float(record.year),) + tuple(map(float, values))

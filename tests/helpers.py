@@ -47,7 +47,8 @@ def dataset_of(records, source="<memory>") -> ingest.Dataset:
     return ingest.Dataset(
         district=np.array([r.district.value for r in records], dtype=np.int64),
         crop=np.array([r.crop.value for r in records], dtype=np.int64),
-        year=np.array([schema.year64(r.year) for r in records], dtype=np.int64),
+        year=np.array([schema.year64(r.year) for r in records],
+                      dtype=np.int64),
         values=np.array([schema.record_values(r) for r in records],
                         dtype=float).reshape(len(records), 47),
         row=np.arange(len(records)), source=source)

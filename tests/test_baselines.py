@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from agroyield.baselines import (
     train_logistic,
     train_svm,
 )
-from agroyield.errors import EmptySample, EmptyTrainingSet
+from agroyield.errors import DivergedLoss, EmptySample, EmptyTrainingSet
 from agroyield.schema import Crop
 
 
@@ -349,3 +350,15 @@ def test_best_split_matches_per_feature_loop(problem):
         assert got is not None
         assert (got[0], int(got[1]), got[2]) == (want[0], int(want[1]),
                                                  want[2])
+
+
+@pytest.mark.parametrize("train, lr", [(baselines.train_svm, 1e300),
+                                       (baselines.train_logistic, 1e308)],
+                         ids=["svm", "logistic"])
+def test_divergence_raises_without_warnings(train, lr):
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(size=(50, 46)), rng.uniform(size=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy RuntimeWarning fails
+        with pytest.raises(DivergedLoss):
+            train(x, y, learning_rate=lr, epochs=50)

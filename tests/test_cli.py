@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -292,6 +293,22 @@ class TestExitCodes:
         assert run(["train", "--data", str(data_csv), "--model", "dnn",
                     "--crop", "jute", "--epochs", "30", "--lr", "1e18",
                     "--seed", "1", "--out", str(tmp_path / "m.json")]) == 3
+
+
+def test_diverged_svm_exits_3_with_one_error_line(tmp_path, capsys):
+    data, out = tmp_path / "d.csv", tmp_path / "m.json"
+    assert run(["generate", "--n", "600", "--seed", "1",
+                "--out", str(data)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy RuntimeWarning fails
+        assert run(["train", "--data", str(data), "--model", "svm",
+                    "--crop", "jute", "--lr", "1e300",
+                    "--out", str(out)]) == 3
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("effective config:")]
+    assert len(err) == 1 and err[0].startswith("training failure: ")
+    assert not out.exists()
 
 
 def _shipped_responses(**jute):
