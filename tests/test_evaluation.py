@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from agroyield import baselines, evaluation, ingest
+from agroyield import baselines, evaluation, ingest, synthgen
 from agroyield.errors import (
     EmptyDataset,
     EmptyTestSet,
@@ -233,3 +233,40 @@ class TestEmitPlotData:
         lines = text.strip().splitlines()
         assert lines[0] == "kind,district,year,crop,value"
         assert lines[1].startswith("yield,dhaka,2008,jute,")
+
+
+def _reference_plot_points(records, kind):
+    """The per-record grouping `emit_plot_data` replaced, kept verbatim."""
+    groups = {}
+    for r in records:
+        if kind in ("max_temp", "min_temp", "avg_rainfall"):
+            key = (r.district, r.year, None)
+            value = getattr(r.weather, kind)
+        elif kind == "production":
+            key = (r.district, r.year, r.crop)
+            value = r.production
+        else:
+            key = (r.district, r.year, r.crop)
+            value = r.yield_t_ha
+        groups.setdefault(key, []).append(value)
+
+    def sort_key(item):
+        (district, year, crop), _ = item
+        return (district.value, year, -1 if crop is None else crop.value)
+
+    points = []
+    for (district, year, crop), values in sorted(groups.items(), key=sort_key):
+        agg = (float(sum(values)) if kind == "production"
+               else float(sum(values) / len(values)))
+        points.append((district, year, crop, agg))
+    return points
+
+
+@pytest.mark.parametrize("kind", evaluation.PLOT_KINDS)
+def test_plot_points_equal_per_record_reference(kind):
+    ds = synthgen.generate(synthgen.GenConfig(n_records=1500, seed=21,
+                                              years=(2008, 2010)))
+    shuffled = ds.take(np.random.default_rng(0).permutation(len(ds)), "s")
+    for data in (ds, shuffled):
+        assert emit_plot_data(data, kind).points \
+            == _reference_plot_points(data.records, kind)

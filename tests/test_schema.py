@@ -285,13 +285,16 @@ _YEARS = st.one_of(st.integers(1800, 2100),
 
 @st.composite
 def edgy_records(draw):
-    """A valid record with a few values replaced by edge cases, and maybe
-    a fraction group shifted to sum to about 1 +- 1e-9."""
+    """A valid record with a few values replaced by edge cases, production
+    maybe a little off yield * area, and maybe a fraction group shifted to
+    sum to about 1 +- 1e-9."""
     base = draw(valid_records())
     values = list(schema.record_values(base))
     for j in draw(st.lists(st.integers(0, 46), max_size=5)):
         values[j] = draw(st.one_of(st.sampled_from(_EDGE_VALUES),
                                    st.floats(), st.floats(-200.0, 200.0)))
+    # production off yield * area by a relative 0 .. 2e-6, around the tolerance
+    values[45] *= draw(st.sampled_from([1.0, 1 + 5e-7, 1 + 2e-6, 1 - 2e-6]))
     group = draw(st.sampled_from([None, schema.LAND, schema.SOIL]))
     if group is not None:
         values[group.start] += draw(st.sampled_from(

@@ -2,11 +2,13 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agroyield import ingest, synthgen
 from agroyield.schema import Crop, District, Fertilizer, Weather, validate_record
 from agroyield.synthgen import CropResponse, GenConfig, generate, ground_truth_yield, load_responses
 from helpers import make_record
+from test_schema import valid_records
 
 
 def unit_response(**over):
@@ -128,3 +130,49 @@ class TestResponses:
         text.write_text(json.dumps(doc))
         responses = load_responses(text)
         assert responses[Crop.Jute].base_yield == 9.0
+
+
+# ------------------------------------------------------------------------
+# The column oracle against the per-record formula it replaced.
+
+def _reference_ground_truth_yield(record, response):
+    """The scalar oracle `generate` used per record, kept verbatim."""
+    def bump(x, opt, width):
+        z = (x - opt) / width
+        return math.exp(-z * z)
+
+    w, f = record.weather, record.fertilizer
+    g = (
+        bump(w.avg_rainfall, response.opt_rainfall, response.width_rainfall)
+        * bump(w.max_temp, response.opt_max_temp, response.width_max_temp)
+        * bump(w.humidity, response.opt_humidity, response.width_humidity)
+    )
+    soil = sum(frac * wt for frac, wt
+               in zip(record.soil_fractions, response.soil_weights))
+    land = sum(frac * wt for frac, wt
+               in zip(record.land_fractions, response.land_weights))
+    amounts = (f.urea, f.tsp, f.dap, f.mp)
+    fert = 1.0 + sum(
+        c * (a / (a + s)) if a > 0 else 0.0
+        for c, a, s in zip(response.fertilizer_coeffs, amounts,
+                           response.fertilizer_scales)
+    )
+    return response.base_yield * g * soil * land * fert
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_records(), st.sampled_from(list(Crop)))
+def test_oracle_equals_scalar_reference(record, crop):
+    response = load_responses()[crop]
+    assert ground_truth_yield(record, response) \
+        == _reference_ground_truth_yield(record, response)
+
+
+def test_generated_yields_equal_scalar_reference():
+    responses = load_responses()
+    ds = generate(GenConfig(n_records=600, seed=12, noise_sigma=0.0),
+                  responses)
+    for r in ds.records:
+        expected = _reference_ground_truth_yield(r, responses[r.crop])
+        assert r.yield_t_ha == expected
+        assert r.production == expected * r.area
