@@ -37,9 +37,9 @@ CSV_HEADER = (
     + ("production", "yield")
 )
 
-# Rows parsed or formatted per block: large enough to amortize the NumPy
-# calls, small enough that the text of a block stays a few hundred KB.
-_CHUNK_ROWS = 1024
+# Rows parsed or formatted per block: enough to amortize the NumPy calls,
+# few enough that the block's str objects stay under a megabyte.
+_CHUNK_ROWS = 256
 _YIELD = schema.VALUE_COLUMNS.index("yield")
 _DISTRICT_NAMES = [d.name.lower() for d in District]
 _CROP_NAMES = [c.name.lower() for c in Crop]

@@ -265,70 +265,66 @@ def sum_in_order(terms) -> np.ndarray:
     return total
 
 
-def _outside(name, lo, hi=np.inf):
-    """Violated unless lo <= value <= hi; NaN violates."""
-    return lambda y, v: ~((lo <= v[:, _V[name]]) & (v[:, _V[name]] <= hi))
-
-
-def _fractions(name, cols):
-    def negative(y, v):
-        return (v[:, cols] < 0).any(axis=1)
-
-    def sum_off(y, v):
-        return ~negative(y, v) & (
-            np.abs(sum_in_order(v[:, cols].T) - 1.0) > FRACTION_SUM_TOL)
-
-    return ((f"{name} has negative entry", negative),
-            (f"{name} sum != 1", sum_off))
-
-
-def _yield_inconsistent(y, v):
-    area, production, target = v[:, 39], v[:, 45], v[:, 46]
-    implied = production / np.where(area > 0, area, 1.0)
-    tol = YIELD_CONSISTENCY_TOL * np.maximum(1.0, target)
-    return (area > 0) & (np.abs(target - implied) > tol)
-
-
-# (message, violated(year, values) -> (n,) bool), in report order. A row
-# failing a rule of the first group is reported on that group alone, so
-# the second group sees finite values wherever it compares with 0.
 _NONNEGATIVE = ("area", "production", "yield")
-_FINITE_RULES = (
-    ("year not finite", lambda y, v: y == YEAR_NOT_FINITE),
-    *((f"{name} not finite", lambda y, v, j=_V[name]: ~np.isfinite(v[:, j]))
-      for name in _WEATHER_COLUMNS + _FERTILIZER_COLUMNS + _NONNEGATIVE),
-    *((f"{name}_fractions not finite",
-       lambda y, v, cols=cols: ~np.isfinite(v[:, cols]).all(axis=1))
-      for name, cols in (("land", LAND), ("soil", SOIL))),
-)
-_RANGE_RULES = (
-    ("year < 1900", lambda y, v: y < 1900),
-    ("year out of range", lambda y, v: y == YEAR_OUT_OF_RANGE),
-    ("min_temp < max_temp violated",
-     lambda y, v: ~(v[:, _V["min_temp"]] < v[:, _V["max_temp"]])),
-    ("humidity out of [0,100]", _outside("humidity", 0.0, 100.0)),
-    *((f"{name} < 0", _outside(name, 0.0))
+_FINITE = _WEATHER_COLUMNS + _FERTILIZER_COLUMNS + _NONNEGATIVE
+_FINITE_COLUMNS = [_V[name] for name in _FINITE]
+# (message, column, lo, hi): violated unless lo <= value <= hi, so NaN
+# violates. In report order; the fraction rules fall after the first six.
+_BOUNDS = (
+    ("humidity out of [0,100]", "humidity", 0.0, 100.0),
+    *((f"{name} < 0", name, 0.0, np.inf)
       for name in ("avg_rainfall",) + _FERTILIZER_COLUMNS),
-    *_fractions("land_fractions", LAND),
-    *_fractions("soil_fractions", SOIL),
-    *((f"soil {name} out of [1,5]", _outside(f"soil_{name}", 1.0, 5.0))
+    *((f"soil {name} out of [1,5]", f"soil_{name}", 1.0, 5.0)
       for name in ("moisture", "texture", "consistency", "structure",
                    "composition")),
-    ("soil reaction out of [3,10]", _outside("soil_reaction", 3.0, 10.0)),
-    *((f"{name} < 0", _outside(name, 0.0)) for name in _NONNEGATIVE),
-    ("yield inconsistent with production/area", _yield_inconsistent),
+    ("soil reaction out of [3,10]", "soil_reaction", 3.0, 10.0),
+    *((f"{name} < 0", name, 0.0, np.inf) for name in _NONNEGATIVE),
 )
-_MESSAGES = tuple(m for m, _ in _FINITE_RULES + _RANGE_RULES)
+_BOUND_COLUMNS = [_V[column] for _, column, _, _ in _BOUNDS]
+_LO, _HI = (np.array([b[k] for b in _BOUNDS]) for k in (2, 3))
+_MESSAGES = (
+    "year not finite", *(f"{name} not finite" for name in _FINITE),
+    "land_fractions not finite", "soil_fractions not finite",
+    # a row failing one of the rules above is reported on those alone,
+    # so the rules below see finite values wherever they compare with 0
+    "year < 1900", "year out of range", "min_temp < max_temp violated",
+    *(m for m, *_ in _BOUNDS[:6]),
+    "land_fractions has negative entry", "land_fractions sum != 1",
+    "soil_fractions has negative entry", "soil_fractions sum != 1",
+    *(m for m, *_ in _BOUNDS[6:]),
+    "yield inconsistent with production/area",
+)
+
+
+def _fractions(v, cols):
+    """The negative-entry and sum rules of one fraction group."""
+    negative = (v[:, cols] < 0).any(axis=1)
+    off = np.abs(sum_in_order(v[:, cols].T) - 1.0) > FRACTION_SUM_TOL
+    return negative, ~negative & off
 
 
 def violations(year: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(n, rules) mask of the invariants each row violates, from a year
-    column of `year64` values and an (n, 47) `VALUE_COLUMNS` matrix."""
-    def mask(rules):
-        return np.column_stack([rule(year, values) for _, rule in rules])
-
+    """(n, rules) mask of the invariants each row violates, in the order of
+    `_MESSAGES`, from a year column of `year64` values and an (n, 47)
+    `VALUE_COLUMNS` matrix."""
+    v = values
     with np.errstate(all="ignore"):
-        finite, ranged = mask(_FINITE_RULES), mask(_RANGE_RULES)
+        finite = np.column_stack([
+            year == YEAR_NOT_FINITE,
+            ~np.isfinite(v[:, _FINITE_COLUMNS]),
+            ~np.isfinite(v[:, LAND]).all(axis=1),
+            ~np.isfinite(v[:, SOIL]).all(axis=1)])
+        x = v[:, _BOUND_COLUMNS]
+        outside = ~((_LO <= x) & (x <= _HI))
+        area, production, target = v[:, 39], v[:, 45], v[:, 46]
+        implied = production / np.where(area > 0, area, 1.0)
+        tol = YIELD_CONSISTENCY_TOL * np.maximum(1.0, target)
+        ranged = np.column_stack([
+            year < 1900, year == YEAR_OUT_OF_RANGE,
+            ~(v[:, _V["min_temp"]] < v[:, _V["max_temp"]]),
+            outside[:, :6], *_fractions(v, LAND), *_fractions(v, SOIL),
+            outside[:, 6:],
+            (area > 0) & (np.abs(target - implied) > tol)])
     ranged &= ~finite.any(axis=1, keepdims=True)
     return np.hstack([finite, ranged])
 
