@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agroyield import nn
+from agroyield import nn, pipeline, synthgen
 from agroyield.errors import (
     DimensionMismatch,
     DivergedLoss,
@@ -19,6 +23,7 @@ from agroyield.nn import (
     sgd_step,
     train,
 )
+from agroyield.schema import Crop
 
 
 def linear_unit(w=0.5, b=0.0):
@@ -290,3 +295,165 @@ class TestGradientCheck:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             gradient_check(linear_unit(), [1.0], 0.0, 0.0)
+
+
+def _trained_state(net, history):
+    """repr of everything `train` returns, -0.0 and NaN included."""
+    return repr(([w.tolist() for w in net.weights],
+                 [b.tolist() for b in net.biases],
+                 history.train_mse, history.val_mse))
+
+
+def _crop_split(n_records, seed, crop):
+    ds = synthgen.generate(synthgen.GenConfig(n_records=n_records, seed=seed))
+    cs = pipeline.prepare_crop_split(ds, crop, 0.8, seed)
+    return cs.x_train, cs.y_train
+
+
+# sha256 of `_trained_state` after `train` at the default TrainConfig
+# (200 epochs, patience 20, lr 0.01, batches of 32) on the default
+# 46-64-32-16-1 network: Jute of 1,000 records (132 rows, 119 fit rows
+# with a 13-row validation carve-out), AusRice of 1,068 records (142 rows,
+# exactly four batches of 32), and Jute again with no validation rows
+DNN_TRAIN_SHA256 = {
+    "relu": "dec1b0dabcca7f9346d0a4ffc2474c5b3c1f334d0fd91d250c6486ba9a57f418",
+    "sigmoid":
+        "9fcc4c0b65f73f9f2daadd961dadd6691a70aa2e36cb88d837d607bebf34e005",
+    "relu-no-validation":
+        "4d40dedfc6d0468cdb27e77b8e9d8adbcb01ad6be4de6212a0109b13bf46acd2",
+}
+DNN_TRAIN_CASES = {  # (n_records, seed, crop), activation, config
+    "relu": ((1000, 1, Crop.Jute), "relu", TrainConfig(seed=1)),
+    "sigmoid": ((1068, 2, Crop.AusRice), "sigmoid", TrainConfig(seed=2)),
+    "relu-no-validation": ((1000, 1, Crop.Jute), "relu",
+                           TrainConfig(seed=3, validation_fraction=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", DNN_TRAIN_CASES)
+def test_default_training_unchanged(case):
+    data, activation, cfg = DNN_TRAIN_CASES[case]
+    x, y = _crop_split(*data)
+    net = init_network(nn.DEFAULT_LAYER_SIZES, activation, seed=cfg.seed)
+    trained, history = train(net, x, y, cfg)
+    digest = hashlib.sha256(_trained_state(trained, history).encode())
+    assert digest.hexdigest() == DNN_TRAIN_SHA256[case]
+
+
+def _reference_sigmoid(z):
+    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+
+
+def _reference_forward(weights, biases, activation, x):
+    acts = [x]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w.T + b
+        if i < len(weights) - 1:
+            z = (_reference_sigmoid(z) if activation == "sigmoid"
+                 else np.maximum(z, 0.0))
+        acts.append(z)
+    return acts
+
+
+def _reference_mse(weights, biases, activation, x, y):
+    preds = _reference_forward(weights, biases, activation, x)[-1][:, 0]
+    return float(np.mean((preds - y) ** 2))
+
+
+def _reference_train(net, x, y, cfg):
+    """The per-array loop that the flat-buffer `train` replaced.
+
+    Each step runs a forward pass, the mean gradient of every array, and
+    an update that copies every array, as `forward_batch`,
+    `backward_batch` and `sgd_step` did; `best` is copied every epoch
+    that improves.
+    """
+    act = net.hidden_activation
+    rng = np.random.default_rng(cfg.seed)
+    n = x.shape[0]
+    n_val = int(n * cfg.validation_fraction)
+    order = rng.permutation(n)
+    val_idx, fit_idx = order[:n_val], order[n_val:]
+    x_fit, y_fit, x_val, y_val = x[fit_idx], y[fit_idx], x[val_idx], y[val_idx]
+    weights = [w.copy() for w in net.weights]
+    biases = [b.copy() for b in net.biases]
+    best = ([w.copy() for w in weights], [b.copy() for b in biases])
+    best_monitor, since_best = np.inf, 0
+    history = nn.LossHistory()
+    for _ in range(cfg.max_epochs):
+        perm = rng.permutation(len(fit_idx))
+        for start in range(0, len(fit_idx), cfg.batch_size):
+            batch = perm[start:start + cfg.batch_size]
+            acts = _reference_forward(weights, biases, act, x_fit[batch])
+            m = len(batch)
+            delta = acts[-1] - y_fit[batch].reshape(-1, 1)
+            grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+            for layer in range(len(weights) - 1, -1, -1):
+                grads_w[layer] = delta.T @ acts[layer] / m
+                grads_b[layer] = delta.mean(axis=0)
+                if layer > 0:
+                    a = acts[layer]
+                    grad = (a * (1.0 - a) if act == "sigmoid"
+                            else (a > 0).astype(float))
+                    delta = (delta @ weights[layer]) * grad
+            weights = [w.copy() for w in weights]
+            biases = [b.copy() for b in biases]
+            for w, g in zip(weights, grads_w):
+                w -= cfg.learning_rate * g
+            for b, g in zip(biases, grads_b):
+                b -= cfg.learning_rate * g
+        train_mse = _reference_mse(weights, biases, act, x_fit, y_fit)
+        if not np.isfinite(train_mse):
+            raise DivergedLoss(f"training MSE became {train_mse}")
+        val_mse = (_reference_mse(weights, biases, act, x_val, y_val)
+                   if n_val > 0 else None)
+        history.train_mse.append(train_mse)
+        history.val_mse.append(val_mse)
+        monitor = val_mse if val_mse is not None else train_mse
+        if monitor < best_monitor:
+            best_monitor, since_best = monitor, 0
+            best = ([w.copy() for w in weights], [b.copy() for b in biases])
+        else:
+            since_best += 1
+            if since_best > cfg.patience:
+                break
+    return Network(tuple(net.layer_sizes), best[0], best[1], act), history
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 20), min_size=2, max_size=5),
+       activation=st.sampled_from(nn.HIDDEN_ACTIVATIONS),
+       n=st.integers(1, 60), batch_extra=st.integers(0, 65),
+       validation_fraction=st.sampled_from([0.0, 0.1, 0.3]),
+       patience=st.integers(0, 5), epochs=st.integers(1, 15),
+       learning_rate=st.sampled_from([1e-3, 0.05, 0.5, 1e3]),
+       seed=st.integers(0, 2**16))
+def test_train_equals_reference_loop(sizes, activation, n, batch_extra,
+                                     validation_fraction, patience, epochs,
+                                     learning_rate, seed):
+    sizes = tuple(sizes[:-1]) + (1,)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, sizes[0]))
+    y = rng.normal(size=n)
+    net = init_network(sizes, activation, seed=seed)
+    before = _trained_state(net, nn.LossHistory())
+    cfg = TrainConfig(learning_rate=learning_rate,
+                      batch_size=1 + batch_extra % (n + 5),
+                      max_epochs=epochs, patience=patience, seed=seed,
+                      validation_fraction=validation_fraction)
+    with np.errstate(all="ignore"):
+        try:
+            want = _trained_state(*_reference_train(net, x, y, cfg))
+        except DivergedLoss:
+            want = DivergedLoss
+    if want is DivergedLoss:
+        with pytest.raises(DivergedLoss):
+            train(net, x, y, cfg)
+    else:
+        trained, history = train(net, x, y, cfg)
+        assert _trained_state(trained, history) == want
+        assert not any(np.shares_memory(a, b)
+                       for a in trained.weights + trained.biases
+                       for b in net.weights + net.biases)
+    assert _trained_state(net, nn.LossHistory()) == before
