@@ -5,6 +5,20 @@ L = 1/2 (prediction - target)^2. Hidden activations: relu (default) or
 sigmoid. Training is mini-batch SGD with seeded per-epoch shuffles and
 validation-patience early stopping; the parameters returned are those of
 the best validation epoch.
+
+`train` keeps every parameter in one contiguous float64 buffer. Layer by
+layer it holds the (fan_out, fan_in) weight matrix in row-major order,
+then the fan_out biases: 5,633 numbers for 46-64-32-16-1. The working
+network's arrays are views into that buffer, and a second buffer with
+the same layout holds the gradient and is overwritten on every step.
+A step is a forward pass that adds each bias and applies relu in place,
+a backward pass that writes each layer's summed gradient into its views,
+and one pass over the whole buffer: g /= m; g *= lr; p -= g. Per element
+that is the IEEE arithmetic of w -= lr * (sum / m) on separate arrays,
+so the weights and the loss history are bit-identical to an update of
+each array with a copy per step. `forward_batch`, `backward_batch`,
+`sgd_step`, `mse` and `gradient_check` run the same forward, backward
+and update code as `train`.
 """
 
 from __future__ import annotations
@@ -26,19 +40,21 @@ HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
 
 
 def _activate(name, z):
+    """The activation of z; relu overwrites z."""
     if name == "sigmoid":
         return sigmoid(z)
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     raise ValueError(f"unknown activation {name!r}")
 
 
 def _activation_grad(name, a):
-    # derivative expressed through the post-activation value
+    # derivative expressed through the post-activation value; relu's is
+    # a boolean mask, which multiplies as 1.0 and 0.0
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "relu":
-        return (a > 0).astype(float)
+        return a > 0
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -52,14 +68,6 @@ class Network:
     @property
     def n_inputs(self):
         return self.layer_sizes[0]
-
-    def copy(self) -> "Network":
-        return Network(
-            layer_sizes=tuple(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            hidden_activation=self.hidden_activation,
-        )
 
 
 @dataclass
@@ -115,23 +123,64 @@ def init_network(layer_sizes=DEFAULT_LAYER_SIZES, hidden_activation="relu",
                    hidden_activation=hidden_activation)
 
 
+def _flatten(weights, biases) -> np.ndarray:
+    """A new flat buffer holding the arrays in the layout of `train`."""
+    return np.concatenate([a.ravel() for layer in zip(weights, biases)
+                           for a in layer], dtype=float)
+
+
+def _views(flat, shapes):
+    """The per-layer weight and bias views of a flat buffer, given the
+    (fan_out, fan_in) weight shapes."""
+    weights, biases, at = [], [], 0
+    for fan_out, fan_in in shapes:
+        weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+def _forward(net: Network, x: np.ndarray):
+    """Activations of every layer for a 2-D float batch."""
+    if x.shape[1] != net.n_inputs:
+        raise DimensionMismatch(
+            f"expected {net.n_inputs} inputs, got {x.shape[1]}")
+    acts = [x]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w.T
+        z += b
+        acts.append(z if i == last else _activate(net.hidden_activation, z))
+    return acts
+
+
+def _backward(net: Network, acts, targets, grads: Gradients, flat):
+    """Write the batch-mean gradient of 1/2 (pred - target)^2 into
+    `grads`, whose arrays are views covering the flat buffer `flat`."""
+    delta = acts[-1] - targets.reshape(-1, 1)  # identity output unit
+    for layer in range(len(net.weights) - 1, -1, -1):
+        np.matmul(delta.T, acts[layer], out=grads.weight_grads[layer])
+        np.add.reduce(delta, axis=0, out=grads.bias_grads[layer])
+        if layer > 0:
+            delta = delta @ net.weights[layer]
+            delta *= _activation_grad(net.hidden_activation, acts[layer])
+    flat /= acts[0].shape[0]
+
+
+def _descend(params, grad, learning_rate):
+    """One SGD update of a flat buffer; `grad` is overwritten."""
+    grad *= learning_rate
+    params -= grad
+
+
 def forward_batch(net: Network, x: np.ndarray):
     """Batched forward pass; returns (predictions (n,), activations).
 
     activations[0] is the input batch; the last entry is the (n, 1)
     linear output.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != net.n_inputs:
-        raise DimensionMismatch(
-            f"expected {net.n_inputs} inputs, got {x.shape[1]}")
-    acts = [x]
-    a = x
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        a = z if i == last else _activate(net.hidden_activation, z)
-        acts.append(a)
+    acts = _forward(net, np.atleast_2d(np.asarray(x, dtype=float)))
     return acts[-1][:, 0], acts
 
 
@@ -143,19 +192,12 @@ def forward(net: Network, x):
 
 def backward_batch(net: Network, activations, targets) -> Gradients:
     """Mean gradient of 1/2 (pred - target)^2 over the batch."""
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    n = activations[0].shape[0]
-    delta = activations[-1] - targets.reshape(-1, 1)  # identity output unit
-    weight_grads = [None] * len(net.weights)
-    bias_grads = [None] * len(net.biases)
-    for layer in range(len(net.weights) - 1, -1, -1):
-        prev = activations[layer]
-        weight_grads[layer] = delta.T @ prev / n
-        bias_grads[layer] = delta.mean(axis=0)
-        if layer > 0:
-            delta = (delta @ net.weights[layer]) * _activation_grad(
-                net.hidden_activation, activations[layer])
-    return Gradients(weight_grads=weight_grads, bias_grads=bias_grads)
+    flat = np.empty(sum(w.size + b.size
+                        for w, b in zip(net.weights, net.biases)))
+    grads = Gradients(*_views(flat, [w.shape for w in net.weights]))
+    _backward(net, activations, np.atleast_1d(np.asarray(targets, dtype=float)),
+              grads, flat)
+    return grads
 
 
 def backward(net: Network, activations, target: float) -> Gradients:
@@ -163,12 +205,12 @@ def backward(net: Network, activations, target: float) -> Gradients:
 
 
 def sgd_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
-    updated = net.copy()
-    for w, gw in zip(updated.weights, grads.weight_grads):
-        w -= learning_rate * gw
-    for b, gb in zip(updated.biases, grads.bias_grads):
-        b -= learning_rate * gb
-    return updated
+    params = _flatten(net.weights, net.biases)
+    _descend(params, _flatten(grads.weight_grads, grads.bias_grads),
+             learning_rate)
+    return Network(tuple(net.layer_sizes),
+                   *_views(params, [w.shape for w in net.weights]),
+                   hidden_activation=net.hidden_activation)
 
 
 def loss(net: Network, x, target: float) -> float:
@@ -182,7 +224,10 @@ def mse(net: Network, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
-    """Mini-batch SGD with early stopping; returns (best network, history)."""
+    """Mini-batch SGD with early stopping; returns (best network, history).
+
+    `net` is not written to; the returned network owns its arrays.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -198,36 +243,43 @@ def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
     x_fit, y_fit = x[fit_idx], y[fit_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 
-    current = net.copy()
-    best = current.copy()
+    shapes = [w.shape for w in net.weights]
+    params = _flatten(net.weights, net.biases)
+    current = Network(tuple(net.layer_sizes), *_views(params, shapes),
+                      hidden_activation=net.hidden_activation)
+    grad = np.empty_like(params)
+    grads = Gradients(*_views(grad, shapes))
+    best = params.copy()
     best_monitor = np.inf
     since_best = 0
     history = LossHistory()
     n_fit = len(fit_idx)
 
-    for _ in range(cfg.max_epochs):
-        perm = rng.permutation(n_fit)
-        for start in range(0, n_fit, cfg.batch_size):
-            batch = perm[start:start + cfg.batch_size]
-            _, acts = forward_batch(current, x_fit[batch])
-            grads = backward_batch(current, acts, y_fit[batch])
-            current = sgd_step(current, grads, cfg.learning_rate)
-        train_mse = mse(current, x_fit, y_fit)
-        if not np.isfinite(train_mse):
-            raise DivergedLoss(f"training MSE became {train_mse}")
-        val_mse = mse(current, x_val, y_val) if n_val > 0 else None
-        history.train_mse.append(train_mse)
-        history.val_mse.append(val_mse)
-        monitor = val_mse if val_mse is not None else train_mse
-        if monitor < best_monitor:
-            best_monitor = monitor
-            best = current.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
-    return best, history
+    with np.errstate(all="ignore"):  # the finite-MSE check reports divergence
+        for _ in range(cfg.max_epochs):
+            perm = rng.permutation(n_fit)
+            for start in range(0, n_fit, cfg.batch_size):
+                batch = perm[start:start + cfg.batch_size]
+                acts = _forward(current, x_fit[batch])
+                _backward(current, acts, y_fit[batch], grads, grad)
+                _descend(params, grad, cfg.learning_rate)
+            train_mse = mse(current, x_fit, y_fit)
+            if not np.isfinite(train_mse):
+                raise DivergedLoss(f"training MSE became {train_mse}")
+            val_mse = mse(current, x_val, y_val) if n_val > 0 else None
+            history.train_mse.append(train_mse)
+            history.val_mse.append(val_mse)
+            monitor = val_mse if val_mse is not None else train_mse
+            if monitor < best_monitor:
+                best_monitor = monitor
+                best = params.copy()
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best > cfg.patience:
+                    break
+    return Network(tuple(net.layer_sizes), *_views(best, shapes),
+                   hidden_activation=net.hidden_activation), history
 
 
 def gradient_check(net: Network, x, target: float, epsilon: float = 1e-5) -> float:
