@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +26,15 @@ def _check_nonempty(x):
 
 
 def _check_finite(w, b, name, epoch):
-    if not np.isfinite(np.append(w, b)).all():
+    if not (np.isfinite(w).all() and math.isfinite(b)):
         raise DivergedLoss(f"{name} weights stopped being finite in epoch "
                            f"{epoch}")
 
 
 def sigmoid(z):
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------- logistic
@@ -280,7 +282,7 @@ def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
             tree.right[parent] = i
         yn = y[idx]
         tree.feature.append(-1)
-        tree.value.append(float(yn.mean()))
+        tree.value.append(float(np.add.reduce(yn) / len(idx)))
         tree.right.append(-1)
         tree.n_samples.append(len(idx))
         if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(yn == yn[0]):
