@@ -9,6 +9,7 @@ error, 2 data error, 3 training failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -278,6 +279,7 @@ def _cmd_select(args, cfg):
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache  # built once per process: no action keeps state between parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agroyield",

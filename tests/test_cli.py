@@ -311,6 +311,55 @@ def test_diverged_svm_exits_3_with_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_diverged_dnn_exits_3_with_one_error_line(tmp_path, capsys):
+    data, out = tmp_path / "d.csv", tmp_path / "m.json"
+    assert run(["generate", "--n", "1000", "--seed", "1",
+                "--out", str(data)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy RuntimeWarning fails
+        assert run(["train", "--data", str(data), "--model", "dnn",
+                    "--crop", "Jute", "--lr", "1e10",
+                    "--out", str(out)]) == 3
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("effective config:")]
+    assert len(err) == 1 and err[0].startswith("training failure: ")
+    assert not out.exists()
+
+
+_PARSER_CALLS = (
+    ["generate", "--n", "400", "--seed", "4", "--out", "d.csv"],
+    ["train", "--data", "d.csv", "--model", "nope", "--out", "m.json"],
+    ["train", "--data", "d.csv", "--model", "logistic", "--crop", "jute",
+     "--epochs", "20", "--out", "m.json"],
+    ["evaluate", "--data", "d.csv", "missing.json"],
+    ["evaluate", "--data", "d.csv", "--seed", "1", "m.json"],
+)
+
+
+def _run_calls(work, monkeypatch, capsys, fresh_parser):
+    """Exit codes, stdout, stderr and files of `_PARSER_CALLS` in `work`."""
+    work.mkdir()
+    monkeypatch.chdir(work)
+    seen = []
+    for argv in _PARSER_CALLS:
+        if fresh_parser:
+            cli._build_parser.cache_clear()
+        code = run(argv)
+        out = capsys.readouterr()
+        seen.append((code, out.out, out.err))
+    files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+    return seen, files
+
+
+def test_one_parser_per_process_parses_like_fresh_parsers(
+        tmp_path, monkeypatch, capsys):
+    shared = _run_calls(tmp_path / "shared", monkeypatch, capsys, False)
+    fresh = _run_calls(tmp_path / "fresh", monkeypatch, capsys, True)
+    assert [code for code, _, _ in shared[0]] == [0, 1, 0, 2, 0]
+    assert shared == fresh
+
+
 def _shipped_responses(**jute):
     """The shipped responses with Jute's keys replaced (None deletes one)."""
     src = resources.files("agroyield").joinpath("responses.json")
