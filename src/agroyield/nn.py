@@ -129,16 +129,21 @@ def _flatten(weights, biases) -> np.ndarray:
                            for a in layer], dtype=float)
 
 
-def _views(flat, shapes):
-    """The per-layer weight and bias views of a flat buffer, given the
-    (fan_out, fan_in) weight shapes."""
+def _views(flat, net: Network):
+    """Per-layer weight and bias views of a flat buffer laid out for `net`."""
     weights, biases, at = [], [], 0
-    for fan_out, fan_in in shapes:
+    for fan_out, fan_in in (w.shape for w in net.weights):
         weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
         at += fan_out * fan_in
         biases.append(flat[at:at + fan_out])
         at += fan_out
     return weights, biases
+
+
+def _network_on(flat, net: Network) -> Network:
+    """A network like `net` whose arrays are views into `flat`."""
+    return Network(tuple(net.layer_sizes), *_views(flat, net),
+                   hidden_activation=net.hidden_activation)
 
 
 def _forward(net: Network, x: np.ndarray):
@@ -194,7 +199,7 @@ def backward_batch(net: Network, activations, targets) -> Gradients:
     """Mean gradient of 1/2 (pred - target)^2 over the batch."""
     flat = np.empty(sum(w.size + b.size
                         for w, b in zip(net.weights, net.biases)))
-    grads = Gradients(*_views(flat, [w.shape for w in net.weights]))
+    grads = Gradients(*_views(flat, net))
     _backward(net, activations, np.atleast_1d(np.asarray(targets, dtype=float)),
               grads, flat)
     return grads
@@ -208,9 +213,7 @@ def sgd_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
     params = _flatten(net.weights, net.biases)
     _descend(params, _flatten(grads.weight_grads, grads.bias_grads),
              learning_rate)
-    return Network(tuple(net.layer_sizes),
-                   *_views(params, [w.shape for w in net.weights]),
-                   hidden_activation=net.hidden_activation)
+    return _network_on(params, net)
 
 
 def loss(net: Network, x, target: float) -> float:
@@ -243,12 +246,10 @@ def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
     x_fit, y_fit = x[fit_idx], y[fit_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 
-    shapes = [w.shape for w in net.weights]
     params = _flatten(net.weights, net.biases)
-    current = Network(tuple(net.layer_sizes), *_views(params, shapes),
-                      hidden_activation=net.hidden_activation)
+    current = _network_on(params, net)
     grad = np.empty_like(params)
-    grads = Gradients(*_views(grad, shapes))
+    grads = Gradients(*_views(grad, net))
     best = params.copy()
     best_monitor = np.inf
     since_best = 0
@@ -278,8 +279,7 @@ def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
                 since_best += 1
                 if since_best > cfg.patience:
                     break
-    return Network(tuple(net.layer_sizes), *_views(best, shapes),
-                   hidden_activation=net.hidden_activation), history
+    return _network_on(best, net), history
 
 
 def gradient_check(net: Network, x, target: float, epsilon: float = 1e-5) -> float:
