@@ -250,6 +250,8 @@ def _best_split(x, y, feature_indices, min_leaf):
         if best is None or cand_sse < best[0] - 1e-12:
             i = lo + rows[j]
             threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
+            if threshold >= xs[i + 1, j]:  # adjacent floats: keep it left
+                threshold = xs[i, j]
             best = (cand_sse, feature_indices[j], float(threshold))
     return best
 

@@ -309,6 +309,8 @@ def _reference_best_split(x, y, feature_indices, min_leaf):
         k = int(np.argmin(sse))
         if sse[k] < parent_sse - 1e-12:
             threshold = 0.5 * (xs[k] + xs[k + 1])
+            if threshold >= xs[k + 1]:  # adjacent floats
+                threshold = xs[k]
             cand = (float(sse[k]), f, float(threshold))
             if best is None or cand[0] < best[0] - 1e-12:
                 best = cand
@@ -350,6 +352,164 @@ def test_best_split_matches_per_feature_loop(problem):
         assert got is not None
         assert (got[0], int(got[1]), got[2]) == (want[0], int(want[1]),
                                                  want[2])
+
+
+def _reference_block_split(x, y, feature_indices, min_leaf):
+    """The float-sort split search of the grower below, one stable argsort
+    of the node's (n, k) value block."""
+    n = len(y)
+    lo, hi = min_leaf - 1, n - min_leaf
+    if lo >= hi:
+        return None
+    total_sum = y.sum()
+    total_sq = (y * y).sum()
+    parent_sse = total_sq - total_sum * total_sum / n
+    block = x[:, feature_indices]
+    order = np.argsort(block, axis=0, kind="stable")
+    cols = np.arange(block.shape[1])
+    xs = block[order, cols]
+    ys = y[order]
+    csum = np.cumsum(ys[:hi], axis=0)[lo:]
+    csq = np.cumsum(ys[:hi] * ys[:hi], axis=0)[lo:]
+    counts = np.arange(lo + 1, hi + 1)[:, None]
+    boundary = xs[lo:hi] < xs[lo + 1:hi + 1]
+    left_sse = csq - csum ** 2 / counts
+    right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - counts)
+    sse = np.where(boundary, left_sse + right_sse, np.inf)
+    rows = np.argmin(sse, axis=0)
+    best_sse = sse[rows, cols]
+    best = None  # (sse, feature, threshold)
+    for j in np.flatnonzero(best_sse < parent_sse - 1e-12):
+        cand_sse = float(best_sse[j])
+        if best is None or cand_sse < best[0] - 1e-12:
+            i = lo + rows[j]
+            threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
+            if threshold >= xs[i + 1, j]:  # adjacent floats
+                threshold = xs[i, j]
+            best = (cand_sse, feature_indices[j], float(threshold))
+    return best
+
+
+def _reference_build_tree(x, y, max_depth, min_leaf, features_per_split,
+                          seed):
+    """The preorder grower on float sorts that the rank grower replaced."""
+    n_features = x.shape[1]
+    features_per_split = min(features_per_split, n_features)
+    rng = np.random.default_rng(seed)
+    tree = baselines.FlatTree(feature=[], value=[], right=[], n_samples=[])
+    stack = [(np.arange(len(y)), 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
+        i = len(tree.feature)
+        if parent >= 0:
+            tree.right[parent] = i
+        yn = y[idx]
+        tree.feature.append(-1)
+        tree.value.append(float(np.add.reduce(yn) / len(idx)))
+        tree.right.append(-1)
+        tree.n_samples.append(len(idx))
+        if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(yn == yn[0]):
+            continue
+        chosen = rng.choice(n_features, size=features_per_split, replace=False)
+        chosen.sort()
+        xn = x[idx]
+        found = _reference_block_split(xn, yn, chosen, min_leaf)
+        if found is None:
+            continue
+        _, feature, threshold = found
+        mask = xn[:, feature] <= threshold
+        tree.feature[i] = int(feature)
+        tree.value[i] = threshold
+        stack.append((idx[~mask], depth + 1, i))
+        stack.append((idx[mask], depth + 1, -1))
+    return tree
+
+
+def _tree_repr(tree):
+    # repr, not ==, so that a -0.0 threshold differs from 0.0
+    return repr((tree.feature, tree.value, tree.right, tree.n_samples))
+
+
+def _children_hold_min_leaf(tree, min_leaf):
+    return all(tree.n_samples[i + 1] >= min_leaf
+               and tree.n_samples[tree.right[i]] >= min_leaf
+               for i, f in enumerate(tree.feature) if f >= 0)
+
+
+def _ulp_ladder(rng, n):
+    """Values from three consecutive floats: one of the two midpoints rounds
+    onto its lower endpoint and the other onto its upper one."""
+    a = np.float64(rng.choice([1.0, 1.0 + 2.0 ** -52, 0.1, -1.0, 3.0]))
+    b = np.nextafter(a, np.inf)
+    return np.array([a, b, np.nextafter(b, np.inf)])[rng.integers(0, 3, n)]
+
+
+@st.composite
+def _tree_problems(draw):
+    """Tie-heavy matrices: 1-4 levels, constant columns, -0.0/0.0 mixes,
+    ulp ladders and duplicated rows; n crosses 256, where ranks go from
+    uint8 to uint16."""
+    n = draw(st.integers(1, 300) | st.sampled_from([255, 256, 257, 300]))
+    n_features = 46
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(size=(n, n_features))
+    kinds = rng.integers(0, 5, size=n_features)
+    for c in np.flatnonzero(kinds == 1):  # 1-4 levels; 1 is constant
+        x[:, c] = rng.integers(0, rng.integers(1, 5), size=n) / 4.0
+    for c in np.flatnonzero(kinds == 2):
+        x[:, c] = rng.choice([-0.0, 0.0, 0.5], size=n)
+    for c in np.flatnonzero(kinds == 3):
+        x[:, c] = _ulp_ladder(rng, n)
+    if draw(st.booleans()):  # duplicated rows
+        dup = rng.integers(0, n, size=n // 3)
+        x[dup] = x[rng.integers(0, n, size=len(dup))]
+    target = draw(st.sampled_from(["uniform", "levels", "column"]))
+    if target == "uniform":
+        y = rng.uniform(size=n)
+    elif target == "levels":
+        y = rng.integers(0, 3, size=n).astype(float)
+    else:  # a step in one column's order, so its split is taken
+        c = int(rng.integers(0, n_features))
+        y = (np.unique(x[:, c], return_inverse=True)[1].reshape(n)
+             + 0.01 * rng.uniform(size=n))
+    min_leaf = draw(st.integers(1, 5) | st.integers(1, n))
+    max_depth = draw(st.integers(0, 12) | st.just(12))
+    features_per_split = draw(st.integers(1, n_features))
+    return x, y, min_leaf, max_depth, features_per_split
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_problems(), st.integers(0, 2**32 - 1))
+def test_tree_equals_reference_grower(problem, seed):
+    x, y, min_leaf, max_depth, features_per_split = problem
+    got = build_tree(x, y, max_depth=max_depth, min_leaf=min_leaf,
+                     features_per_split=features_per_split, seed=seed)
+    want = _reference_build_tree(x, y, max_depth, min_leaf,
+                                 features_per_split, seed)
+    assert _tree_repr(got.tree) == _tree_repr(want)
+    assert _children_hold_min_leaf(got.tree, min_leaf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tree_problems(), st.integers(0, 2**32 - 1), st.booleans(),
+       st.integers(1, 3))
+def test_forest_equals_reference_grower(problem, seed, bootstrap, n_trees):
+    x, y, min_leaf, max_depth, features_per_split = problem
+    cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth,
+                       min_leaf=min_leaf,
+                       features_per_split=features_per_split,
+                       bootstrap=bootstrap, seed=seed)
+    forest = train_forest(x, y, cfg)
+    from agroyield.rng import derive_seed
+    for i, got in enumerate(forest.flat_trees):
+        tree_seed = derive_seed(seed, f"tree-{i}")
+        idx = np.arange(len(y))
+        if bootstrap:
+            rng = np.random.default_rng(derive_seed(tree_seed, "bootstrap"))
+            idx = rng.integers(0, len(y), len(y))
+        want = _reference_build_tree(x[idx], y[idx], max_depth, min_leaf,
+                                     features_per_split, tree_seed)
+        assert _tree_repr(got) == _tree_repr(want)
 
 
 @pytest.mark.parametrize("train, lr", [(baselines.train_svm, 1e300),
