@@ -5,8 +5,9 @@
 - Linear SVM: epsilon-insensitive support vector regression trained by
   subgradient descent on 1/2 ||w||^2 / n + C * mean(hinge residuals).
 - Random forest: bagged CART regression trees, variance-reduction splits
-  over a seeded random feature subset per node. Each tree is a FlatTree:
-  parallel preorder lists, the layout of scikit-learn's `Tree`.
+  over a seeded random feature subset per node, searched on integer ranks
+  of the values taken once per forest. Each tree is a FlatTree: parallel
+  preorder lists, the layout of scikit-learn's `Tree`.
 """
 
 from __future__ import annotations
@@ -183,6 +184,13 @@ class TreeNode:
         return TreeNode(self.tree, self.tree.right[self.index])
 
 
+def _check_growth(max_depth, min_leaf):
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    if min_leaf < 1:
+        raise ValueError("min_leaf must be >= 1")
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
@@ -197,6 +205,7 @@ class ForestConfig:
             raise ValueError("n_trees must be >= 1")
         if self.features_per_split < 1:
             raise ValueError("features_per_split must be >= 1")
+        _check_growth(self.max_depth, self.min_leaf)
 
 
 @dataclass
@@ -210,98 +219,146 @@ class ForestModel:
         return [TreeNode(t) for t in self.flat_trees]
 
 
-def _best_split(x, y, feature_indices, min_leaf):
-    """Best (feature, threshold) by variance reduction.
+def _ranks(x):
+    """The dense rank of every value within its column of `x`.
 
-    Candidates are midpoints between consecutive sorted unique values.
-    All features are searched at once: each column of the (n, k) block
-    is sorted and prefix-summed on its own, exactly as a loop over the
-    columns would. Ties break toward the lowest feature index, then
-    lowest threshold: argmin takes the first minimum within a column, and
-    features are compared in the given (ascending) order with strict
-    improvement.
+    The dtype is the smallest unsigned one that holds n - 1 (uint8 up to
+    256 rows, uint16 up to 65,536), which NumPy's stable sort radix-sorts.
+    Equal values get equal ranks, -0.0 and 0.0 included, and ranks sort as
+    the values do, so a stable sort of a block of ranks puts its rows in the
+    order a stable sort of the values would. `x` must be finite (the forest
+    sees normalized features of validated records): NaN is not ranked.
+    """
+    n, k = x.shape
+    order = x.argsort(axis=0, kind="stable")
+    cols = np.arange(k)
+    xs = x[order, cols]
+    steps = np.zeros((n, k), dtype=np.min_scalar_type(n - 1))
+    np.greater(xs[1:], xs[:-1], out=steps[1:])
+    ranks = np.empty_like(steps)
+    ranks[order, cols] = steps.cumsum(axis=0, dtype=steps.dtype)
+    return ranks
+
+
+def _split(block, y, total, min_leaf):
+    """The best split of a node by variance reduction, or None.
+
+    `block` holds the node's rows in the sampled columns as ranks (n, k),
+    `y` their targets and `total` the sum of `y`. Each column is stably
+    sorted and prefix-summed on its own, as a loop over the columns would
+    do. A split after sorted position i puts i + 1 rows left; only
+    positions between two different values that leave `min_leaf` rows on
+    both sides count. Ties break toward the first column, then the lowest
+    position: argmin takes the first minimum within a column, and a later
+    column must be better by 1e-12. Returns (sse, column, a, b), where a
+    and b are the rows on either side of the split in that column's order.
     """
     n = len(y)
-    # split after sorted position i puts i+1 samples left; only these
-    # positions leave min_leaf samples on both sides
     lo, hi = min_leaf - 1, n - min_leaf
     if lo >= hi:
         return None
-    total_sum = y.sum()
-    total_sq = (y * y).sum()
-    parent_sse = total_sq - total_sum * total_sum / n
-    block = x[:, feature_indices]
-    order = np.argsort(block, axis=0, kind="stable")
+    total_sq = np.add.reduce(y * y)
+    bound = float(total_sq - total * total / n) - 1e-12
+    order = block.argsort(axis=0, kind="stable")
     cols = np.arange(block.shape[1])
-    xs = block[order, cols]
-    ys = y[order]
-    csum = np.cumsum(ys[:hi], axis=0)[lo:]
-    csq = np.cumsum(ys[:hi] * ys[:hi], axis=0)[lo:]
-    counts = np.arange(lo + 1, hi + 1)[:, None]
-    boundary = xs[lo:hi] < xs[lo + 1:hi + 1]
-    left_sse = csq - csum ** 2 / counts
-    right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - counts)
-    sse = np.where(boundary, left_sse + right_sse, np.inf)
-    rows = np.argmin(sse, axis=0)
-    best_sse = sse[rows, cols]
-    best = None  # (sse, feature, threshold)
-    for j in np.flatnonzero(best_sse < parent_sse - 1e-12):
-        cand_sse = float(best_sse[j])
-        if best is None or cand_sse < best[0] - 1e-12:
-            i = lo + rows[j]
-            threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
-            if threshold >= xs[i + 1, j]:  # adjacent floats: keep it left
-                threshold = xs[i, j]
-            best = (cand_sse, feature_indices[j], float(threshold))
-    return best
+    rs = block[order, cols]
+    ys = y[order[:hi]]
+    csum = ys.cumsum(axis=0)[lo:]
+    ys *= ys
+    csq = ys.cumsum(axis=0)[lo:]
+    counts = np.arange(min_leaf, hi + 1, dtype=float)[:, None]
+    sse = csum * csum
+    sse /= counts
+    np.subtract(csq, sse, out=sse)  # left SSE
+    csum -= total
+    csum *= csum
+    csum /= counts[::-1]  # n - counts
+    np.subtract(total_sq, csq, out=csq)
+    csq -= csum  # right SSE
+    sse += csq
+    sse[rs[lo:hi] == rs[lo + 1:hi + 1]] = np.inf
+    rows = sse.argmin(axis=0)
+    best = None  # (sse, column)
+    for j, s in enumerate(sse[rows, cols].tolist()):
+        if s < bound and (best is None or s < best[0] - 1e-12):
+            best = (s, j)
+    if best is None:
+        return None
+    s, j = best
+    i = lo + rows[j]
+    return s, j, order[i, j], order[i + 1, j]
+
+
+def _threshold(a, b):
+    """The split value between sorted neighbours a < b: their midpoint,
+    or a when they are adjacent floats and the midpoint rounds onto b, so
+    that `x <= threshold` keeps b's rows out of the left child."""
+    t = 0.5 * (a + b)
+    return float(a if t >= b else t)
+
+
+def _grow(x, ranks, y, root, max_depth, min_leaf, features_per_split,
+          seed) -> FlatTree:
+    """Grow a CART regression tree on rows `root` of `x`; leaves predict the
+    mean target. `ranks` is `_ranks(x)`.
+
+    Nodes are appended to the FlatTree in preorder as they are grown, so
+    the random feature subsets are drawn in the same order as by a
+    recursive grower.
+    """
+    n_features = x.shape[1]
+    k = min(features_per_split, n_features)
+    rng = np.random.default_rng(seed)
+    feature, value, right, n_samples = [], [], [], []
+    # (rows, depth, index of the node whose right child this is); the left
+    # child is pushed last, so nodes are grown in preorder
+    stack = [(root, 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
+        i = len(feature)
+        if parent >= 0:
+            right[parent] = i
+        n = len(idx)
+        yn = y[idx]
+        total = np.add.reduce(yn)
+        feature.append(-1)
+        value.append(float(total / n))
+        right.append(-1)
+        n_samples.append(n)
+        if depth >= max_depth or n < 2 * min_leaf or (yn == yn[0]).all():
+            continue
+        chosen = rng.choice(n_features, size=k, replace=False)
+        chosen.sort()
+        found = _split(ranks[idx][:, chosen], yn, total, min_leaf)
+        if found is None:
+            continue
+        _, j, a, b = found
+        f = chosen[j]
+        xf = x[idx, f]
+        threshold = _threshold(xf[a], xf[b])
+        # on the values, as prediction routes a row
+        mask = xf <= threshold
+        feature[i] = int(f)
+        value[i] = threshold
+        stack.append((idx[~mask], depth + 1, i))
+        stack.append((idx[mask], depth + 1, -1))
+    return FlatTree(feature=feature, value=value, right=right,
+                    n_samples=n_samples)
 
 
 def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
                seed=0) -> TreeNode:
-    """Grow a CART regression tree; leaves predict the mean target.
-
-    Nodes are appended to the FlatTree in preorder as they are grown, so
-    the random feature subsets are drawn in the same order as by a
-    recursive grower; the root's view is returned.
-    """
+    """Grow a CART regression tree on all of `x`; the root's view is
+    returned."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
         raise EmptySample("cannot build a tree from an empty sample")
-    n_features = x.shape[1]
+    _check_growth(max_depth, min_leaf)
     if features_per_split is None:
-        features_per_split = n_features
-    features_per_split = min(features_per_split, n_features)
-    rng = np.random.default_rng(seed)
-    tree = FlatTree(feature=[], value=[], right=[], n_samples=[])
-    # (sample indices, depth, index of the node whose right child this is);
-    # the left child is pushed last, so nodes are grown in preorder
-    stack = [(np.arange(len(y)), 0, -1)]
-    while stack:
-        idx, depth, parent = stack.pop()
-        i = len(tree.feature)
-        if parent >= 0:
-            tree.right[parent] = i
-        yn = y[idx]
-        tree.feature.append(-1)
-        tree.value.append(float(np.add.reduce(yn) / len(idx)))
-        tree.right.append(-1)
-        tree.n_samples.append(len(idx))
-        if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(yn == yn[0]):
-            continue
-        chosen = rng.choice(n_features, size=features_per_split, replace=False)
-        chosen.sort()
-        xn = x[idx]
-        found = _best_split(xn, yn, chosen, min_leaf)
-        if found is None:
-            continue
-        _, feature, threshold = found
-        mask = xn[:, feature] <= threshold
-        tree.feature[i] = int(feature)
-        tree.value[i] = threshold
-        stack.append((idx[~mask], depth + 1, i))
-        stack.append((idx[mask], depth + 1, -1))
-    return TreeNode(tree)
+        features_per_split = x.shape[1]
+    return TreeNode(_grow(x, _ranks(x), y, np.arange(len(y)), max_depth,
+                          min_leaf, features_per_split, seed))
 
 
 def _walk(tree: FlatTree, row, i=0) -> float:
@@ -319,27 +376,27 @@ def predict_tree(node: TreeNode, x) -> float:
 
 
 def train_forest(x, y, config: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bag trees on seeded bootstrap resamples; prediction is the tree mean."""
+    """Bag trees on seeded bootstrap resamples; prediction is the tree mean.
+
+    The columns are ranked once per forest; each tree grows on the rows of
+    its bootstrap resample, so no resample is copied.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     _check_nonempty(x)
     n = len(y)
+    ranks = _ranks(x)
     trees = []
     for i in range(config.n_trees):
         tree_seed = derive_seed(config.seed, f"tree-{i}")
         if config.bootstrap:
             rng = np.random.default_rng(derive_seed(tree_seed, "bootstrap"))
-            idx = rng.integers(0, n, n)
-            xs, ys = x[idx], y[idx]
+            root = rng.integers(0, n, n)
         else:
-            xs, ys = x, y
-        trees.append(build_tree(
-            xs, ys,
-            max_depth=config.max_depth,
-            min_leaf=config.min_leaf,
-            features_per_split=config.features_per_split,
-            seed=tree_seed,
-        ).tree)
+            root = np.arange(n)
+        trees.append(_grow(x, ranks, y, root, config.max_depth,
+                           config.min_leaf, config.features_per_split,
+                           tree_seed))
     return ForestModel(flat_trees=trees, config=config)
 
 

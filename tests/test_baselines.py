@@ -344,14 +344,17 @@ def _split_problems(draw):
 @given(_split_problems())
 def test_best_split_matches_per_feature_loop(problem):
     x, y, features, min_leaf = problem
-    got = baselines._best_split(x, y, features, min_leaf)
+    block = baselines._ranks(x)[:, features]
+    got = baselines._split(block, y, np.add.reduce(y), min_leaf)
     want = _reference_best_split(x, y, features, min_leaf)
     if want is None:
         assert got is None
     else:
         assert got is not None
-        assert (got[0], int(got[1]), got[2]) == (want[0], int(want[1]),
-                                                 want[2])
+        sse, j, a, b = got
+        f = int(features[j])
+        assert (sse, f, baselines._threshold(x[a, f], x[b, f])) == (
+            want[0], int(want[1]), want[2])
 
 
 def _reference_block_split(x, y, feature_indices, min_leaf):
