@@ -35,7 +35,7 @@ def _check_finite(w, b, name, epoch):
 def sigmoid(z):
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / d
 
 
 # ---------------------------------------------------------------- logistic
@@ -69,7 +69,7 @@ def train_logistic(x, y, learning_rate=0.5, epochs=500,
         for epoch in range(epochs):
             residual = sigmoid(x @ w + b) - y
             w = w - learning_rate * (x.T @ residual) / n
-            b = b - learning_rate * float(residual.mean())
+            b = b - learning_rate * float(np.add.reduce(residual) / n)
             _check_finite(w, b, "logistic", epoch)
             if loss_callback is not None:
                 loss_callback(logistic_loss(LogisticModel(w, b), x, y))
@@ -120,7 +120,7 @@ def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1, epochs=500,
             active = np.abs(residual) > epsilon
             sign = np.sign(residual) * active
             grad_w = w / n + c * (x.T @ sign) / n
-            grad_b = c * float(sign.mean())
+            grad_b = c * float(np.add.reduce(sign) / n)
             w = w - step * grad_w
             b = b - step * grad_b
             _check_finite(w, b, "svm", t)
