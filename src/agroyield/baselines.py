@@ -184,11 +184,13 @@ class TreeNode:
         return TreeNode(self.tree, self.tree.right[self.index])
 
 
-def _check_growth(max_depth, min_leaf):
+def _check_growth(max_depth, min_leaf, features_per_split):
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
+    if features_per_split < 1:
+        raise ValueError("features_per_split must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -203,9 +205,7 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if self.features_per_split < 1:
-            raise ValueError("features_per_split must be >= 1")
-        _check_growth(self.max_depth, self.min_leaf)
+        _check_growth(self.max_depth, self.min_leaf, self.features_per_split)
 
 
 @dataclass
@@ -354,9 +354,9 @@ def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
         raise EmptySample("cannot build a tree from an empty sample")
-    _check_growth(max_depth, min_leaf)
     if features_per_split is None:
         features_per_split = x.shape[1]
+    _check_growth(max_depth, min_leaf, features_per_split)
     return TreeNode(_grow(x, _ranks(x), y, np.arange(len(y)), max_depth,
                           min_leaf, features_per_split, seed))
 

@@ -170,15 +170,15 @@ class TestBuildTree:
         with pytest.raises(EmptySample):
             build_tree(np.empty((0, 2)), np.empty(0))
 
-    def test_min_leaf_below_one_rejected(self):
+    @pytest.mark.parametrize("bound, message", [
+        ({"min_leaf": 0}, "min_leaf must be >= 1"),
+        ({"max_depth": -3}, "max_depth must be >= 0"),
+        ({"features_per_split": 0}, "features_per_split must be >= 1"),
+    ], ids=["min_leaf", "max_depth", "features_per_split"])
+    def test_out_of_range_bound_rejected(self, bound, message):
         x = np.random.default_rng(0).uniform(size=(20, 3))
-        with pytest.raises(ValueError, match="min_leaf must be >= 1"):
-            build_tree(x, x[:, 0], min_leaf=0)
-
-    def test_max_depth_below_zero_rejected(self):
-        x = np.random.default_rng(0).uniform(size=(20, 3))
-        with pytest.raises(ValueError, match="max_depth must be >= 0"):
-            build_tree(x, x[:, 0], max_depth=-3)
+        with pytest.raises(ValueError, match=message):
+            build_tree(x, x[:, 0], **bound)
 
 
 class TestForest:
@@ -220,13 +220,13 @@ class TestForest:
             probe = rng.uniform(size=4)
             assert predict_forest(a, probe) == predict_forest(b, probe)
 
-    def test_config_min_leaf_below_one_rejected(self):
-        with pytest.raises(ValueError, match="min_leaf must be >= 1"):
-            ForestConfig(min_leaf=0)
-
-    def test_config_max_depth_below_zero_rejected(self):
-        with pytest.raises(ValueError, match="max_depth must be >= 0"):
-            ForestConfig(max_depth=-3)
+    @pytest.mark.parametrize("bound, message", [
+        ({"min_leaf": 0}, "min_leaf must be >= 1"),
+        ({"max_depth": -3}, "max_depth must be >= 0"),
+    ], ids=["min_leaf", "max_depth"])
+    def test_config_out_of_range_bound_rejected(self, bound, message):
+        with pytest.raises(ValueError, match=message):
+            ForestConfig(**bound)
 
     def test_forest_beats_single_tree_on_oracle_data(self):
         # noise-free synthetic data: bagging should not hurt generalization

@@ -396,6 +396,9 @@ _MODEL_MUTATIONS = {
                           lambda v: 99),
     "forest-feature-bool": ("forest", ("payload", "trees", 0, "feature", 0),
                             lambda v: True),
+    "forest-min-leaf-0": ("forest", ("payload", "min_leaf"), lambda v: 0),
+    "forest-max-depth-negative": ("forest", ("payload", "max_depth"),
+                                  lambda v: -3),
     "schema-version-3": ("forest", ("schema_version",), lambda v: 3),
 }
 
