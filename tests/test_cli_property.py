@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from agroyield.cli import run
 from agroyield.schema import Crop
@@ -197,8 +197,7 @@ def _argv(data, inputs, work):
     return argv
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_every_call_exits_with_a_documented_code(data, inputs):
     work = Path(tempfile.mkdtemp(dir=inputs["scratch"]))
