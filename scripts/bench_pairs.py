@@ -12,10 +12,10 @@ a drift of the host's speed falls on both sides alike.
 For every end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, the pairs the change wins, the parent's
 interquartile range, and whether a gain holds: the change wins at least
-nine in ten pairs and its median is better than the parent's by more
-than the parent's interquartile range. A run that exits non-zero is
-listed and its pair counts as lost. The temporary directory is removed
-afterwards.
+nine in ten pairs, its median is better than the parent's by more than
+the parent's interquartile range, and no larger share of its operations
+fails. A run that exits non-zero is listed and its pair counts as lost.
+The temporary directory is removed afterwards.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def judge(parent: list, change: list, better: str) -> dict:
+def judge(parent: list, change: list, better: str, failed: tuple) -> dict:
     """The gain rule on paired runs; None marks a run that failed.
 
-    A pair is won when both runs succeeded and the change is strictly
-    better. The gain holds when at least nine in ten pairs are won and
-    the medians differ, in the better direction, by more than the
-    parent's interquartile range.
+    `failed` is the (parent, change) share of operations that failed. A
+    pair is won when both runs succeeded and the change is strictly
+    better. The gain holds when at least nine in ten pairs are won, the
+    medians differ, in the better direction, by more than the parent's
+    interquartile range, and the change's failed share is no higher.
     """
     if len(parent) != len(change):
         raise ValueError("parent and change need one run per seed each")
@@ -65,7 +66,8 @@ def judge(parent: list, change: list, better: str) -> dict:
     out.update(parent=(p1, pm, p3), change=(c1, cm, c3), parent_iqr=p3 - p1,
                delta=(cm - pm) / abs(pm) if pm else math.nan)
     out["holds"] = (10 * wins >= 9 * len(parent)
-                    and sign * (cm - pm) > p3 - p1)
+                    and sign * (cm - pm) > p3 - p1
+                    and failed[1] <= failed[0])
     return out
 
 
@@ -78,32 +80,37 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float,
-             out: Path):
+def run_side(tree: Path, workload: str, seed: int, out: Path):
     """(end-to-end metrics, None) of one run, or (None, reason)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-           "--out", str(out)]
+           "--seed", str(seed), "--out", str(out)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         tail = (proc.stderr or proc.stdout).strip().splitlines()[-1:]
         return None, f"exited {proc.returncode}: {' '.join(tail)}"
     doc = json.loads(out.read_text())
-    metrics = dict(doc["end_to_end"])
-    metrics["failed_ops_ratio"] = doc["extra"]["failed_ops_ratio"]
+    metrics = dict(doc["end_to_end"], failed=doc["failed"],
+                   attempted=doc["attempted"])
     return metrics, None
 
 
+def failed_share(runs: list) -> float:
+    """Failed over attempted operations across a side's successful runs."""
+    ok = [r for r in runs if r]
+    attempted = sum(r["attempted"] for r in ok)
+    return sum(r["failed"] for r in ok) / attempted if attempted else math.nan
+
+
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="base commit")
     parser.add_argument("--change", required=True, help="changed commit")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
 
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = ("parent", "change")
     runs = {side: [] for side in sides}
     failures = []
@@ -114,7 +121,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             for side in (sides if i % 2 == 0 else sides[::-1]):
                 metrics, reason = run_side(
-                    trees[side], args.workload, seed, args.seconds,
+                    trees[side], args.workload, seed,
                     tmp / f"{side}-{seed}.json")
                 runs[side].append(metrics)
                 if reason:
@@ -123,13 +130,14 @@ def main(argv=None) -> int:
                       + (reason or json.dumps(metrics, sort_keys=True)),
                       flush=True)
 
+    failed = tuple(failed_share(runs[side]) for side in sides)
     print(f"\n{args.workload}: {args.parent} -> {args.change}, "
           f"seeds {' '.join(map(str, args.seeds))}")
     for metric in bench["end_to_end"]:
         name = metric["name"]
         result = judge([r and r[name] for r in runs["parent"]],
                        [r and r[name] for r in runs["change"]],
-                       metric["better"])
+                       metric["better"], failed)
         if "parent" not in result:
             print(f"  {name}: no successful runs on one side")
             continue
@@ -140,10 +148,8 @@ def main(argv=None) -> int:
               f"wins {result['wins']}/{result['pairs']}  "
               f"parent IQR {result['parent_iqr']:.6g}  "
               f"gain holds: {'yes' if result['holds'] else 'no'}")
-    for side in sides:
-        ratios = [r["failed_ops_ratio"] for r in runs[side] if r]
-        if ratios:
-            print(f"  failed_ops_ratio {side}: max {max(ratios):.6g}")
+    print(f"  failed operations: parent {failed[0]:.6g}  "
+          f"change {failed[1]:.6g}")
     for line in failures:
         print(f"  FAILED {line}")
     return 0

@@ -375,42 +375,6 @@ def test_best_split_matches_per_feature_loop(problem):
             want[0], int(want[1]), want[2])
 
 
-def _reference_block_split(x, y, feature_indices, min_leaf):
-    """The float-sort split search of the grower below, one stable argsort
-    of the node's (n, k) value block."""
-    n = len(y)
-    lo, hi = min_leaf - 1, n - min_leaf
-    if lo >= hi:
-        return None
-    total_sum = y.sum()
-    total_sq = (y * y).sum()
-    parent_sse = total_sq - total_sum * total_sum / n
-    block = x[:, feature_indices]
-    order = np.argsort(block, axis=0, kind="stable")
-    cols = np.arange(block.shape[1])
-    xs = block[order, cols]
-    ys = y[order]
-    csum = np.cumsum(ys[:hi], axis=0)[lo:]
-    csq = np.cumsum(ys[:hi] * ys[:hi], axis=0)[lo:]
-    counts = np.arange(lo + 1, hi + 1)[:, None]
-    boundary = xs[lo:hi] < xs[lo + 1:hi + 1]
-    left_sse = csq - csum ** 2 / counts
-    right_sse = (total_sq - csq) - (total_sum - csum) ** 2 / (n - counts)
-    sse = np.where(boundary, left_sse + right_sse, np.inf)
-    rows = np.argmin(sse, axis=0)
-    best_sse = sse[rows, cols]
-    best = None  # (sse, feature, threshold)
-    for j in np.flatnonzero(best_sse < parent_sse - 1e-12):
-        cand_sse = float(best_sse[j])
-        if best is None or cand_sse < best[0] - 1e-12:
-            i = lo + rows[j]
-            threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
-            if threshold >= xs[i + 1, j]:  # adjacent floats
-                threshold = xs[i, j]
-            best = (cand_sse, feature_indices[j], float(threshold))
-    return best
-
-
 def _reference_build_tree(x, y, max_depth, min_leaf, features_per_split,
                           seed):
     """The preorder grower on float sorts that the rank grower replaced."""
@@ -434,7 +398,7 @@ def _reference_build_tree(x, y, max_depth, min_leaf, features_per_split,
         chosen = rng.choice(n_features, size=features_per_split, replace=False)
         chosen.sort()
         xn = x[idx]
-        found = _reference_block_split(xn, yn, chosen, min_leaf)
+        found = _reference_best_split(xn, yn, chosen, min_leaf)
         if found is None:
             continue
         _, feature, threshold = found
