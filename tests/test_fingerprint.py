@@ -111,3 +111,32 @@ def test_prep_outputs_unchanged(tmp_path):
         (out / "plots").glob("*.csv"))
     assert len(paths) == 8
     assert _digest(tmp_path, paths) == PREP_OUTPUTS_SHA256
+
+
+
+# sha256 of the model file `train` writes for each variant with every
+# training default
+DEFAULT_TRAIN_SHA256 = {
+    "dnn": "a0c821ad3b81d9c858547fb7326b936bca03febb8ade3c68354c3b64eea3b699",
+    "svm": "0af810183defa9e1bc6a73f71cedea879d54b25dab550e9f3233fa618227869a",
+    "forest":
+        "5f9166fc73e9d17f06dbd5b975d57042768928ec8f89e30ad07d5d9eddce2355",
+    "logistic":
+        "0b6670810889aa7d36e8aa0987c40b86b87374af7917b999bb21f858868c282b",
+}
+
+
+def test_default_training_unchanged(tmp_path):
+    """Pins `train` with no --epochs, --lr or --trees: each family's
+    epochs, learning rate and tree count, and the batch size, patience,
+    layer sizes, activation and SVM epsilon and C, which no flag sets."""
+    raw = tmp_path / "raw.csv"
+    assert run(["generate", "--n", "1000", "--seed", "3",
+                "--out", str(raw)]) == 0
+    digests = {}
+    for variant in DEFAULT_TRAIN_SHA256:
+        out = tmp_path / f"{variant}.json"
+        assert run(["train", "--data", str(raw), "--model", variant,
+                    "--crop", "jute", "--seed", "3", "--out", str(out)]) == 0
+        digests[variant] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == DEFAULT_TRAIN_SHA256
