@@ -34,7 +34,8 @@ def main() -> int:
                         help="synthetic records to generate (default: 5000)")
     parser.add_argument("--epochs", type=int, default=None,
                         help="cap training epochs (default: per-model)")
-    parser.add_argument("--trees", type=int, default=100)
+    parser.add_argument("--trees", type=int, default=None,
+                        help="trees per forest (default: the trainer's)")
     args = parser.parse_args()
 
     out = Path(args.out)
@@ -46,10 +47,10 @@ def main() -> int:
         ["clean", "--data", str(raw), "--out", str(out)],
     ]
     report_cmd = ["report", "--data", str(out / "cleaned.csv"),
-                  "--seed", seed, "--trees", str(args.trees),
-                  "--out", str(out)]
-    if args.epochs is not None:
-        report_cmd += ["--epochs", str(args.epochs)]
+                  "--seed", seed, "--out", str(out)]
+    for flag in ("epochs", "trees"):
+        if getattr(args, flag) is not None:
+            report_cmd += [f"--{flag}", str(getattr(args, flag))]
     steps.append(report_cmd)
     steps.append(["plot-data", "--data", str(out / "cleaned.csv"),
                   "--out", str(out / "plots")])

@@ -56,8 +56,8 @@ def logistic_loss(model: LogisticModel, x, y) -> float:
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
-def train_logistic(x, y, learning_rate=0.5, epochs=500,
-                   loss_callback=None) -> LogisticModel:
+def train_logistic(x, y, learning_rate=0.5,
+                   epochs=500) -> LogisticModel:
     """Full-batch gradient descent on cross-entropy vs soft targets in [0,1]."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -71,8 +71,6 @@ def train_logistic(x, y, learning_rate=0.5, epochs=500,
             w = w - learning_rate * (x.T @ residual) / n
             b = b - learning_rate * float(np.add.reduce(residual) / n)
             _check_finite(w, b, "logistic", epoch)
-            if loss_callback is not None:
-                loss_callback(logistic_loss(LogisticModel(w, b), x, y))
     return LogisticModel(weights=w, bias=b)
 
 
@@ -99,8 +97,8 @@ def svm_objective(model: SvmModel, x, y) -> float:
                  + model.c * hinge.mean())
 
 
-def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1, epochs=500,
-              loss_callback=None) -> SvmModel:
+def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1,
+              epochs=500) -> SvmModel:
     """Subgradient descent on the epsilon-insensitive linear SVR objective.
 
     The step size decays as learning_rate / sqrt(t + 1) so the iterates
@@ -124,8 +122,6 @@ def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1, epochs=500,
             w = w - step * grad_w
             b = b - step * grad_b
             _check_finite(w, b, "svm", t)
-            if loss_callback is not None:
-                loss_callback(svm_objective(SvmModel(w, b, epsilon, c), x, y))
     return SvmModel(weights=w, bias=b, epsilon=epsilon, c=c)
 
 

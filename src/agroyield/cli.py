@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import evaluation, ingest, pipeline, synthgen
+from . import baselines, evaluation, ingest, nn, pipeline, synthgen
 from .errors import AgroYieldError, DivergedLoss, MalformedConfig
 from .models import VARIANTS, load_model, save_model
 from .rng import derive_seed
@@ -29,17 +29,22 @@ _POSITIVE = (">= 1", lambda v: v >= 1)
 
 # field -> (type, default, (allowed range, test) or None). Ranges are
 # checked on config-file values and again on the merged configuration.
+# A default is read from the class that uses the value; epochs and lr are
+# None because each model family has its own.
 _FIELDS = {
     "seed": (int, 0, None),
-    "train_ratio": (float, 0.8, ("in (0, 1)", lambda v: 0 < v < 1)),
-    "n": (int, 10000, _POSITIVE),
-    "noise_sigma": (float, 0.05,
+    "train_ratio": (float, ingest.SplitConfig.train_ratio,
+                    ("in (0, 1)", lambda v: 0 < v < 1)),
+    # no array is longer than sys.maxsize
+    "n": (int, synthgen.GenConfig.n_records,
+          (f"from 1 to {sys.maxsize}", lambda v: 1 <= v <= sys.maxsize)),
+    "noise_sigma": (float, synthgen.GenConfig.noise_sigma,
                     ("finite and >= 0", lambda v: 0 <= v < math.inf)),
     "epochs": (int, None, _POSITIVE),
     "lr": (float, None, ("finite and > 0", lambda v: 0 < v < math.inf)),
-    "trees": (int, 100, _POSITIVE),
-    "batch_size": (int, 32, _POSITIVE),
-    "patience": (int, 20, (">= 0", lambda v: v >= 0)),
+    "trees": (int, baselines.ForestConfig.n_trees, _POSITIVE),
+    "batch_size": (int, nn.TrainConfig.batch_size, _POSITIVE),
+    "patience": (int, nn.TrainConfig.patience, (">= 0", lambda v: v >= 0)),
     "model": (str, None, None),
     "crop": (str, None, None),
     "responses": (str, None, None),
@@ -165,7 +170,10 @@ def _cmd_generate(args, cfg):
         noise_sigma=cfg["noise_sigma"],
     )
     responses = synthgen.load_responses(cfg["responses"])
-    dataset = synthgen.generate(gen_cfg, responses)
+    try:
+        dataset = synthgen.generate(gen_cfg, responses)
+    except MemoryError as exc:
+        raise MalformedConfig(f"cannot generate {n} records: {exc}") from exc
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     ingest.write_csv(dataset, args.out)
     log.info("wrote %d records to %s", len(dataset), args.out)

@@ -25,7 +25,6 @@ NonFinitePrediction.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from typing import Callable
@@ -34,6 +33,7 @@ import numpy as np
 
 from . import baselines, ingest, nn, schema
 from .errors import DimensionMismatch, MalformedConfig, NonFinitePrediction
+from .schema import json_number, json_numbers
 
 SCHEMA_VERSION = 2
 N_FEATURES = len(schema.schema_columns())
@@ -57,47 +57,20 @@ class Model:
     history: nn.LossHistory | None = None  # set by training, not serialized
 
 
-def _default(value, fallback):
-    return fallback if value is None else value
-
-
-def _number(value, what) -> float:
-    """A finite JSON number (not a bool) as a float; MalformedConfig if not."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise MalformedConfig(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _numbers(values, what, size=None, integer=False) -> np.ndarray:
-    """A JSON list of finite numbers (integers if `integer`; never bools) as
-    an array of `size` entries; MalformedConfig if it is anything else."""
-    kinds = {int} if integer else {int, float}
-    if (type(values) is not list or not set(map(type, values)) <= kinds
-            or size is not None and len(values) != size):
-        count = "" if size is None else f"{size} "
-        raise MalformedConfig(f"{what} must be a list of {count}"
-                              f"{'integers' if integer else 'numbers'}")
-    arr = np.fromiter(values, np.int64 if integer else float, len(values))
-    if not np.isfinite(arr).all():
-        raise MalformedConfig(f"{what} must be finite")
-    return arr
+def _set(**values) -> dict:
+    """The keyword arguments that were given a value, so that the trainer's
+    own default stands for each one that was not."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 # The entries below reach nn and baselines through the module attribute at
 # call time, so a function replaced there (e.g. by a tracer) is the one run.
 
 def _fit_dnn(x, y, hyper, seed):
-    default_sizes = (x.shape[1],) + nn.DEFAULT_LAYER_SIZES[1:]
-    net = nn.init_network(_default(hyper.layer_sizes, default_sizes),
-                          hyper.hidden_activation, seed=seed)
-    cfg = nn.TrainConfig(
-        learning_rate=_default(hyper.learning_rate, 0.01),
-        batch_size=hyper.batch_size,
-        max_epochs=_default(hyper.epochs, 200),
-        patience=hyper.patience,
-        seed=seed,
-    )
-    return nn.train(net, x, y, cfg)
+    cfg = nn.TrainConfig(seed=seed, **_set(
+        learning_rate=hyper.learning_rate, batch_size=hyper.batch_size,
+        max_epochs=hyper.epochs, patience=hyper.patience))
+    return nn.train(nn.init_network(seed=seed), x, y, cfg)
 
 
 def _dnn_to_dict(p: nn.Network) -> dict:
@@ -133,24 +106,22 @@ def _dnn_from_dict(d: dict) -> nn.Network:
                               f"{d['hidden_activation']!r}")
     return nn.Network(
         layer_sizes=tuple(sizes),
-        weights=[_numbers(list(chain.from_iterable(w)), "dnn weights")
+        weights=[json_numbers(list(chain.from_iterable(w)), "dnn weights")
                  .reshape(shape) for w, shape in zip(weights, shapes)],
-        biases=[_numbers(b, "dnn biases", fan_out)
+        biases=[json_numbers(b, "dnn biases", fan_out)
                 for b, (fan_out, _) in zip(biases, shapes)],
         hidden_activation=d["hidden_activation"],
     )
 
 
 def _fit_svm(x, y, hyper, seed):
-    return baselines.train_svm(
-        x, y, epsilon=hyper.svm_epsilon, c=hyper.svm_c,
-        learning_rate=_default(hyper.learning_rate, 0.1),
-        epochs=_default(hyper.epochs, 500)), None
+    return baselines.train_svm(x, y, **_set(
+        learning_rate=hyper.learning_rate, epochs=hyper.epochs)), None
 
 
 def _fit_forest(x, y, hyper, seed):
     return baselines.train_forest(x, y, baselines.ForestConfig(
-        n_trees=hyper.trees, seed=seed)), None
+        seed=seed, **_set(n_trees=hyper.trees))), None
 
 
 def _forest_to_dict(p: baselines.ForestModel) -> dict:
@@ -172,9 +143,9 @@ def _check_trees(trees: list) -> None:
                                   "lists of equal length")
 
     def column(name, integer):
-        return _numbers(list(chain.from_iterable(getattr(t, name)
-                                                 for t in trees)),
-                        f"forest tree {name}", integer=integer)
+        return json_numbers(list(chain.from_iterable(getattr(t, name)
+                                                     for t in trees)),
+                            f"forest tree {name}", integer=integer)
 
     feature, right = column("feature", True), column("right", True)
     column("value", False)
@@ -227,9 +198,8 @@ def _tree_from_v1(root: dict) -> dict:
 
 
 def _fit_logistic(x, y, hyper, seed):
-    return baselines.train_logistic(
-        x, y, learning_rate=_default(hyper.learning_rate, 0.5),
-        epochs=_default(hyper.epochs, 500)), None
+    return baselines.train_logistic(x, y, **_set(
+        learning_rate=hyper.learning_rate, epochs=hyper.epochs)), None
 
 
 VARIANTS = {
@@ -247,10 +217,10 @@ VARIANTS = {
         to_dict=lambda p: {"weights": p.weights.tolist(), "bias": p.bias,
                            "epsilon": p.epsilon, "c": p.c},
         from_dict=lambda d: baselines.SvmModel(
-            weights=_numbers(d["weights"], "svm weights", N_FEATURES),
-            bias=_number(d["bias"], "svm bias"),
-            epsilon=_number(d["epsilon"], "svm epsilon"),
-            c=_number(d["c"], "svm c")),
+            weights=json_numbers(d["weights"], "svm weights", N_FEATURES),
+            bias=json_number(d["bias"], "svm bias"),
+            epsilon=json_number(d["epsilon"], "svm epsilon"),
+            c=json_number(d["c"], "svm c")),
     ),
     "forest": Variant(
         label="Random Forest",
@@ -265,8 +235,8 @@ VARIANTS = {
         predict_raw=lambda p, x: p.predict_raw(x),
         to_dict=lambda p: {"weights": p.weights.tolist(), "bias": p.bias},
         from_dict=lambda d: baselines.LogisticModel(
-            weights=_numbers(d["weights"], "logistic weights", N_FEATURES),
-            bias=_number(d["bias"], "logistic bias")),
+            weights=json_numbers(d["weights"], "logistic weights", N_FEATURES),
+            bias=json_number(d["bias"], "logistic bias")),
     ),
 }
 
@@ -329,12 +299,12 @@ def model_from_json(text: str) -> Model:
         spec = variant_spec(variant)
         d = doc["normalizer"]
         norm = ingest.Normalizer(
-            column_mins=_numbers(d["column_mins"], "normalizer column_mins",
-                                 N_FEATURES),
-            column_maxs=_numbers(d["column_maxs"], "normalizer column_maxs",
-                                 N_FEATURES),
-            target_min=_number(d["target_min"], "normalizer target_min"),
-            target_max=_number(d["target_max"], "normalizer target_max"),
+            column_mins=json_numbers(d["column_mins"],
+                                     "normalizer column_mins", N_FEATURES),
+            column_maxs=json_numbers(d["column_maxs"],
+                                     "normalizer column_maxs", N_FEATURES),
+            target_min=json_number(d["target_min"], "normalizer target_min"),
+            target_max=json_number(d["target_max"], "normalizer target_max"),
         )
         payload = doc["payload"]
         if version == 1 and variant == "forest":

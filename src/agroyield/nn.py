@@ -63,7 +63,7 @@ class Network:
     layer_sizes: tuple
     weights: list   # per layer, (fan_out, fan_in)
     biases: list    # per layer, (fan_out,)
-    hidden_activation: str = "relu"
+    hidden_activation: str
 
     @property
     def n_inputs(self):

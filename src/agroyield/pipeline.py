@@ -15,15 +15,13 @@ from .schema import Crop
 
 @dataclass(frozen=True)
 class Hyperparams:
-    epochs: int | None = None       # None -> per-variant default
+    """The training settings the CLI takes. None leaves the default of the
+    trainer, which is the one place each default is written."""
+    epochs: int | None = None
     learning_rate: float | None = None
-    trees: int = 100
-    layer_sizes: tuple | None = None  # hidden part defaults to (64, 32, 16)
-    hidden_activation: str = "relu"
-    batch_size: int = 32
-    patience: int = 20
-    svm_epsilon: float = 0.05
-    svm_c: float = 1.0
+    trees: int | None = None
+    batch_size: int | None = None
+    patience: int | None = None
 
 
 @dataclass

@@ -14,13 +14,14 @@ ones = Narsingdi, exactly one = that district.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidRecord
+from .errors import InvalidRecord, MalformedConfig
 
 FRACTION_SUM_TOL = 1e-9
 YIELD_CONSISTENCY_TOL = 1e-6
@@ -263,6 +264,36 @@ def sum_in_order(terms) -> np.ndarray:
     for term in terms:
         total = total + term
     return total
+
+
+def json_number(value, what) -> float:
+    """A finite JSON number (not a bool) as a float; MalformedConfig if it
+    is anything else, an integer beyond float range included."""
+    try:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise MalformedConfig(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def json_numbers(values, what, size=None, integer=False) -> np.ndarray:
+    """A JSON list of finite numbers (integers if `integer`; never bools) as
+    an array of `size` entries; MalformedConfig if it is anything else."""
+    kinds = {int} if integer else {int, float}
+    if (type(values) is not list or not set(map(type, values)) <= kinds
+            or size is not None and len(values) != size):
+        count = "" if size is None else f"{size} "
+        raise MalformedConfig(f"{what} must be a list of {count}"
+                              f"{'integers' if integer else 'numbers'}")
+    try:
+        arr = np.fromiter(values, np.int64 if integer else float, len(values))
+    except OverflowError as exc:  # an integer beyond int64 or float range
+        raise MalformedConfig(f"{what} is out of range: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise MalformedConfig(f"{what} must be finite")
+    return arr
 
 
 _NONNEGATIVE = ("area", "production", "yield")

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import MalformedConfig
 from .ingest import Dataset
 from .schema import (INDICATOR_PATTERNS, INDICATORS, LAND, SOIL, VALUE_COLUMNS,
-                     AgroRecord, Crop, District, record_values, sum_in_order)
+                     AgroRecord, Crop, District, json_number, json_numbers,
+                     record_values, sum_in_order)
 
 MAX_TEMP_RANGE = (22.5, 35.0)
 MIN_TEMP_RANGE = (10.0, 22.0)
@@ -112,17 +113,6 @@ _VECTOR_LENGTHS = {"fertilizer_coeffs": 4, "fertilizer_scales": 4,
                    "soil_weights": 19, "land_weights": 6}
 
 
-def _number(value, name: str) -> float:
-    """`value` as a float; MalformedConfig unless it is a finite number."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise MalformedConfig(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _response_from_dict(d, crop: str) -> CropResponse:
     """One crop's entry; MalformedConfig names a missing or ill-typed key
     or a width that is not > 0 (it divides)."""
@@ -137,7 +127,8 @@ def _response_from_dict(d, crop: str) -> CropResponse:
         return node
 
     def number(*path):
-        return _number(get(*path), f"responses for {crop}: {'.'.join(path)}")
+        return json_number(get(*path),
+                           f"responses for {crop}: {'.'.join(path)}")
 
     def width(key):
         value = number(key, "width")
@@ -147,15 +138,8 @@ def _response_from_dict(d, crop: str) -> CropResponse:
         return value
 
     def vector(key):
-        value = get(key)
-        length = _VECTOR_LENGTHS[key]
-        if not isinstance(value, list) or len(value) != length:
-            raise MalformedConfig(
-                f"responses for {crop}: {key} must be a list of "
-                f"{length} numbers")
-        for i, item in enumerate(value):
-            _number(item, f"responses for {crop}: {key}[{i}]")
-        return tuple(value)
+        return tuple(json_numbers(get(key), f"responses for {crop}: {key}",
+                                  _VECTOR_LENGTHS[key]).tolist())
 
     return CropResponse(
         base_yield=number("base_yield"),

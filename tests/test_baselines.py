@@ -43,9 +43,10 @@ class TestLogistic:
         rng = np.random.default_rng(0)
         x = rng.uniform(size=(40, 3))
         y = np.clip(0.3 + 0.4 * x[:, 0] - 0.2 * x[:, 1], 0.0, 1.0)
-        losses = []
-        train_logistic(x, y, learning_rate=1e-3, epochs=100,
-                       loss_callback=losses.append)
+        # full batch: the first k epochs of every run take the same steps
+        losses = [baselines.logistic_loss(
+            train_logistic(x, y, learning_rate=1e-3, epochs=k), x, y)
+            for k in range(1, 101)]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_empty_training_set(self):
@@ -85,9 +86,12 @@ class TestSvm:
         rng = np.random.default_rng(3)
         x = rng.uniform(size=(40, 3))
         y = 0.2 + 0.5 * x[:, 0]
-        losses = []
-        train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=1e-3, epochs=100,
-                  loss_callback=losses.append)
+        # full batch, and step t's size depends on t alone: the first k
+        # epochs of every run take the same steps
+        losses = [baselines.svm_objective(
+            train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=1e-3,
+                      epochs=k), x, y)
+            for k in range(1, 101)]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 

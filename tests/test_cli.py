@@ -388,6 +388,10 @@ _MODEL_MUTATIONS = {
     "svm-epsilon-string": ("svm", ("payload", "epsilon"), str),
     "logistic-bias-infinite": ("logistic", ("payload", "bias"),
                                lambda v: math.inf),
+    "svm-bias-beyond-float": ("svm", ("payload", "bias"),
+                              lambda v: 10 ** 400),
+    "logistic-weight-beyond-float": ("logistic", ("payload", "weights", 0),
+                                     lambda v: 10 ** 400),
     "forest-right-self": ("forest", ("payload", "trees", 0, "right", 0),
                           lambda v: 0),
     "forest-leaf-right": ("forest", ("payload", "trees", 0, "right", -1),
@@ -396,6 +400,9 @@ _MODEL_MUTATIONS = {
                           lambda v: 99),
     "forest-feature-bool": ("forest", ("payload", "trees", 0, "feature", 0),
                             lambda v: True),
+    "forest-feature-beyond-int64": ("forest",
+                                    ("payload", "trees", 0, "feature", 0),
+                                    lambda v: 2 ** 70),
     "forest-min-leaf-0": ("forest", ("payload", "min_leaf"), lambda v: 0),
     "forest-max-depth-negative": ("forest", ("payload", "max_depth"),
                                   lambda v: -3),
@@ -442,6 +449,19 @@ class TestOutOfRangeValues:
         assert not out.exists()
         self.assert_one_line_error(capsys)
 
+    # sizes that fail at the first allocation on any address space
+    @pytest.mark.parametrize("n", [10 ** 18, 10 ** 20])
+    @pytest.mark.parametrize("in_config", [False, True],
+                             ids=["flag", "config"])
+    def test_unallocatable_n_exits_2(self, n, in_config, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n": n}))
+        argv = (["--config", str(config)] if in_config else ["--n", str(n)])
+        assert run(["generate", "--out", str(out)] + argv) == 2
+        assert not out.exists()
+        self.assert_one_line_error(capsys)
+
     def test_unknown_model_in_config_exits_2(self, data_csv, tmp_path,
                                              capsys):
         config = tmp_path / "c.json"
@@ -455,9 +475,12 @@ class TestOutOfRangeValues:
     @pytest.mark.parametrize("doc", [
         {}, [], _shipped_responses(base_yield=None),
         _shipped_responses(soil_weights="sandy"),
+        _shipped_responses(base_yield=10 ** 400),
+        _shipped_responses(land_weights=[10 ** 400] + [0.2] * 5),
         _shipped_responses(rainfall={"opt": 1800, "width": 0}),
         b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000,
     ], ids=["empty-object", "array", "no-base_yield", "ill-typed-soil",
+            "base_yield-beyond-float", "land-weight-beyond-float",
             "zero-width", "not-utf8", "too-deep"])
     def test_malformed_responses_file_exits_2(self, doc, tmp_path, capsys):
         responses = tmp_path / "r.json"

@@ -100,7 +100,7 @@ _FLAG_VALUES = {
     "--model": ["forest", "svm", "nope"],
     "--crop": ["jute", "aus_rice", "banana"],
     "--kind": ["yield", "max_temp", "bogus"],
-    "--n": ["7", "0"],
+    "--n": ["7", "0", "1000000000000000000", "100000000000000000000"],
     "--noise": ["0.1", "-1"],
 }
 

@@ -185,10 +185,12 @@ class TestSchemaV1:
 def small_docs(crop_split):
     """A small valid model file of each variant, parsed, plus the schema-1
     forest fixture."""
-    hyper = pipeline.Hyperparams(epochs=2, trees=2, layer_sizes=(46, 3, 1))
-    docs = {variant: json.loads(model_to_json(
-        pipeline.train_variant(variant, crop_split, 17, hyper)))
-        for variant in VARIANTS}
+    hyper = pipeline.Hyperparams(epochs=2, trees=2)
+    models = {variant: pipeline.train_variant(variant, crop_split, 17, hyper)
+              for variant in VARIANTS}
+    models["dnn"].payload = nn.init_network((46, 3, 1), seed=17)
+    docs = {variant: json.loads(model_to_json(model))
+            for variant, model in models.items()}
     docs["forest-v1"] = json.loads((DATA / "forest_v1.json").read_text())
     return docs
 
