@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the benchmark on two commits in alternating pairs and judge a gain.
+"""Run the benchmark on two commits in alternating pairs and judge them.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \
         --workload report --seeds 61 62 63 64 65 66 67 68 69 70
@@ -11,11 +11,20 @@ a drift of the host's speed falls on both sides alike.
 
 For every end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, the pairs the change wins, the parent's
-interquartile range, and whether a gain holds: the change wins at least
-nine in ten pairs, its median is better than the parent's by more than
-the parent's interquartile range, and no larger share of its operations
-fails. A run that exits non-zero is listed and its pair counts as lost.
-The temporary directory is removed afterwards.
+interquartile range, and two verdicts:
+
+- gain holds: there are at least ten pairs, the change wins at least
+  nine in ten, its median is better than the parent's by more than the
+  parent's interquartile range, and no larger share of its operations
+  fails;
+- no regression: `regressed` when the change's median is worse than the
+  parent's by more than the metric's `bound`, a fraction of the parent's
+  median; else `unresolved` when the parent's interquartile range is
+  wider than that bound, unless every change run beats every parent run;
+  else `holds`.
+
+A run that exits non-zero is listed and its pair counts as lost. The
+temporary directory is removed afterwards.
 """
 
 from __future__ import annotations
@@ -42,32 +51,42 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def judge(parent: list, change: list, better: str, failed: tuple) -> dict:
-    """The gain rule on paired runs; None marks a run that failed.
+def judge(parent: list, change: list, metric: dict, failed: tuple) -> dict:
+    """Both verdicts on paired runs of one metric; None marks a failed run.
 
-    `failed` is the (parent, change) share of operations that failed. A
-    pair is won when both runs succeeded and the change is strictly
-    better. The gain holds when at least nine in ten pairs are won, the
-    medians differ, in the better direction, by more than the parent's
-    interquartile range, and the change's failed share is no higher.
+    `metric` is the metric's entry in BENCHMARK.json and `failed` the
+    (parent, change) share of operations that failed. A pair is won when
+    both runs succeeded and the change is strictly better. "holds" is the
+    gain rule and "verdict" the no-regression rule of the module docstring.
     """
     if len(parent) != len(change):
         raise ValueError("parent and change need one run per seed each")
-    sign = -1.0 if better == "lower" else 1.0
+    sign = -1.0 if metric["better"] == "lower" else 1.0
     wins = sum(p is not None and c is not None and sign * (c - p) > 0
                for p, c in zip(parent, change))
     ok_p = [p for p in parent if p is not None]
     ok_c = [c for c in change if c is not None]
-    out = {"pairs": len(parent), "wins": wins, "holds": False}
+    out = {"pairs": len(parent), "wins": wins, "holds": False,
+           "verdict": None}
     if not ok_p or not ok_c:
         return out
     p1, pm, p3 = quartiles(ok_p)
     c1, cm, c3 = quartiles(ok_c)
     out.update(parent=(p1, pm, p3), change=(c1, cm, c3), parent_iqr=p3 - p1,
                delta=(cm - pm) / abs(pm) if pm else math.nan)
-    out["holds"] = (10 * wins >= 9 * len(parent)
+    out["holds"] = (len(parent) >= 10
+                    and 10 * wins >= 9 * len(parent)
                     and sign * (cm - pm) > p3 - p1
                     and failed[1] <= failed[0])
+    bound = metric["bound"] * abs(pm)
+    beats_all = (len(ok_c) == len(change)
+                 and min(sign * c for c in ok_c) > max(sign * p for p in ok_p))
+    if sign * (pm - cm) > bound:
+        out["verdict"] = "regressed"
+    elif p3 - p1 > bound and not beats_all:
+        out["verdict"] = "unresolved"
+    else:
+        out["verdict"] = "holds"
     return out
 
 
@@ -137,7 +156,7 @@ def main(argv=None) -> int:
         name = metric["name"]
         result = judge([r and r[name] for r in runs["parent"]],
                        [r and r[name] for r in runs["change"]],
-                       metric["better"], failed)
+                       metric, failed)
         if "parent" not in result:
             print(f"  {name}: no successful runs on one side")
             continue
@@ -148,6 +167,12 @@ def main(argv=None) -> int:
               f"wins {result['wins']}/{result['pairs']}  "
               f"parent IQR {result['parent_iqr']:.6g}  "
               f"gain holds: {'yes' if result['holds'] else 'no'}")
+        spread = result["parent_iqr"] / abs(pm) if pm else math.nan
+        why = (f" (parent IQR {100 * spread:.1f}% of its median > bound "
+               f"{100 * metric['bound']:g}%)"
+               if result["verdict"] == "unresolved" else "")
+        print(f"    no regression (bound {100 * metric['bound']:g}%): "
+              f"{result['verdict']}{why}")
     print(f"  failed operations: parent {failed[0]:.6g}  "
           f"change {failed[1]:.6g}")
     for line in failures:

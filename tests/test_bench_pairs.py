@@ -10,11 +10,13 @@ _SPEC.loader.exec_module(bench_pairs)
 
 PARENT = [100, 104, 98, 102, 101, 99, 103, 97, 100, 105]
 NO_FAILURES = (0.0, 0.0)
+LOWER = {"better": "lower", "bound": 0.25}
+HIGHER = {"better": "higher", "bound": 0.25}
 
 
 def test_clear_gain_holds():
     change = [p - 10 for p in PARENT]
-    result = bench_pairs.judge(PARENT, change, "lower", NO_FAILURES)
+    result = bench_pairs.judge(PARENT, change, LOWER, NO_FAILURES)
     assert result["wins"] == 10 and result["holds"]
     assert result["parent"][1] == 100.5
     assert result["delta"] == pytest.approx(-10 / 100.5)
@@ -23,13 +25,13 @@ def test_clear_gain_holds():
 def test_eight_wins_in_ten_is_not_a_gain():
     change = [p - 10 for p in PARENT]
     change[0] = change[1] = 200
-    result = bench_pairs.judge(PARENT, change, "lower", NO_FAILURES)
+    result = bench_pairs.judge(PARENT, change, LOWER, NO_FAILURES)
     assert result["wins"] == 8 and not result["holds"]
 
 
 def test_gap_within_the_parent_iqr_is_not_a_gain():
     change = [p - 1 for p in PARENT]
-    result = bench_pairs.judge(PARENT, change, "lower", NO_FAILURES)
+    result = bench_pairs.judge(PARENT, change, LOWER, NO_FAILURES)
     assert result["wins"] == 10
     assert result["parent_iqr"] > 1 and not result["holds"]
 
@@ -37,16 +39,16 @@ def test_gap_within_the_parent_iqr_is_not_a_gain():
 def test_a_failed_run_loses_its_pair():
     change = [p - 10 for p in PARENT]
     change[3] = None
-    result = bench_pairs.judge(PARENT, change, "lower", NO_FAILURES)
+    result = bench_pairs.judge(PARENT, change, LOWER, NO_FAILURES)
     assert result["wins"] == 9 and result["holds"]
     change[4] = None
-    assert not bench_pairs.judge(PARENT, change, "lower", NO_FAILURES)["holds"]
+    assert not bench_pairs.judge(PARENT, change, LOWER, NO_FAILURES)["holds"]
 
 
 def test_more_failed_operations_is_not_a_gain():
     change = [p - 10 for p in PARENT]
-    assert bench_pairs.judge(PARENT, change, "lower", (0.01, 0.01))["holds"]
-    assert not bench_pairs.judge(PARENT, change, "lower", (0.0, 0.01))["holds"]
+    assert bench_pairs.judge(PARENT, change, LOWER, (0.01, 0.01))["holds"]
+    assert not bench_pairs.judge(PARENT, change, LOWER, (0.0, 0.01))["holds"]
 
 
 def test_failed_share_pools_the_successful_runs():
@@ -57,10 +59,48 @@ def test_failed_share_pools_the_successful_runs():
 
 def test_higher_is_better():
     change = [p + 10 for p in PARENT]
-    assert bench_pairs.judge(PARENT, change, "higher", NO_FAILURES)["holds"]
-    assert not bench_pairs.judge(PARENT, change, "lower", NO_FAILURES)["holds"]
+    assert bench_pairs.judge(PARENT, change, HIGHER, NO_FAILURES)["holds"]
+    assert not bench_pairs.judge(PARENT, change, LOWER, NO_FAILURES)["holds"]
 
 
 def test_mismatched_runs_rejected():
     with pytest.raises(ValueError):
-        bench_pairs.judge(PARENT, PARENT[:-1], "lower", NO_FAILURES)
+        bench_pairs.judge(PARENT, PARENT[:-1], LOWER, NO_FAILURES)
+
+
+def test_nine_pairs_are_too_few_for_a_gain():
+    change = [p - 10 for p in PARENT]
+    result = bench_pairs.judge(PARENT[:9], change[:9], LOWER, NO_FAILURES)
+    assert result["wins"] == 9 and not result["holds"]
+
+
+# PARENT's quartiles are 98.75, 100.5 and 103.25: its IQR, 4.5, is 4.5% of
+# its median
+def test_a_change_within_the_bound_holds():
+    change = [p + 20 for p in PARENT]  # median 19.9% worse
+    assert bench_pairs.judge(PARENT, change, LOWER,
+                             NO_FAILURES)["verdict"] == "holds"
+
+
+def test_a_change_past_the_bound_regressed():
+    change = [p + 30 for p in PARENT]  # median 29.9% worse
+    assert bench_pairs.judge(PARENT, change, LOWER,
+                             NO_FAILURES)["verdict"] == "regressed"
+    assert bench_pairs.judge(PARENT, [p - 30 for p in PARENT], HIGHER,
+                             NO_FAILURES)["verdict"] == "regressed"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    tight = {"better": "lower", "bound": 0.03}
+    result = bench_pairs.judge(PARENT, PARENT, tight, NO_FAILURES)
+    assert result["verdict"] == "unresolved"
+
+
+def test_a_change_that_beats_every_parent_run_resolves_the_spread():
+    tight = {"better": "lower", "bound": 0.03}
+    change = [96] * 10  # below the parent's fastest run, 97
+    assert bench_pairs.judge(PARENT, change, tight,
+                             NO_FAILURES)["verdict"] == "holds"
+    change[0] = None  # a failed run beats nothing
+    assert bench_pairs.judge(PARENT, change, tight,
+                             NO_FAILURES)["verdict"] == "unresolved"
