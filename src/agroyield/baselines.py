@@ -7,7 +7,9 @@
 - Random forest: bagged CART regression trees, variance-reduction splits
   over a seeded random feature subset per node, searched on integer ranks
   of the values taken once per forest. Each tree is a FlatTree: parallel
-  preorder lists, the layout of scikit-learn's `Tree`.
+  preorder lists, the layout of scikit-learn's `Tree`. `train_forest` is
+  the one way to grow trees (one tree on all rows is `n_trees=1,
+  bootstrap=False`) and `predict_forest_batch` the one way to predict.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss, EmptySample, EmptyTrainingSet
+from .errors import DivergedLoss, EmptyTrainingSet
 from .rng import derive_seed
 
 
@@ -80,8 +82,8 @@ def train_logistic(x, y, learning_rate=0.5,
 class SvmModel:
     weights: np.ndarray
     bias: float
-    epsilon: float = 0.05
-    c: float = 1.0
+    epsilon: float
+    c: float
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -140,8 +142,10 @@ class FlatTree:
 
 
 class TreeNode:
-    """Read-only view of node `index` of a FlatTree, for walking it node by
-    node. Prediction and loading read the lists and create no views."""
+    """Read-only view of node `index` of a FlatTree: whether it is a leaf,
+    and its children. It stays only because the benchmark harness
+    (`perfbench/tracing.py`) counts a forest's nodes through
+    `ForestModel.trees`; nothing in the program walks trees this way."""
 
     __slots__ = ("tree", "index")
 
@@ -154,22 +158,6 @@ class TreeNode:
         return self.tree.feature[self.index] < 0
 
     @property
-    def feature(self):
-        return None if self.is_leaf else self.tree.feature[self.index]
-
-    @property
-    def threshold(self):
-        return None if self.is_leaf else self.tree.value[self.index]
-
-    @property
-    def value(self):
-        return self.tree.value[self.index] if self.is_leaf else None
-
-    @property
-    def n_samples(self):
-        return self.tree.n_samples[self.index]
-
-    @property
     def left(self):
         return None if self.is_leaf else TreeNode(self.tree, self.index + 1)
 
@@ -178,15 +166,6 @@ class TreeNode:
         if self.is_leaf:
             return None
         return TreeNode(self.tree, self.tree.right[self.index])
-
-
-def _check_growth(max_depth, min_leaf, features_per_split):
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
-    if features_per_split < 1:
-        raise ValueError("features_per_split must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -201,7 +180,12 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        _check_growth(self.max_depth, self.min_leaf, self.features_per_split)
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+        if self.min_leaf < 1:
+            raise ValueError("min_leaf must be >= 1")
+        if self.features_per_split < 1:
+            raise ValueError("features_per_split must be >= 1")
 
 
 @dataclass
@@ -342,33 +326,14 @@ def _grow(x, ranks, y, root, max_depth, min_leaf, features_per_split,
                     n_samples=n_samples)
 
 
-def build_tree(x, y, max_depth=12, min_leaf=5, features_per_split=None,
-               seed=0) -> TreeNode:
-    """Grow a CART regression tree on all of `x`; the root's view is
-    returned."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if len(y) == 0:
-        raise EmptySample("cannot build a tree from an empty sample")
-    if features_per_split is None:
-        features_per_split = x.shape[1]
-    _check_growth(max_depth, min_leaf, features_per_split)
-    return TreeNode(_grow(x, _ranks(x), y, np.arange(len(y)), max_depth,
-                          min_leaf, features_per_split, seed))
-
-
-def _walk(tree: FlatTree, row, i=0) -> float:
-    """The leaf value reached from node i; `row` is indexable by feature."""
+def _walk(tree: FlatTree, row) -> float:
+    """The leaf value reached from the root; `row` is indexable by feature."""
     feature, value, right = tree.feature, tree.value, tree.right
-    f = feature[i]
+    i, f = 0, feature[0]
     while f >= 0:
         i = i + 1 if row[f] <= value[i] else right[i]
         f = feature[i]
     return value[i]
-
-
-def predict_tree(node: TreeNode, x) -> float:
-    return _walk(node.tree, np.asarray(x, dtype=float).tolist(), node.index)
 
 
 def train_forest(x, y, config: ForestConfig = ForestConfig()) -> ForestModel:
@@ -396,14 +361,8 @@ def train_forest(x, y, config: ForestConfig = ForestConfig()) -> ForestModel:
     return ForestModel(flat_trees=trees, config=config)
 
 
-def _forest_mean(model: ForestModel, row: list) -> float:
-    return float(np.mean([_walk(t, row) for t in model.flat_trees]))
-
-
-def predict_forest(model: ForestModel, x) -> float:
-    return _forest_mean(model, np.asarray(x, dtype=float).tolist())
-
-
 def predict_forest_batch(model: ForestModel, x) -> np.ndarray:
+    """The mean over the trees of each row's leaf value."""
     rows = np.atleast_2d(np.asarray(x, dtype=float)).tolist()
-    return np.array([_forest_mean(model, row) for row in rows])
+    return np.array([float(np.mean([_walk(t, row) for t in model.flat_trees]))
+                     for row in rows])

@@ -45,10 +45,6 @@ class DivergedLoss(AgroYieldError):
     pass
 
 
-class EmptySample(AgroYieldError):
-    pass
-
-
 class EmptyTestSet(AgroYieldError):
     pass
 

@@ -161,8 +161,16 @@ def _check_trees(trees: list) -> None:
 
 
 def _forest_from_dict(d: dict) -> baselines.ForestModel:
-    cfg = baselines.ForestConfig(
-        **{f.name: d[f.name] for f in fields(baselines.ForestConfig)})
+    values = {f.name: d[f.name] for f in fields(baselines.ForestConfig)}
+    for name, value in values.items():
+        # `type` keeps bools out of the integer fields; a forest's seed is
+        # derived as an unsigned 64-bit value, so no int64 bound applies
+        kind, what = ((bool, "true or false") if name == "bootstrap"
+                      else (int, "an integer"))
+        if type(value) is not kind:
+            raise MalformedConfig(f"forest {name} must be {what}, "
+                                  f"got {value!r}")
+    cfg = baselines.ForestConfig(**values)
     trees = [baselines.FlatTree(**t) for t in d["trees"]]
     if len(trees) != cfg.n_trees:
         raise MalformedConfig(f"forest has {len(trees)} trees, "
@@ -175,7 +183,7 @@ def _tree_from_v1(root: dict) -> dict:
     """A schema-1 tree of nested node dicts as schema-2 preorder lists.
 
     Schema 1 stores no count at an internal node; it is the sum of its
-    children's, as `build_tree` records it.
+    children's, as the grower (`baselines._grow`) records it.
     """
     tree = {"feature": [], "value": [], "right": [], "n_samples": []}
 

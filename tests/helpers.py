@@ -1,4 +1,5 @@
-"""Shared fixtures for building valid records and tiny datasets."""
+"""Shared test helpers: valid records, tiny datasets, a FlatTree walker and
+a time limit."""
 
 import signal
 from contextlib import contextmanager
@@ -40,6 +41,14 @@ def make_record(**over) -> AgroRecord:
     )
     fields.update(over)
     return AgroRecord(**fields)
+
+
+def leaf_value(tree, row):
+    """The leaf value that `row` reaches in a FlatTree, walked node by node."""
+    i = 0
+    while tree.feature[i] >= 0:
+        i = i + 1 if row[tree.feature[i]] <= tree.value[i] else tree.right[i]
+    return tree.value[i]
 
 
 def dataset_of(records, source="<memory>") -> ingest.Dataset:

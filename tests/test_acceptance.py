@@ -17,7 +17,7 @@ from agroyield import baselines, evaluation, ingest, nn, pipeline, synthgen
 from agroyield.cli import run
 from agroyield.evaluation import METHOD_ORDER, EvalReport, compare, render_markdown
 from agroyield.schema import Crop
-from helpers import dataset_of, make_record
+from helpers import dataset_of, leaf_value, make_record
 from test_evaluation import constant_model
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -223,30 +223,19 @@ def test_criterion_8_forest_oracle():
     forest = baselines.train_forest(
         x, y, baselines.ForestConfig(n_trees=9, max_depth=6, min_leaf=2,
                                      features_per_split=3, seed=8))
-    for _ in range(1000):
-        probe = rng.uniform(size=5)
-        explicit = np.mean([baselines.predict_tree(t, probe)
-                            for t in forest.trees])
-        assert abs(baselines.predict_forest(forest, probe) - explicit) < 1e-12
-
-    single_cfg = baselines.ForestConfig(n_trees=1, bootstrap=False,
-                                        max_depth=6, min_leaf=2,
-                                        features_per_split=5, seed=21)
-    single = baselines.train_forest(x, y, single_cfg)
-    from agroyield.rng import derive_seed
-    tree = baselines.build_tree(x, y, max_depth=6, min_leaf=2,
-                                features_per_split=5,
-                                seed=derive_seed(21, "tree-0"))
-    for row in x:
-        assert baselines.predict_forest(single, row) == \
-            baselines.predict_tree(tree, row)
+    probes = rng.uniform(size=(1000, 5))
+    means = baselines.predict_forest_batch(forest, probes)
+    for probe, mean in zip(probes, means):
+        explicit = np.mean([leaf_value(t, probe) for t in forest.flat_trees])
+        assert abs(mean - explicit) < 1e-12
 
     xm = rng.uniform(size=(20, 4))
     ym = rng.uniform(size=20)
-    memorizer = baselines.build_tree(xm, ym, max_depth=64, min_leaf=1)
-    for xi, yi in zip(xm, ym):
-        assert baselines.predict_tree(memorizer, xi) == pytest.approx(
-            yi, abs=1e-12)
+    memorizer = baselines.train_forest(xm, ym, baselines.ForestConfig(
+        n_trees=1, bootstrap=False, max_depth=64, min_leaf=1,
+        features_per_split=xm.shape[1]))
+    assert baselines.predict_forest_batch(memorizer, xm) == pytest.approx(
+        ym, abs=1e-12)
 
 
 # ------------------------------------------------------------------------

@@ -406,6 +406,20 @@ _MODEL_MUTATIONS = {
     "forest-min-leaf-0": ("forest", ("payload", "min_leaf"), lambda v: 0),
     "forest-max-depth-negative": ("forest", ("payload", "max_depth"),
                                   lambda v: -3),
+    "forest-max-depth-float": ("forest", ("payload", "max_depth"),
+                               lambda v: 2.5),
+    "forest-bootstrap-string": ("forest", ("payload", "bootstrap"),
+                                lambda v: "no"),
+    "forest-n-trees-float": ("forest", ("payload", "n_trees"),
+                             lambda v: float(v)),
+    "forest-features-per-split-float": ("forest",
+                                        ("payload", "features_per_split"),
+                                        lambda v: 1.5),
+    "forest-seed-float": ("forest", ("payload", "seed"), lambda v: 1e300),
+    "forest-features-per-split-0": ("forest",
+                                    ("payload", "features_per_split"),
+                                    lambda v: 0),
+    "forest-n-trees-0": ("forest", ("payload", "n_trees"), lambda v: 0),
     "schema-version-3": ("forest", ("schema_version",), lambda v: 3),
 }
 
@@ -542,6 +556,18 @@ class TestOutOfRangeValues:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error" in line]
         assert len(errors) == 1 and errors[0].startswith("data error: ")
+
+
+def test_forest_seed_beyond_int64_round_trips(data_csv, tmp_path):
+    # a forest's seed is derived as an unsigned 64-bit integer, so about
+    # half of all forest files hold one above int64's range
+    path = tmp_path / "forest.json"
+    assert run(["train", "--data", str(data_csv), "--model", "forest",
+                "--crop", "jute", "--trees", "2", "--seed", "0",
+                "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["payload"]["seed"] >= 2 ** 63
+    assert run(["evaluate", "--data", str(data_csv), "--seed", "0",
+                str(path), "--out", str(tmp_path / "metrics.json")]) == 0
 
 
 # field -> (flag or None, values outside the field's documented range)

@@ -92,7 +92,8 @@ class TestPredictModel:
         norm = ingest.Normalizer(column_mins=np.zeros(46),
                                  column_maxs=np.ones(46),
                                  target_min=2.0, target_max=4.0)
-        model = Model("svm", baselines.SvmModel(np.zeros(46), -0.3), norm)
+        model = Model("svm", baselines.SvmModel(np.zeros(46), -0.3,
+                                                epsilon=0.05, c=1.0), norm)
         # raw -0.3 clamps to 0 then denormalizes to target_min
         assert predict_model(model, np.zeros((1, 46)))[0] == pytest.approx(2.0)
 
