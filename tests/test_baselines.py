@@ -169,6 +169,16 @@ class TestBuildTree:
         with pytest.raises(EmptyTrainingSet):
             _one_tree(np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("bound, message", [
+        ({"min_leaf": 0}, "min_leaf must be >= 1"),
+        ({"max_depth": -3}, "max_depth must be >= 0"),
+        ({"features_per_split": 0}, "features_per_split must be >= 1"),
+    ], ids=["min_leaf", "max_depth", "features_per_split"])
+    def test_out_of_range_bound_rejected(self, bound, message):
+        x = np.random.default_rng(0).uniform(size=(20, 3))
+        with pytest.raises(ValueError, match=message):
+            _one_tree(x, x[:, 0], **bound)
+
 
 class TestForest:
     def small_data(self, n=60, seed=9):
