@@ -21,11 +21,14 @@ from . import baselines, evaluation, ingest, nn, pipeline, synthgen
 from .errors import AgroYieldError, DivergedLoss, MalformedConfig
 from .models import VARIANTS, load_model, save_model
 from .rng import derive_seed
-from .schema import Crop, District, parse_crop
+from .schema import VALUE_COLUMNS, Crop, District, parse_crop
 
 log = logging.getLogger("agroyield")
 
 _POSITIVE = (">= 1", lambda v: v >= 1)
+# the most records whose (n, 47) float64 value matrix has at most
+# sys.maxsize bytes, the largest array NumPy can describe
+_MAX_RECORDS = sys.maxsize // (8 * len(VALUE_COLUMNS))
 
 # field -> (type, default, (allowed range, test) or None). Ranges are
 # checked on config-file values and again on the merged configuration.
@@ -35,9 +38,8 @@ _FIELDS = {
     "seed": (int, 0, None),
     "train_ratio": (float, ingest.SplitConfig.train_ratio,
                     ("in (0, 1)", lambda v: 0 < v < 1)),
-    # no array is longer than sys.maxsize
     "n": (int, synthgen.GenConfig.n_records,
-          (f"from 1 to {sys.maxsize}", lambda v: 1 <= v <= sys.maxsize)),
+          (f"from 1 to {_MAX_RECORDS}", lambda v: 1 <= v <= _MAX_RECORDS)),
     "noise_sigma": (float, synthgen.GenConfig.noise_sigma,
                     ("finite and >= 0", lambda v: 0 <= v < math.inf)),
     "epochs": (int, None, _POSITIVE),

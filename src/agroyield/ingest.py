@@ -19,7 +19,7 @@ import csv
 import io
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import islice
 
@@ -40,6 +40,9 @@ CSV_HEADER = (
 # Rows parsed or formatted per block: enough to amortize the NumPy calls,
 # few enough that the block's str objects stay under a megabyte.
 _CHUNK_ROWS = 256
+# one salt per key entry: district, crop, year, then the value columns
+_HASH_SALT = (np.arange(1, 4 + len(schema.VALUE_COLUMNS), dtype=np.uint64)
+              * np.uint64(0x9E3779B97F4A7C15))
 _YIELD = schema.VALUE_COLUMNS.index("yield")
 _DISTRICT_NAMES = [d.name.lower() for d in District]
 _CROP_NAMES = [c.name.lower() for c in Crop]
@@ -47,6 +50,9 @@ _CROP_NAMES = [c.name.lower() for c in Crop]
 
 @dataclass(eq=False)
 class Dataset:
+    """Column arrays of n records. No code writes an array after the
+    dataset is built, so datasets may share arrays: `clean` returns its
+    input's arrays when it drops no row."""
     district: np.ndarray  # (n,) District values
     crop: np.ndarray      # (n,) Crop values
     year: np.ndarray      # (n,) int64, as `schema.year64` stores it
@@ -140,6 +146,7 @@ def _parse_rows(stream, source: str) -> Dataset:
         stream = io.StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
         stream = io.StringIO(stream)
+    begin = stream.tell()
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -149,18 +156,37 @@ def _parse_rows(stream, source: str) -> Dataset:
         raise HeaderMismatch(
             f"header does not match schema contract (got {len(header)} columns)"
         )
-    parts, log, start = [_columns([], 0)], [], 0
+    # every data row takes at least one of the lines left: count them, then
+    # parse again from the top into arrays of that many rows
+    capacity = sum(1 for _ in stream)
+    stream.seek(begin)
+    reader = csv.reader(stream)
+    next(reader)
+    arrays = [np.empty((capacity,) + a.shape[1:], a.dtype)
+              for a in _columns([], 0)]
+    filled, log, start = 0, [], 0
+
+    def put(block):
+        nonlocal filled
+        for array, part in zip(arrays, block):
+            array[filled:filled + len(part)] = part
+        filled += len(block[0])
+
     while rows := list(islice(reader, _CHUNK_ROWS)):
         try:
-            parts.append(_columns(rows, start))
+            block = _columns(rows, start)
         except ValueError:  # find the bad rows one by one
             for i, fields in enumerate(rows):
                 try:
-                    parts.append(_columns([fields], start + i))
+                    block = _columns([fields], start + i)
                 except ValueError:
                     log.append((start + i, "parse failure"))
+                else:
+                    put(block)
+        else:
+            put(block)
         start += len(rows)
-    return Dataset(*map(np.concatenate, zip(*parts)), source=source,
+    return Dataset(*(a[:filled] for a in arrays), source=source,
                    cleaning_log=log)
 
 
@@ -201,39 +227,60 @@ def cleaning_log_jsonl(dataset: Dataset) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _row_hashes(dataset: Dataset) -> np.ndarray:
+    """A 64-bit hash of each row's district, crop, year and value bits after
+    `+ 0.0` (so -0.0 hashes as 0.0): rows with equal keys hash equal. Each
+    key entry is mixed with its position's salt by the SplitMix64 finalizer,
+    and a row's hash is the sum of its mixed entries, modulo 2**64."""
+    hashes = np.empty(len(dataset), np.uint64)
+    for start in range(0, len(dataset), schema.BLOCK_ROWS):
+        rows = slice(start, start + schema.BLOCK_ROWS)
+        z = np.column_stack([
+            dataset.district[rows], dataset.crop[rows], dataset.year[rows],
+            (dataset.values[rows] + 0.0).view(np.int64)]).view(np.uint64)
+        z += _HASH_SALT
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        hashes[rows] = z.sum(axis=1, dtype=np.uint64)
+    return hashes
+
+
 def _first_occurrences(dataset: Dataset) -> np.ndarray:
     """True at the first of each group of equal rows. As with float
-    equality, -0.0 equals 0.0 and a row holding NaN equals no other."""
-    keys = np.column_stack([dataset.district, dataset.crop, dataset.year,
-                            (dataset.values + 0.0).view(np.int64)])
+    equality, -0.0 equals 0.0 and a row holding NaN equals no other. Keys
+    are compared only between rows whose hash another such row shares."""
+    # a row's minimum is NaN exactly when the row holds a NaN
+    hashed = np.flatnonzero(~np.isnan(dataset.values.min(axis=1)))
+    _, group, size = np.unique(_row_hashes(dataset)[hashed],
+                               return_inverse=True, return_counts=True)
     first, seen = np.ones(len(dataset), dtype=bool), set()
-    for i in np.flatnonzero(~np.isnan(dataset.values).any(axis=1)).tolist():
-        key = keys[i].tobytes()
+    for i in hashed[size[group] > 1].tolist():
+        key = (int(dataset.district[i]), int(dataset.crop[i]),
+               int(dataset.year[i]), (dataset.values[i] + 0.0).tobytes())
         first[i] = key not in seen
         seen.add(key)
     return first
 
 
-def deduplicate(dataset: Dataset) -> Dataset:
-    """Drop exact duplicates, keeping the first occurrence of each record."""
-    first = _first_occurrences(dataset)
-    log = dataset.cleaning_log + [(row, "duplicate")
-                                  for row in dataset.row[~first].tolist()]
-    return dataset.take(np.flatnonzero(first), dataset.source, log)
-
-
-def drop_invalid(dataset: Dataset) -> Dataset:
-    """Drop records failing validation, logging every violation."""
-    mask = schema.violations(dataset.year, dataset.values)
-    bad = mask.any(axis=1)
-    log = dataset.cleaning_log + [
-        (int(dataset.row[i]), "; ".join(schema.violation_messages(mask[i])))
-        for i in np.flatnonzero(bad)]
-    return dataset.take(np.flatnonzero(~bad), dataset.source, log)
-
-
 def clean(dataset: Dataset) -> Dataset:
-    return drop_invalid(deduplicate(dataset))
+    """Drop exact duplicates, keeping the first occurrence of each record,
+    and the records failing validation. The log adds each duplicate, then
+    each invalid record with every violation, in row order. When no row is
+    dropped the result shares the input's arrays."""
+    first = _first_occurrences(dataset)
+    mask = schema.violations(dataset.year, dataset.values)
+    invalid = first & mask.any(axis=1)
+    log = dataset.cleaning_log + [
+        (row, "duplicate") for row in dataset.row[~first].tolist()] + [
+        (int(dataset.row[i]), "; ".join(schema.violation_messages(mask[i])))
+        for i in np.flatnonzero(invalid)]
+    keep = first & ~invalid
+    if keep.all():
+        return replace(dataset, cleaning_log=log)
+    return dataset.take(np.flatnonzero(keep), dataset.source, log)
 
 
 def feature_matrix(dataset: Dataset) -> np.ndarray:

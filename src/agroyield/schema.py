@@ -25,6 +25,8 @@ from .errors import InvalidRecord, MalformedConfig
 
 FRACTION_SUM_TOL = 1e-9
 YIELD_CONSISTENCY_TOL = 1e-6
+# Rows per block where a temporary of every row would copy the data.
+BLOCK_ROWS = 1024
 
 
 class District(Enum):
@@ -203,6 +205,7 @@ def decode_district(indicators) -> District:
 # matrix: every feature but the year (indicators included), then the
 # production and the target.
 VALUE_COLUMNS = _COLUMNS[1:] + ("production", "yield")
+FERTILIZER = slice(4, 8)
 LAND = slice(8, 14)
 SOIL = slice(14, 33)
 INDICATORS = slice(40, 45)
@@ -337,8 +340,16 @@ def _fractions(v, cols):
 def violations(year: np.ndarray, values: np.ndarray) -> np.ndarray:
     """(n, rules) mask of the invariants each row violates, in the order of
     `_MESSAGES`, from a year column of `year64` values and an (n, 47)
-    `VALUE_COLUMNS` matrix."""
-    v = values
+    `VALUE_COLUMNS` matrix. Rows are checked `BLOCK_ROWS` at a time, so no
+    temporary holds more than a block."""
+    mask = np.empty((len(year), len(_MESSAGES)), dtype=bool)
+    for start in range(0, len(year), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        mask[rows] = _block_violations(year[rows], values[rows])
+    return mask
+
+
+def _block_violations(year: np.ndarray, v: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         finite = np.column_stack([
             year == YEAR_NOT_FINITE,

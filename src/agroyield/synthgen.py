@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import MalformedConfig
 from .ingest import Dataset
-from .schema import (INDICATOR_PATTERNS, INDICATORS, LAND, SOIL, VALUE_COLUMNS,
-                     AgroRecord, Crop, District, json_number, json_numbers,
-                     record_values, sum_in_order)
+from .schema import (BLOCK_ROWS, FERTILIZER, INDICATOR_PATTERNS, INDICATORS,
+                     LAND, SOIL, VALUE_COLUMNS, AgroRecord, Crop, District,
+                     json_number, json_numbers, record_values, sum_in_order)
 
 MAX_TEMP_RANGE = (22.5, 35.0)
 MIN_TEMP_RANGE = (10.0, 22.0)
@@ -40,6 +40,11 @@ FERTILIZER_RANGES = {
 }
 AREA_RANGE = (1000.0, 50000.0)
 REACTION_RANGE = (4.5, 8.5)
+# the first draws of `generate`, in order: (column, range)
+_UNIFORM_DRAWS = (
+    ("max_temp", MAX_TEMP_RANGE), ("min_temp", MIN_TEMP_RANGE),
+    ("avg_rainfall", RAINFALL_RANGE), ("humidity", HUMIDITY_RANGE),
+    *FERTILIZER_RANGES.items())
 
 
 @dataclass(frozen=True)
@@ -79,27 +84,31 @@ def _oracle(values: np.ndarray, which: np.ndarray, table: list) -> np.ndarray:
     """Noise-free yield in t/ha of each row of a `VALUE_COLUMNS` matrix,
     under the response `table[which[i]]`. Each bump is one `math.exp`, and
     sums and products run in the order of the scalar formula, so a row's
-    yield does not depend on the rows beside it."""
-    def param(name):
-        return np.array([getattr(r, name) for r in table], dtype=float)[which]
+    yield does not depend on the rows beside it. Sums take one column at a
+    time, so no temporary is wider than a column."""
+    def param(name):  # (responses,) or (responses, entries)
+        return np.array([getattr(r, name) for r in table], dtype=float)
 
     def bump(column, key):
-        z = (values[:, VALUE_COLUMNS.index(column)] - param(f"opt_{key}")) \
-            / param(f"width_{key}")
-        return np.array([math.exp(-t * t) for t in z.tolist()])
+        x = values[:, VALUE_COLUMNS.index(column)]
+        z = (x - param(f"opt_{key}")[which]) / param(f"width_{key}")[which]
+        return np.fromiter(map(math.exp, (-z * z).tolist()), float, len(z))
 
-    def weighted(columns, weights):
-        return sum_in_order((values[:, columns] * weights).T)
+    def weighted(name, columns):
+        w = param(name)
+        return sum_in_order(v * w[which, j]
+                            for j, v in enumerate(values[:, columns].T))
 
     g = (bump("avg_rainfall", "rainfall") * bump("max_temp", "max_temp")
          * bump("humidity", "humidity"))
     coeffs, scales = param("fertilizer_coeffs"), param("fertilizer_scales")
-    amounts = values[:, 4:8]
     with np.errstate(all="ignore"):  # a / (a + s) is not used where a <= 0
-        fert = 1.0 + sum_in_order(np.where(
-            amounts > 0, coeffs * (amounts / (amounts + scales)), 0.0).T)
-    return (param("base_yield") * g * weighted(SOIL, param("soil_weights"))
-            * weighted(LAND, param("land_weights")) * fert)
+        fert = 1.0 + sum_in_order(
+            np.where(a > 0, coeffs[which, j] * (a / (a + scales[which, j])),
+                     0.0)
+            for j, a in enumerate(values[:, FERTILIZER].T))
+    return (param("base_yield")[which] * g * weighted("soil_weights", SOIL)
+            * weighted("land_weights", LAND) * fert)
 
 
 def ground_truth_yield(record: AgroRecord, response: CropResponse) -> float:
@@ -183,6 +192,16 @@ def load_responses(path=None) -> dict:
     return out
 
 
+def _draw_fractions(rng, out: np.ndarray) -> None:
+    """Fill `out` with rows of exponential(1) draws, each divided by its
+    row's sum, drawing `BLOCK_ROWS` rows at a time: the same draws and
+    quotients as one draw of the whole matrix, without its copy."""
+    for start in range(0, len(out), BLOCK_ROWS):
+        block = out[start:start + BLOCK_ROWS]
+        raw = rng.exponential(1.0, block.shape)
+        np.divide(raw, raw.sum(axis=1, keepdims=True), out=block)
+
+
 def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
     """Generate a deterministic synthetic dataset.
 
@@ -192,37 +211,30 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
     """
     if responses is None:
         responses = load_responses()
+    n = cfg.n_records
+    values = np.empty((n, len(VALUE_COLUMNS)))
+    # Each draw goes into its columns at once, in the order that fixes the
+    # data: weather, fertilizer, fractions, ordinals, reaction, area, noise.
     rng = np.random.default_rng(cfg.seed)
+    for column, (lo, hi) in _UNIFORM_DRAWS:
+        values[:, VALUE_COLUMNS.index(column)] = rng.uniform(lo, hi, n)
+    for columns in (LAND, SOIL):
+        _draw_fractions(rng, values[:, columns])
+    ordinals = rng.integers(1, 6, (n, 5))
+    values[:, 33:36], values[:, 37:39] = ordinals[:, :3], ordinals[:, 3:]
+    del ordinals
+    values[:, 36] = rng.uniform(*REACTION_RANGE, n)
+    values[:, 39] = rng.uniform(*AREA_RANGE, n)
+
     years = range(cfg.years[0], cfg.years[1] + 1)
     triples = np.array([(d.value, y, k) for d in cfg.districts for y in years
                         for k in range(len(cfg.crops))], dtype=np.int64)
-
-    n = cfg.n_records
-    max_temp = rng.uniform(*MAX_TEMP_RANGE, n)
-    min_temp = rng.uniform(*MIN_TEMP_RANGE, n)
-    rainfall = rng.uniform(*RAINFALL_RANGE, n)
-    humidity = rng.uniform(*HUMIDITY_RANGE, n)
-    fert = [rng.uniform(lo, hi, n) for lo, hi in FERTILIZER_RANGES.values()]
-    land_raw = rng.exponential(1.0, (n, 6))
-    soil_raw = rng.exponential(1.0, (n, 19))
-    ordinals = rng.integers(1, 6, (n, 5)).astype(float)
-    reaction = rng.uniform(*REACTION_RANGE, n)
-    area = rng.uniform(*AREA_RANGE, n)
-    noise = rng.standard_normal(n)
-
     district, year, which = triples[np.arange(n) % len(triples)].T
-    values = np.empty((n, len(VALUE_COLUMNS)))
-    values[:, :8] = np.column_stack([rainfall, max_temp, min_temp, humidity]
-                                    + fert)
-    values[:, LAND] = land_raw / land_raw.sum(axis=1, keepdims=True)
-    values[:, SOIL] = soil_raw / soil_raw.sum(axis=1, keepdims=True)
-    values[:, 33:40] = np.column_stack([ordinals[:, :3], reaction,
-                                        ordinals[:, 3:], area])
     values[:, INDICATORS] = INDICATOR_PATTERNS[district]
     y = _oracle(values, which, [responses[c] for c in cfg.crops])
     if cfg.noise_sigma > 0:
-        y = y * np.maximum(0.01, 1.0 + cfg.noise_sigma * noise)
-    values[:, -2] = y * area
+        y *= np.maximum(0.01, 1.0 + cfg.noise_sigma * rng.standard_normal(n))
+    values[:, -2] = y * values[:, VALUE_COLUMNS.index("area")]
     values[:, -1] = y
     crop = np.array([c.value for c in cfg.crops])[which]
     return Dataset(district, crop, year, values, np.arange(n),

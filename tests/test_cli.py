@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 import tempfile
 import warnings
 from importlib import resources
@@ -463,8 +464,10 @@ class TestOutOfRangeValues:
         assert not out.exists()
         self.assert_one_line_error(capsys)
 
-    # sizes that fail at the first allocation on any address space
-    @pytest.mark.parametrize("n", [10 ** 18, 10 ** 20])
+    # sizes that fail at the first allocation on any address space: up to
+    # cli._MAX_RECORDS allocation fails, and above it the range check
+    @pytest.mark.parametrize("n", [10 ** 18, 10 ** 20, 2 ** 60, sys.maxsize,
+                                   cli._MAX_RECORDS, cli._MAX_RECORDS + 1])
     @pytest.mark.parametrize("in_config", [False, True],
                              ids=["flag", "config"])
     def test_unallocatable_n_exits_2(self, n, in_config, tmp_path, capsys):

@@ -1,8 +1,11 @@
 import csv
 import io
+import itertools
 import math
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,14 +17,14 @@ from agroyield.errors import (
     EmptyDataset,
     EmptyInput,
     HeaderMismatch,
+    MalformedConfig,
     TooFewRecords,
 )
 from agroyield.ingest import (
     CSV_HEADER,
     Dataset,
     SplitConfig,
-    deduplicate,
-    drop_invalid,
+    clean,
     fit_normalizer,
     normalize_features,
     parse_csv,
@@ -118,39 +121,39 @@ def test_arbitrary_bytes_parse_or_raise_package_error(with_header, cut, tail,
 class TestDeduplicate:
     def test_exact_duplicate_removed(self):
         r1, r2 = make_record(), make_record(year=2009)
-        ds = deduplicate(dataset_of([r1, r1, r2]))
+        ds = clean(dataset_of([r1, r1, r2]))
         assert list(ds.records) == [r1, r2]
         assert ds.cleaning_log == [(1, "duplicate")]
 
     def test_distinct_records_unchanged(self):
         r1, r2 = make_record(), make_record(year=2009)
-        ds = deduplicate(dataset_of([r1, r2]))
+        ds = clean(dataset_of([r1, r2]))
         assert list(ds.records) == [r1, r2]
 
     def test_idempotent(self):
         d = dataset_of([make_record(), make_record(), make_record(year=2010)])
-        once = deduplicate(d)
-        twice = deduplicate(once)
+        once = clean(d)
+        twice = clean(once)
         assert list(twice.records) == list(once.records)
 
     @given(st.lists(st.sampled_from([2008, 2009, 2010, 2011]), max_size=20))
     def test_never_grows_and_idempotent(self, years):
         d = dataset_of([make_record(year=y) for y in years])
-        once = deduplicate(d)
+        once = clean(d)
         assert len(once.records) <= len(d.records)
-        assert list(deduplicate(once).records) == list(once.records)
+        assert list(clean(once).records) == list(once.records)
 
 
 class TestDropInvalid:
     def test_inverted_temps_removed_with_reason(self):
         bad = make_record(weather=Weather(2385.0, 20.0, 30.0, 71.0))
-        ds = drop_invalid(dataset_of([bad]))
+        ds = clean(dataset_of([bad]))
         assert list(ds.records) == []
         assert "min_temp < max_temp violated" in ds.cleaning_log[0][1]
 
     def test_all_valid_is_noop(self):
         records = [make_record(year=2008 + i) for i in range(3)]
-        ds = drop_invalid(dataset_of(records))
+        ds = clean(dataset_of(records))
         assert list(ds.records) == records
         assert ds.cleaning_log == []
 
@@ -158,7 +161,7 @@ class TestDropInvalid:
         good = [make_record(year=2008 + i) for i in range(3)]
         bad = [make_record(weather=Weather(0.0, 20.0, 30.0, 71.0), year=y)
                for y in (2014, 2015)]
-        ds = drop_invalid(dataset_of(good + bad))
+        ds = clean(dataset_of(good + bad))
         assert len(ds.records) == 3
         assert len(ds.cleaning_log) == 2
 
@@ -323,11 +326,171 @@ _BASES = [make_record(year=y, yield_t_ha=t) for y in (2008, 2009)
 def test_deduplicate_matches_dataclass_equality(picks):
     ds = dataset_of([_variant(base, kind) for base, kind in picks])
     # fresh objects per row, as parsing makes them: no NaN is shared
-    kept, log = _reference_deduplicate(list(ds.records))
-    once = deduplicate(ds)
-    assert once.cleaning_log == log
-    assert np.array_equal(once.values, ds.values[kept], equal_nan=True)
-    assert once.year.tolist() == ds.year[kept].tolist()
+    records = list(ds.records)
+    kept, log = _reference_deduplicate(records)
+    cleaned = clean(ds)
+    assert [e for e in cleaned.cleaning_log if e[1] == "duplicate"] == log
+    # the NaN rows are also invalid, so clean drops them after deduplicating
+    kept = [i for i in kept if not schema.validate_record(records[i])]
+    assert np.array_equal(cleaned.values, ds.values[kept])
+    assert cleaned.year.tolist() == ds.year[kept].tolist()
+
+
+def _reference_clean(dataset):
+    """`clean` as it was: deduplicate on a set of whole-row keys, then drop
+    the invalid rows, each step gathering its own copy."""
+    keys = np.column_stack([dataset.district, dataset.crop, dataset.year,
+                            (dataset.values + 0.0).view(np.int64)])
+    first, seen = np.ones(len(dataset), dtype=bool), set()
+    for i in np.flatnonzero(~np.isnan(dataset.values).any(axis=1)).tolist():
+        key = keys[i].tobytes()
+        first[i] = key not in seen
+        seen.add(key)
+    log = dataset.cleaning_log + [(row, "duplicate")
+                                  for row in dataset.row[~first].tolist()]
+    deduped = dataset.take(np.flatnonzero(first), dataset.source, log)
+    mask = schema.violations(deduped.year, deduped.values)
+    bad = mask.any(axis=1)
+    log = deduped.cleaning_log + [
+        (int(deduped.row[i]), "; ".join(schema.violation_messages(mask[i])))
+        for i in np.flatnonzero(bad)]
+    return deduped.take(np.flatnonzero(~bad), deduped.source, log)
+
+
+def _assert_same_dataset(got, want):
+    assert got.source == want.source
+    assert got.cleaning_log == want.cleaning_log
+    for name in ("district", "crop", "year", "values", "row"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert np.ascontiguousarray(a).tobytes() \
+            == np.ascontiguousarray(b).tobytes(), name
+
+
+_CLEAN_BASES = synthgen.generate(synthgen.GenConfig(n_records=3, seed=12))
+
+
+def _dirty_row(values, kind, column):
+    """A copy of a generated row's values, changed as `kind` says."""
+    v = values.copy()
+    if kind == "negative-zero":  # a zero indicator becomes -0.0
+        ind = v[schema.INDICATORS]
+        v[schema.INDICATORS] = np.where(ind == 0.0, -0.0, ind)
+    elif kind == "nan":
+        v[column] = math.nan
+    elif kind == "humidity":
+        v[schema.VALUE_COLUMNS.index("humidity")] = 150.0
+    elif kind == "temps":
+        v[schema.VALUE_COLUMNS.index("min_temp")] = 40.0
+    elif kind == "fractions":
+        v[schema.LAND.start] += 0.5
+    return v
+
+
+def _dirty_dataset(picks):
+    """Rows of `_CLEAN_BASES` changed by `_dirty_row`, with a parse log."""
+    base = [b for b, _, _ in picks]
+    values = np.array([_dirty_row(_CLEAN_BASES.values[b], kind, column)
+                       for b, kind, column in picks]).reshape(len(picks), 47)
+    return Dataset(_CLEAN_BASES.district[base], _CLEAN_BASES.crop[base],
+                   _CLEAN_BASES.year[base], values,
+                   np.arange(len(picks)) * 2, "dirty",
+                   [(2 * len(picks) + 1, "parse failure")])
+
+
+def _one_hash(dataset):
+    return np.full(len(dataset), 7, dtype=np.uint64)
+
+
+# repeated picks are exact duplicates, "plain" and "negative-zero" picks of
+# one base are -0.0/0.0 twins, and the last three kinds are invalid
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.integers(0, len(_CLEAN_BASES) - 1),
+    st.sampled_from(["plain", "negative-zero", "nan", "humidity", "temps",
+                     "fractions"]),
+    st.sampled_from([0, 3, 20, 46])), max_size=30), st.booleans())
+def test_clean_matches_deduplicate_then_drop_invalid(picks, collide):
+    ds = _dirty_dataset(picks)
+    if collide:  # every row shares one hash, so every key is compared
+        with mock.patch.object(ingest, "_row_hashes", _one_hash):
+            got = clean(ds)
+    else:
+        got = clean(ds)
+    _assert_same_dataset(got, _reference_clean(ds))
+
+
+def test_clean_with_one_hash_for_every_row_drops_only_later_copies(
+        monkeypatch):
+    hashed = []
+    monkeypatch.setattr(ingest, "_row_hashes",
+                        lambda ds: hashed.append(len(ds)) or _one_hash(ds))
+    ds = synthgen.generate(synthgen.GenConfig(n_records=8, seed=4))
+    order = [0, 1, 2, 3, 0, 4, 2, 2, 5, 6, 7, 1]
+    values = ds.values[order]
+    twin = np.where(values[3] == 0.0, -0.0, values[3])  # equals row 3
+    dirty = Dataset(ds.district[order + [3]], ds.crop[order + [3]],
+                    ds.year[order + [3]], np.vstack([values, twin]),
+                    np.arange(13), "dirty")
+    got = clean(dirty)
+    assert hashed == [13]
+    assert got.cleaning_log == [(row, "duplicate") for row in (4, 6, 7, 11, 12)]
+    assert got.row.tolist() == [0, 1, 2, 3, 5, 8, 9, 10]
+    assert got.values.tobytes() == ds.values.tobytes()
+
+
+def test_clean_without_a_drop_shares_the_arrays():
+    ds = synthgen.generate(synthgen.GenConfig(n_records=50, seed=1))
+    got = clean(ds)
+    assert got.cleaning_log == [] and got.source == ds.source
+    for name in ("district", "crop", "year", "values", "row"):
+        assert getattr(got, name) is getattr(ds, name)
+
+
+def _reference_parse(stream):
+    """`parse_csv` of a stream with a valid header as it was: one array per
+    block, concatenated."""
+    reader = csv.reader(stream)
+    next(reader)
+    parts, log, start = [ingest._columns([], 0)], [], 0
+    while rows := list(itertools.islice(reader, ingest._CHUNK_ROWS)):
+        try:
+            parts.append(ingest._columns(rows, start))
+        except ValueError:
+            for i, fields in enumerate(rows):
+                try:
+                    parts.append(ingest._columns([fields], start + i))
+                except ValueError:
+                    log.append((start + i, "parse failure"))
+        start += len(rows)
+    return Dataset(*map(np.concatenate, zip(*parts)), source="<stream>",
+                   cleaning_log=log)
+
+
+_GOOD_LINES = csv_text(list(_CLEAN_BASES.records)).splitlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_GOOD_LINES[1:] + ["", "a,b", "dhaka,x"]),
+                max_size=30),
+       st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), st.booleans())
+def test_preallocated_parse_matches_concatenated_blocks(lines, newline, last,
+                                                        as_stream):
+    text = newline.join([_GOOD_LINES[0]] + lines) + (newline if last else "")
+
+    def stream():  # as load_csv opens a file, or as a str is read
+        if as_stream:
+            return io.TextIOWrapper(io.BytesIO(text.encode()),
+                                    encoding="utf-8", newline="")
+        return io.StringIO(text)
+
+    try:
+        want = _reference_parse(stream())
+    except csv.Error as exc:  # a bare "\r" inside a line of a str
+        with pytest.raises(MalformedConfig, match=re.escape(str(exc))):
+            parse_csv(stream())
+        return
+    _assert_same_dataset(parse_csv(stream()), want)
 
 
 def _reference_format_value(x) -> str:

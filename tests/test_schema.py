@@ -1,5 +1,6 @@
 import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +316,16 @@ def test_column_violations_match_scalar_reference_per_row(records):
     ds = dataset_of(records)
     mask = schema.violations(ds.year, ds.values)
     assert mask.shape[0] == len(records)
+    assert [schema.violation_messages(row) for row in mask] \
+        == [_reference_validate_record(r) for r in records]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(edgy_records(), max_size=12), st.integers(1, 5))
+def test_violations_in_small_blocks_match_scalar_reference(records, rows):
+    ds = dataset_of(records)
+    with mock.patch.object(schema, "BLOCK_ROWS", rows):
+        mask = schema.violations(ds.year, ds.values)
     assert [schema.violation_messages(row) for row in mask] \
         == [_reference_validate_record(r) for r in records]
 
