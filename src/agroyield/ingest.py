@@ -146,6 +146,8 @@ def _parse_rows(stream, source: str) -> Dataset:
         stream = io.StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
         stream = io.StringIO(stream)
+    elif not stream.seekable():  # a pipe: parse a copy of its text
+        stream = io.StringIO(stream.read())
     begin = stream.tell()
     reader = csv.reader(stream)
     try:
@@ -254,10 +256,15 @@ def _first_occurrences(dataset: Dataset) -> np.ndarray:
     are compared only between rows whose hash another such row shares."""
     # a row's minimum is NaN exactly when the row holds a NaN
     hashed = np.flatnonzero(~np.isnan(dataset.values.min(axis=1)))
-    _, group, size = np.unique(_row_hashes(dataset)[hashed],
-                               return_inverse=True, return_counts=True)
+    hashes = _row_hashes(dataset)[hashed]
+    # equal hashes sit side by side in sorted order; the stable sort maps
+    # fewer of NumPy's pages than the default, which a small input notices
+    order = np.argsort(hashes, kind="stable")
+    same = hashes[order[1:]] == hashes[order[:-1]]
+    shared = np.zeros(len(hashed), dtype=bool)
+    shared[order[1:][same]] = shared[order[:-1][same]] = True
     first, seen = np.ones(len(dataset), dtype=bool), set()
-    for i in hashed[size[group] > 1].tolist():
+    for i in hashed[shared].tolist():
         key = (int(dataset.district[i]), int(dataset.crop[i]),
                int(dataset.year[i]), (dataset.values[i] + 0.0).tobytes())
         first[i] = key not in seen

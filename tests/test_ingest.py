@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -491,6 +492,18 @@ def test_preallocated_parse_matches_concatenated_blocks(lines, newline, last,
             parse_csv(stream())
         return
     _assert_same_dataset(parse_csv(stream()), want)
+
+
+def test_a_pipe_parses_like_a_file(tmp_path):
+    text = csv_text(list(_CLEAN_BASES.records)) + "a,b\n"
+    read, write = os.pipe()
+    with open(write, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    with open(read, encoding="utf-8", newline="") as fh:
+        assert not fh.seekable()
+        got = parse_csv(fh)
+    _assert_same_dataset(got, parse_csv(text))
+    assert got.cleaning_log == [(len(_CLEAN_BASES), "parse failure")]
 
 
 def _reference_format_value(x) -> str:

@@ -311,21 +311,13 @@ def test_validate_record_matches_scalar_reference(record):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(edgy_records(), max_size=12))
-def test_column_violations_match_scalar_reference_per_row(records):
+@given(st.lists(edgy_records(), max_size=12),
+       st.sampled_from([1, 2, 5, schema.BLOCK_ROWS]))
+def test_column_violations_match_scalar_reference_per_row(records, rows):
     ds = dataset_of(records)
-    mask = schema.violations(ds.year, ds.values)
-    assert mask.shape[0] == len(records)
-    assert [schema.violation_messages(row) for row in mask] \
-        == [_reference_validate_record(r) for r in records]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(edgy_records(), max_size=12), st.integers(1, 5))
-def test_violations_in_small_blocks_match_scalar_reference(records, rows):
-    ds = dataset_of(records)
-    with mock.patch.object(schema, "BLOCK_ROWS", rows):
+    with mock.patch.object(schema, "BLOCK_ROWS", rows):  # rows per block
         mask = schema.violations(ds.year, ds.values)
+    assert mask.shape[0] == len(records)
     assert [schema.violation_messages(row) for row in mask] \
         == [_reference_validate_record(r) for r in records]
 

