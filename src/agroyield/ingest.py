@@ -167,26 +167,20 @@ def _parse_rows(stream, source: str) -> Dataset:
     arrays = [np.empty((capacity,) + a.shape[1:], a.dtype)
               for a in _columns([], 0)]
     filled, log, start = 0, [], 0
-
-    def put(block):
-        nonlocal filled
-        for array, part in zip(arrays, block):
-            array[filled:filled + len(part)] = part
-        filled += len(block[0])
-
     while rows := list(islice(reader, _CHUNK_ROWS)):
         try:
-            block = _columns(rows, start)
+            blocks = [_columns(rows, start)]
         except ValueError:  # find the bad rows one by one
+            blocks = []
             for i, fields in enumerate(rows):
                 try:
-                    block = _columns([fields], start + i)
+                    blocks.append(_columns([fields], start + i))
                 except ValueError:
                     log.append((start + i, "parse failure"))
-                else:
-                    put(block)
-        else:
-            put(block)
+        for block in blocks:
+            for array, part in zip(arrays, block):
+                array[filled:filled + len(part)] = part
+            filled += len(part)
         start += len(rows)
     return Dataset(*(a[:filled] for a in arrays), source=source,
                    cleaning_log=log)
