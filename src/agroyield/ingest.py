@@ -37,8 +37,8 @@ CSV_HEADER = (
     + ("production", "yield")
 )
 
-# Rows parsed or formatted per block: enough to amortize the NumPy calls,
-# few enough that the block's str objects stay under a megabyte.
+# Rows parsed, hashed or formatted per block: enough to amortize the NumPy
+# calls, few enough that the block's str objects stay under a megabyte.
 _CHUNK_ROWS = 256
 # one salt per key entry: district, crop, year, then the value columns
 _HASH_SALT = (np.arange(1, 4 + len(schema.VALUE_COLUMNS), dtype=np.uint64)
@@ -229,8 +229,8 @@ def _row_hashes(dataset: Dataset) -> np.ndarray:
     key entry is mixed with its position's salt by the SplitMix64 finalizer,
     and a row's hash is the sum of its mixed entries, modulo 2**64."""
     hashes = np.empty(len(dataset), np.uint64)
-    for start in range(0, len(dataset), schema.BLOCK_ROWS):
-        rows = slice(start, start + schema.BLOCK_ROWS)
+    for start in range(0, len(dataset), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
         z = np.column_stack([
             dataset.district[rows], dataset.crop[rows], dataset.year[rows],
             (dataset.values[rows] + 0.0).view(np.int64)]).view(np.uint64)

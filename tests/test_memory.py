@@ -4,7 +4,7 @@
 included. Its peak may be 1.25 times the array bytes of the dataset the
 stage makes or reads, plus a fixed allowance; `clean` that drops no row
 makes no copy and may hold 0.25 times. At 20,000 records on NumPy 2.4 the
-peaks were generate 1.22, load_csv 1.20, clean 0.20 without a dropped row
+peaks were generate 1.22, load_csv 1.20, clean 0.13 without a dropped row
 and 1.06 with drops, times those bytes; before the stages worked in one
 copy they were 2.88, 2.01, 2.44 and 2.32.
 """
