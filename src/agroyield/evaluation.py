@@ -164,7 +164,8 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def select_crop(per_crop_models: dict, record: schema.AgroRecord) -> CropRecommendation:
-    """Argmax of per-crop predicted yield; ties break in enumeration order."""
+    """Argmax of per-crop predicted yield; ties break in enumeration order.
+    `record` must be valid, as every row of a cleaned dataset is."""
     missing = [c.name for c in Crop if c not in per_crop_models]
     if missing:
         raise MissingCropModel(f"no model for crops: {', '.join(missing)}")

@@ -52,7 +52,9 @@ _CROP_NAMES = [c.name.lower() for c in Crop]
 class Dataset:
     """Column arrays of n records. No code writes an array after the
     dataset is built, so datasets may share arrays: `clean` returns its
-    input's arrays when it drops no row."""
+    input's arrays when it drops no row. The rows of a dataset from `clean`
+    or `synthgen.generate` are valid, and `take` keeps them valid: those
+    two validate each row once, and no later step validates again."""
     district: np.ndarray  # (n,) District values
     crop: np.ndarray      # (n,) Crop values
     year: np.ndarray      # (n,) int64, as `schema.year64` stores it
@@ -203,8 +205,7 @@ def _format_floats(column: np.ndarray) -> list:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a valid dataset; InvalidRecord if a row is not valid."""
-    schema.require_valid(dataset.year, dataset.values)
+    """Write a dataset of valid rows, as `clean` or `generate` makes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         for start in range(0, len(dataset), _CHUNK_ROWS):
@@ -285,9 +286,8 @@ def clean(dataset: Dataset) -> Dataset:
 
 
 def feature_matrix(dataset: Dataset) -> np.ndarray:
-    """The (n, 46) feature matrix of a valid dataset, in
-    `schema.schema_columns()` order; InvalidRecord if a row is not valid."""
-    schema.require_valid(dataset.year, dataset.values)
+    """The (n, 46) feature matrix, in `schema.schema_columns()` order, of a
+    dataset of valid rows, as `clean` or `generate` makes."""
     x = np.empty((len(dataset), 46))
     x[:, 0] = dataset.year
     x[:, 1:] = dataset.values[:, :45]

@@ -190,17 +190,6 @@ def encode_district(district: District) -> tuple:
     return tuple(1.0 if d is district else 0.0 for d in _INDICATOR_DISTRICTS)
 
 
-def decode_district(indicators) -> District:
-    ones = [i for i, v in enumerate(indicators) if v == 1.0]
-    if len(ones) == 0:
-        return District.Dhaka
-    if len(ones) == 5:
-        return District.Narsingdi
-    if len(ones) == 1:
-        return _INDICATOR_DISTRICTS[ones[0]]
-    raise ValueError(f"unrecognized district indicator pattern: {indicators}")
-
-
 # A record's stored values, as columns of a dataset's (n, 47) float
 # matrix: every feature but the year (indicators included), then the
 # production and the target.
@@ -382,19 +371,3 @@ def require_valid(year: np.ndarray, values: np.ndarray) -> None:
     bad = np.flatnonzero(mask.any(axis=1))
     if len(bad):
         raise InvalidRecord(violation_messages(mask[bad[0]]))
-
-
-def validate_record(record: AgroRecord) -> list:
-    """Return every violated invariant (empty list means valid)."""
-    mask = violations(np.array([year64(record.year)], dtype=np.int64),
-                      np.array([record_values(record)], dtype=float))
-    return violation_messages(mask[0])
-
-
-def encode_features(record: AgroRecord) -> tuple:
-    """A valid record's 46 feature values, in `schema_columns()` order."""
-    found = validate_record(record)
-    if found:
-        raise InvalidRecord(found)
-    values = record_values(record)[:45]
-    return (float(record.year),) + tuple(map(float, values))

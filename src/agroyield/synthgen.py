@@ -26,7 +26,8 @@ from .errors import MalformedConfig
 from .ingest import Dataset
 from .schema import (BLOCK_ROWS, FERTILIZER, INDICATOR_PATTERNS, INDICATORS,
                      LAND, SOIL, VALUE_COLUMNS, AgroRecord, Crop, District,
-                     json_number, json_numbers, record_values, sum_in_order)
+                     json_number, json_numbers, record_values, require_valid,
+                     sum_in_order)
 
 MAX_TEMP_RANGE = (22.5, 35.0)
 MIN_TEMP_RANGE = (10.0, 22.0)
@@ -99,16 +100,19 @@ def _oracle(values: np.ndarray, which: np.ndarray, table: list) -> np.ndarray:
         return sum_in_order(v * w[which, j]
                             for j, v in enumerate(values[:, columns].T))
 
-    g = (bump("avg_rainfall", "rainfall") * bump("max_temp", "max_temp")
-         * bump("humidity", "humidity"))
     coeffs, scales = param("fertilizer_coeffs"), param("fertilizer_scales")
-    with np.errstate(all="ignore"):  # a / (a + s) is not used where a <= 0
+    # a / (a + s) is not used where a <= 0; a response file's extreme values
+    # may overflow to inf or NaN, which `generate`'s validation reports
+    with np.errstate(all="ignore"):
+        g = (bump("avg_rainfall", "rainfall") * bump("max_temp", "max_temp")
+             * bump("humidity", "humidity"))
         fert = 1.0 + sum_in_order(
             np.where(a > 0, coeffs[which, j] * (a / (a + scales[which, j])),
                      0.0)
             for j, a in enumerate(values[:, FERTILIZER].T))
-    return (param("base_yield")[which] * g * weighted("soil_weights", SOIL)
-            * weighted("land_weights", LAND) * fert)
+        return (param("base_yield")[which] * g
+                * weighted("soil_weights", SOIL)
+                * weighted("land_weights", LAND) * fert)
 
 
 def ground_truth_yield(record: AgroRecord, response: CropResponse) -> float:
@@ -207,7 +211,8 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
 
     Records cycle through the (district, year, crop) triples in
     enumeration order, so n = |districts| * |years| * |crops| covers each
-    triple exactly once.
+    triple exactly once. Every row is validated once; InvalidRecord names
+    the violations of the first invalid one.
     """
     if responses is None:
         responses = load_responses()
@@ -232,10 +237,14 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
     district, year, which = triples[np.arange(n) % len(triples)].T
     values[:, INDICATORS] = INDICATOR_PATTERNS[district]
     y = _oracle(values, which, [responses[c] for c in cfg.crops])
-    if cfg.noise_sigma > 0:
-        y *= np.maximum(0.01, 1.0 + cfg.noise_sigma * rng.standard_normal(n))
-    values[:, -2] = y * values[:, VALUE_COLUMNS.index("area")]
+    with np.errstate(over="ignore"):  # an inf is reported below
+        if cfg.noise_sigma > 0:
+            y *= np.maximum(0.01,
+                            1.0 + cfg.noise_sigma * rng.standard_normal(n))
+        values[:, -2] = y * values[:, VALUE_COLUMNS.index("area")]
     values[:, -1] = y
+    # a custom response can give a negative or non-finite yield
+    require_valid(year, values)
     crop = np.array([c.value for c in cfg.crops])[which]
     return Dataset(district, crop, year, values, np.arange(n),
                    source=f"synthgen(seed={cfg.seed})")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroyield import cli, ingest
+from agroyield import cli, ingest, schema
 from agroyield.cli import load_config, resolve_config, run
 from agroyield.errors import MalformedConfig
 from helpers import time_limit
@@ -172,6 +172,51 @@ class TestReport:
                     str(model), "--out", str(metrics)]) == 0
         n_test = json.loads(metrics.read_text())[str(model)]["n_test"]
         assert len(encoded) == n_test
+
+
+def test_each_row_is_validated_once_per_command(tmp_path, monkeypatch):
+    validated = []
+    violations = schema.violations
+
+    def counting(year, values):
+        validated.append(len(year))
+        return violations(year, values)
+
+    monkeypatch.setattr(schema, "violations", counting)
+
+    def rows_validated(*argv):
+        validated.clear()
+        assert run(list(argv)) == 0
+        return sum(validated)
+
+    data, report = tmp_path / "d.csv", tmp_path / "report"
+    assert rows_validated("generate", "--n", "120", "--seed", "2",
+                          "--out", str(data)) == 120
+    # a duplicate and an invalid row are read, so validated, like the rest
+    lines = data.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[ingest.CSV_HEADER.index("humidity")] = "150"
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("".join(lines) + lines[1] + ",".join(fields))
+    assert rows_validated("clean", "--data", str(dirty),
+                          "--out", str(tmp_path / "cleaned")) == 122
+    common = ("--data", str(data), "--seed", "2")
+    model = str(report / "models" / "jute_logistic.json")
+    assert rows_validated("report", *common, "--epochs", "2", "--trees", "2",
+                          "--out", str(report)) == 120
+    assert rows_validated("train", *common, "--model", "logistic",
+                          "--crop", "jute", "--epochs", "2",
+                          "--out", str(tmp_path / "m.json")) == 120
+    assert rows_validated("evaluate", *common, model,
+                          "--out", str(tmp_path / "metrics.json")) == 120
+    assert rows_validated("plot-data", *common,
+                          "--out", str(tmp_path / "plots")) == 120
+    one = tmp_path / "one.csv"
+    one.write_text(lines[0] + lines[1])
+    assert rows_validated(
+        "select", "--data", str(one), "--out", str(tmp_path / "rec.json"),
+        *(str(report / "models" / f"{c.name.lower()}_forest.json")
+          for c in schema.Crop)) == 1
 
 
 class TestPlotData:
@@ -508,6 +553,27 @@ class TestOutOfRangeValues:
                     "--out", str(out)]) == 2
         assert not out.exists()
         self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("base_yield, message", [
+        (-1, "production < 0; yield < 0"),
+        (1e305, "production not finite"),
+    ], ids=["negative", "overflowing"])
+    def test_invalid_generated_yield_exits_2(self, base_yield, message,
+                                             tmp_path, capsys):
+        responses = tmp_path / "r.json"
+        responses.write_text(json.dumps(
+            _shipped_responses(base_yield=base_yield)))
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["generate", "--n", "12", "--responses",
+                        str(responses), "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert [line for line in err.splitlines() if "error" in line] \
+            == [f"data error: {message}"]
 
     @pytest.mark.parametrize("content", [
         b"[" * 100000, b"\xff\xfe{}",

@@ -23,7 +23,7 @@ from agroyield.evaluation import (
     select_crop,
 )
 from agroyield.models import Model
-from agroyield.schema import Crop, District, Weather, encode_features
+from agroyield.schema import Crop, District, Weather
 from helpers import dataset_of, make_record
 
 
@@ -148,8 +148,9 @@ class TestSelectCrop:
 
     def test_crop_is_not_a_feature(self):
         # select_crop encodes the request once for all six crop models
-        vectors = {encode_features(make_record(crop=c)) for c in Crop}
-        assert len(vectors) == 1
+        x = ingest.feature_matrix(dataset_of([make_record(crop=c)
+                                              for c in Crop]))
+        assert len({tuple(row) for row in x.tolist()}) == 1
 
     def test_all_equal_ties_break_to_first_member(self):
         rec = select_crop(self.per_crop_models([2.0] * 6), make_record())

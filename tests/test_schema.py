@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroyield import schema
+from agroyield import ingest, schema
 from agroyield.errors import InvalidRecord
 from agroyield.schema import (
     Crop,
@@ -15,15 +15,36 @@ from agroyield.schema import (
     SoilProperty,
     SoilType,
     Weather,
-    decode_district,
     encode_district,
-    encode_features,
     parse_crop,
     parse_district,
     schema_columns,
-    validate_record,
 )
 from helpers import dataset_of, make_record
+
+
+def messages(record) -> list:
+    """The invariants `record` violates, as `schema.violations` finds them."""
+    ds = dataset_of([record])
+    return schema.violation_messages(schema.violations(ds.year, ds.values)[0])
+
+
+def features(record) -> tuple:
+    """`record`'s 46 feature values, as `ingest.feature_matrix` encodes them."""
+    return tuple(ingest.feature_matrix(dataset_of([record]))[0].tolist())
+
+
+def decode_district(indicators) -> District:
+    """The district of five indicator values, by the rule the schema
+    documents: no ones is Dhaka, five are Narsingdi, one is that district."""
+    ones = [i for i, v in enumerate(indicators) if v == 1.0]
+    if len(ones) == 0:
+        return District.Dhaka
+    if len(ones) == 5:
+        return District.Narsingdi
+    assert len(ones) == 1, indicators
+    return [d for d in District
+            if d not in (District.Dhaka, District.Narsingdi)][ones[0]]
 
 
 class TestEnums:
@@ -70,52 +91,50 @@ class TestSchemaColumns:
 
 class TestValidateRecord:
     def test_valid_record_ok(self):
-        assert validate_record(make_record()) == []
+        assert messages(make_record()) == []
 
     def test_humidity_out_of_range(self):
         r = make_record(weather=Weather(2385.0, 34.0, 12.0, 150.0))
-        violations = validate_record(r)
-        assert any("humidity" in v for v in violations)
+        assert any("humidity" in v for v in messages(r))
 
     def test_land_fraction_sum(self):
         r = make_record(land_fractions=(0.8, 0.0, 0.0, 0.0, 0.0, 0.0))
-        assert any("land_fractions sum" in v for v in validate_record(r))
+        assert any("land_fractions sum" in v for v in messages(r))
 
     def test_reports_every_violation(self):
         r = make_record(
             weather=Weather(2385.0, 20.0, 30.0, 150.0),
             land_fractions=(0.8, 0.0, 0.0, 0.0, 0.0, 0.0),
         )
-        violations = validate_record(r)
-        assert len(violations) >= 3
+        assert len(messages(r)) >= 3
 
     def test_yield_production_consistency(self):
         r = make_record(area=100.0, production=500.0, yield_t_ha=2.0)
-        assert any("inconsistent" in v for v in validate_record(r))
+        assert any("inconsistent" in v for v in messages(r))
 
     @pytest.mark.parametrize("year", [10 ** 400, -10 ** 400],
                              ids=["huge", "huge-negative"])
     def test_year_beyond_float_range_is_a_violation(self, year):
         r = make_record(year=year)
-        assert validate_record(r)[0] == "year not finite"
+        assert messages(r)[0] == "year not finite"
+        ds = dataset_of([r])
         with pytest.raises(InvalidRecord):
-            encode_features(r)
+            schema.require_valid(ds.year, ds.values)
 
 
 class TestEncodeFeatures:
     def test_dhaka_reference_level_all_zero(self):
-        fv = encode_features(make_record(district=District.Dhaka))
+        fv = features(make_record(district=District.Dhaka))
         assert fv[-5:] == (0.0,) * 5
 
     def test_land_fractions_copied(self):
-        fv = encode_features(make_record())
+        fv = features(make_record())
         cols = schema_columns()
         start = cols.index("land_frac_highland")
         assert fv[start:start + 6] == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_table1_values_verbatim(self):
-        r = make_record()
-        fv = encode_features(r)
+        fv = features(make_record())
         cols = schema_columns()
         assert fv[cols.index("avg_rainfall")] == 2385.0
         assert fv[cols.index("humidity")] == 71.0
@@ -124,12 +143,17 @@ class TestEncodeFeatures:
         assert fv[cols.index("dap")] == 1573.0
 
     def test_invalid_record_raises(self):
-        r = make_record(weather=Weather(2385.0, 34.0, 12.0, 150.0))
+        # an invalid row is stopped where data enters, before any encoding
+        ds = dataset_of([make_record(
+            weather=Weather(2385.0, 34.0, 12.0, 150.0))])
         with pytest.raises(InvalidRecord):
-            encode_features(r)
+            schema.require_valid(ds.year, ds.values)
+        cleaned = ingest.clean(ds)
+        assert len(cleaned) == 0
+        assert cleaned.cleaning_log == [(0, "humidity out of [0,100]")]
 
     def test_column_names_match_schema(self):
-        fv = encode_features(make_record())
+        fv = features(make_record())
         assert len(fv) == len(schema_columns())
 
 
@@ -180,13 +204,13 @@ def valid_records(draw):
 class TestProperties:
     @given(valid_records())
     def test_encoding_length_and_finiteness(self, record):
-        fv = encode_features(record)
+        fv = features(record)
         assert len(fv) == 46
         assert all(math.isfinite(v) for v in fv)
 
     @given(valid_records())
     def test_district_round_trip_through_features(self, record):
-        fv = encode_features(record)
+        fv = features(record)
         assert decode_district(fv[-5:]) is record.district
 
     @given(valid_records(), st.sampled_from(list(District)))
@@ -201,7 +225,7 @@ class TestProperties:
             soil_props=record.soil_props, area=record.area,
             yield_t_ha=record.yield_t_ha,
         )
-        assert encode_features(changed) != encode_features(record)
+        assert features(changed) != features(record)
 
 
 # ------------------------------------------------------------------------
@@ -307,7 +331,7 @@ def edgy_records(draw):
 @settings(max_examples=500, deadline=None)
 @given(edgy_records())
 def test_validate_record_matches_scalar_reference(record):
-    assert validate_record(record) == _reference_validate_record(record)
+    assert messages(record) == _reference_validate_record(record)
 
 
 @settings(max_examples=100, deadline=None)
@@ -326,4 +350,4 @@ def test_column_violations_match_scalar_reference_per_row(records, rows):
 def test_year_beyond_int64_is_out_of_range(year):
     # the year column is int64; the scalar validator accepted these years
     assert _reference_validate_record(make_record(year=year)) == []
-    assert validate_record(make_record(year=year)) == ["year out of range"]
+    assert messages(make_record(year=year)) == ["year out of range"]
