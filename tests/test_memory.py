@@ -4,7 +4,7 @@
 included. Its peak may be 1.25 times the array bytes of the dataset the
 stage makes or reads, plus a fixed allowance; `clean` that drops no row
 and `write_csv` make no copy and may hold 0.25 times. At 20,000 records on
-NumPy 2.4 the peaks were generate 1.22 (its validation included), load_csv
+NumPy 2.4 the peaks were generate 1.21 (its validation included), load_csv
 1.20, clean 0.13 without a dropped row and 1.06 with drops, and write_csv
 0.22, times those bytes; before the stages worked in one copy the first
 four were 2.88, 2.01, 2.44 and 2.32.
