@@ -164,8 +164,9 @@ def _emit_json(doc, path) -> None:
 
 def _cmd_generate(args, cfg):
     n = cfg["n"]
-    if args.coverage:
-        n = len(District) * 10 * len(Crop)  # every (district, year, crop)
+    if args.coverage:  # every (district, year, crop) once
+        first, last = synthgen.GenConfig.years
+        n = len(District) * (last - first + 1) * len(Crop)
     gen_cfg = synthgen.GenConfig(
         n_records=n,
         seed=derive_seed(cfg["seed"], "synthgen"),
@@ -236,7 +237,7 @@ def _cmd_report(args, cfg):
     dataset = _load_clean(args.data)
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
-    rows_by_crop = {}
+    metrics_by_crop = {}
     for crop in Crop:
         if not (dataset.crop == crop.value).any():
             continue
@@ -248,11 +249,10 @@ def _cmd_report(args, cfg):
                                            _hyper(cfg))
             trained[variant] = model
             save_model(model, out / "models" / f"{crop.name.lower()}_{variant}.json")
-        rows_by_crop[crop] = evaluation.compare(
-            trained, crop_split.test, cfg["train_ratio"])
+        metrics_by_crop[crop] = evaluation.compare(trained, crop_split.test)
         log.info("evaluated %s", crop.name)
     report = evaluation.EvalReport(
-        rows_by_crop=rows_by_crop, source=dataset.source,
+        metrics_by_crop=metrics_by_crop, source=dataset.source,
         seed=cfg["seed"], train_ratio=cfg["train_ratio"])
     _write_text(out / "report.md", evaluation.render_markdown(report))
     _emit_json(evaluation.report_to_dict(report), out / "report.json")

@@ -9,7 +9,7 @@ so.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,25 +38,19 @@ _WEATHER_KINDS = ("max_temp", "min_temp", "avg_rainfall")
 @dataclass(frozen=True)
 class Metrics:
     error_pct: float
-    accuracy_pct: float
     n_test: int
 
-
-@dataclass(frozen=True)
-class EvalRow:
-    method: str
-    training_pct: float
-    testing_pct: float
-    accuracy_pct: float
-    error_pct: float
+    @property
+    def accuracy_pct(self) -> float:
+        return 100.0 - self.error_pct
 
 
 @dataclass
 class EvalReport:
-    rows_by_crop: dict          # Crop -> list[EvalRow]
+    metrics_by_crop: dict       # Crop -> {variant: Metrics}
     source: str
     seed: int
-    train_ratio: float = 0.8
+    train_ratio: float
 
 
 @dataclass(frozen=True)
@@ -87,10 +81,7 @@ def _score(model: Model, x, actuals) -> Metrics:
     """Metrics of `model` on raw feature rows `x` with yields `actuals`."""
     if len(actuals) == 0:
         raise EmptyTestSet("no test records")
-    predictions = predict_model(
-        model, ingest.normalize_features(model.normalizer, x))
-    error = mape(predictions, actuals)
-    return Metrics(error_pct=error, accuracy_pct=100.0 - error,
+    return Metrics(error_pct=mape(predict_model(model, x), actuals),
                    n_test=len(actuals))
 
 
@@ -99,23 +90,22 @@ def evaluate(model: Model, test: ingest.Dataset) -> Metrics:
                   ingest.target_vector(test))
 
 
-def compare(models: dict, test: ingest.Dataset,
-            train_ratio: float = 0.8) -> list:
-    """One EvalRow per method in fixed order for a single crop's test set."""
+def compare(models: dict, test: ingest.Dataset) -> dict:
+    """{variant: Metrics} in method order for a single crop's test set."""
     x = ingest.feature_matrix(test)
     actuals = ingest.target_vector(test)
-    training_pct = 100.0 * train_ratio
-    rows = []
-    for key, label in METHOD_ORDER:
-        metrics = _score(models[key], x, actuals)
-        rows.append(EvalRow(
-            method=label,
-            training_pct=training_pct,
-            testing_pct=100.0 - training_pct,
-            accuracy_pct=metrics.accuracy_pct,
-            error_pct=metrics.error_pct,
-        ))
-    return rows
+    return {key: _score(models[key], x, actuals) for key, _ in METHOD_ORDER}
+
+
+def _table_rows(report: EvalReport, crop: Crop) -> list:
+    """One crop's table rows, in method order, as report.json stores them."""
+    training_pct = 100.0 * report.train_ratio
+    metrics = report.metrics_by_crop[crop]
+    return [{"method": label, "training_pct": training_pct,
+             "testing_pct": 100.0 - training_pct,
+             "accuracy_pct": metrics[key].accuracy_pct,
+             "error_pct": metrics[key].error_pct}
+            for key, label in METHOD_ORDER]
 
 
 def _fmt_pct(x: float) -> str:
@@ -130,17 +120,17 @@ def render_markdown(report: EvalReport) -> str:
     lines.append(f"Seed: {report.seed}")
     lines.append("")
     for crop in Crop:
-        if crop not in report.rows_by_crop:
+        if crop not in report.metrics_by_crop:
             continue
         lines.append(f"## Evaluation measures of {schema.CROP_DISPLAY_NAMES[crop]}")
         lines.append("")
         lines.append(f"| {TABLE_HEADER} |")
         lines.append("| --- | --- | --- | --- | --- |")
-        for row in report.rows_by_crop[crop]:
+        for row in _table_rows(report, crop):
             lines.append(
-                f"| {row.method} | {_fmt_pct(row.training_pct)} "
-                f"| {_fmt_pct(row.testing_pct)} "
-                f"| {row.accuracy_pct:.2f} | {row.error_pct:.2f} |"
+                f"| {row['method']} | {_fmt_pct(row['training_pct'])} "
+                f"| {_fmt_pct(row['testing_pct'])} "
+                f"| {row['accuracy_pct']:.2f} | {row['error_pct']:.2f} |"
             )
         lines.append("")
     lines.append('*The "MSE (%)" column reports the mean absolute percentage '
@@ -156,10 +146,8 @@ def report_to_dict(report: EvalReport) -> dict:
         "source": report.source,
         "seed": report.seed,
         "train_ratio": report.train_ratio,
-        "crops": {
-            crop.name: [asdict(r) for r in rows]
-            for crop, rows in report.rows_by_crop.items()
-        },
+        "crops": {crop.name: _table_rows(report, crop)
+                  for crop in report.metrics_by_crop},
     }
 
 
@@ -171,11 +159,8 @@ def select_crop(per_crop_models: dict, record: schema.AgroRecord) -> CropRecomme
         raise MissingCropModel(f"no model for crops: {', '.join(missing)}")
     # crop is not a feature, so one encoding serves every crop's model
     x = ingest.feature_matrix(ingest.record_dataset(record))
-    predicted = {}
-    for crop in Crop:
-        model = per_crop_models[crop]
-        predicted[crop] = float(predict_model(
-            model, ingest.normalize_features(model.normalizer, x))[0])
+    predicted = {crop: float(predict_model(per_crop_models[crop], x)[0])
+                 for crop in Crop}
     selected = max(Crop, key=lambda c: (predicted[c], -c.value))
     return CropRecommendation(predicted=predicted, selected=selected)
 

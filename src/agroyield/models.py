@@ -16,6 +16,9 @@ finite entries, network weight shapes match `layer_sizes` (46 ... 1), and
 every walk through a tree moves forward to a leaf, with a bounded number
 of NumPy operations per forest. Anything else raises MalformedConfig.
 
+A model maps raw 46-feature rows to yields in t/ha. `fit_model` fits its
+min-max scaling on the raw train rows and yields, and `predict_model` takes
+raw rows and scales them with it; no caller scales rows for a model.
 Predictions are returned in original units (t/ha): the network's and the
 SVM's raw outputs are clamped to [0, 1] before denormalization so reported
 yields are never negative; a non-finite prediction raises
@@ -258,15 +261,31 @@ def variant_spec(name) -> Variant:
                               f"one of {', '.join(VARIANTS)}") from None
 
 
-def predict_model(model: Model, x_norm) -> np.ndarray:
-    """Predict yields (t/ha) from normalized 46-feature rows."""
+def fit_model(variant: str, x: np.ndarray, y: np.ndarray, seed: int, hyper,
+              crop: schema.Crop | None) -> Model:
+    """Fit one model of `variant` on raw (n, 46) train rows `x` and their
+    yields `y` (t/ha): the min-max scaling is fitted on them first, and the
+    model is trained on the scaled rows. `hyper` holds the trainer settings
+    (`pipeline.Hyperparams`); None leaves the trainer's default."""
+    normalizer = ingest.fit_normalizer(x, y)
+    spec = variant_spec(variant)
+    payload, history = spec.fit(ingest.normalize_features(normalizer, x),
+                                ingest.normalize_target(normalizer, y),
+                                hyper, seed)
+    return Model(variant=variant, payload=payload, normalizer=normalizer,
+                 crop=crop, history=history)
+
+
+def predict_model(model: Model, x) -> np.ndarray:
+    """Predict yields (t/ha) from raw 46-feature rows."""
     spec = variant_spec(model.variant)
-    x = np.atleast_2d(np.asarray(x_norm, dtype=float))
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != len(model.normalizer.column_mins):
         raise DimensionMismatch(
             f"expected {len(model.normalizer.column_mins)} features, "
             f"got {x.shape[1]}")
-    raw = spec.predict_raw(model.payload, x)
+    raw = spec.predict_raw(model.payload,
+                           ingest.normalize_features(model.normalizer, x))
     yields = ingest.denormalize_target(model.normalizer, raw)
     if not np.isfinite(yields).all():
         raise NonFinitePrediction(

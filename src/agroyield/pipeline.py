@@ -1,4 +1,5 @@
-"""High-level training pipeline shared by the CLI and experiment scripts."""
+"""Per-crop train/test splits and model training for the CLI's `train`
+and `report` commands (and `evaluate`'s test split)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from . import ingest
 from .errors import TooFewRecords
-from .models import Model, variant_spec
+from .models import Model, fit_model
 from .rng import derive_seed
 from .schema import Crop
 
@@ -28,9 +29,8 @@ class Hyperparams:
 class CropSplit:
     crop: Crop
     test: ingest.Dataset
-    normalizer: ingest.Normalizer
-    x_train: np.ndarray  # (n_train, 46), normalized
-    y_train: np.ndarray  # (n_train,), normalized yield
+    x_train: np.ndarray  # (n_train, 46), raw features
+    y_train: np.ndarray  # (n_train,), yields in t/ha
 
 
 def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
@@ -49,25 +49,17 @@ def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
 
 def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
                        train_ratio: float, seed: int) -> CropSplit:
-    """Split one crop's records and fit the normalizer on the train part."""
+    """Split one crop's records and encode the train part once, for every
+    variant trained on it."""
     train, test = split_crop(dataset, crop, train_ratio, seed)
-    x = ingest.feature_matrix(train)
-    y = ingest.target_vector(train)
-    normalizer = ingest.fit_normalizer(x, y)
-    return CropSplit(
-        crop=crop, test=test, normalizer=normalizer,
-        x_train=ingest.normalize_features(normalizer, x),
-        y_train=ingest.normalize_target(normalizer, y),
-    )
+    return CropSplit(crop=crop, test=test,
+                     x_train=ingest.feature_matrix(train),
+                     y_train=ingest.target_vector(train))
 
 
 def train_variant(variant: str, crop_split: CropSplit, seed: int,
                   hyper: Hyperparams = Hyperparams()) -> Model:
     """Fit one model variant on a prepared crop split."""
-    spec = variant_spec(variant)
     train_seed = derive_seed(seed, f"train.{variant}.{crop_split.crop.name}")
-    payload, history = spec.fit(crop_split.x_train, crop_split.y_train,
-                                hyper, train_seed)
-    return Model(variant=variant, payload=payload,
-                 normalizer=crop_split.normalizer, crop=crop_split.crop,
-                 history=history)
+    return fit_model(variant, crop_split.x_train, crop_split.y_train,
+                     train_seed, hyper, crop_split.crop)

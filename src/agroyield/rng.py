@@ -47,10 +47,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        # 53-bit mantissa, [0, 1)
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
     def below(self, n: int) -> int:
         if n <= 0:
             raise ValueError("n must be positive")

@@ -1,5 +1,5 @@
-"""Shared test helpers: valid records, tiny datasets, a FlatTree walker and
-a time limit."""
+"""Shared test helpers: valid records, tiny datasets, a crop split's scaled
+train part, a FlatTree walker and a time limit."""
 
 import signal
 from contextlib import contextmanager
@@ -61,6 +61,14 @@ def dataset_of(records, source="<memory>") -> ingest.Dataset:
         values=np.array([schema.record_values(r) for r in records],
                         dtype=float).reshape(len(records), 47),
         row=np.arange(len(records)), source=source)
+
+
+def scaled_train(crop_split):
+    """The raw train part of a `pipeline.CropSplit`, min-max scaled as
+    `models.fit_model` scales it: (normalizer, x, y)."""
+    norm = ingest.fit_normalizer(crop_split.x_train, crop_split.y_train)
+    return (norm, ingest.normalize_features(norm, crop_split.x_train),
+            ingest.normalize_target(norm, crop_split.y_train))
 
 
 class Hung(Exception):

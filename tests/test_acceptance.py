@@ -131,13 +131,13 @@ def test_criterion_3_complement_identity(tmp_path):
 def test_criterion_4_report_fidelity():
     records = [make_record(yield_t_ha=2.0 + 0.5 * i, year=2008 + i)
                for i in range(5)]
-    rows_by_crop = {}
+    metrics_by_crop = {}
     for j, crop in enumerate(Crop):
         models = {key: constant_model(2.0 + 0.3 * (i + j))
                   for i, (key, _) in enumerate(METHOD_ORDER)}
-        rows_by_crop[crop] = compare(models, dataset_of(records))
-    report = EvalReport(rows_by_crop=rows_by_crop, source="golden-fixture",
-                        seed=12345)
+        metrics_by_crop[crop] = compare(models, dataset_of(records))
+    report = EvalReport(metrics_by_crop=metrics_by_crop,
+                        source="golden-fixture", seed=12345, train_ratio=0.8)
     golden = (DATA_DIR / "golden_report.md").read_text()
     assert render_markdown(report) == golden
 

@@ -20,7 +20,7 @@ from agroyield.baselines import (
 from agroyield.errors import DivergedLoss, EmptyTrainingSet
 from agroyield.rng import derive_seed
 from agroyield.schema import Crop
-from helpers import leaf_value
+from helpers import leaf_value, scaled_train
 
 
 class TestLogistic:
@@ -225,14 +225,14 @@ class TestForest:
                                      noise_sigma=0.0, crops=(Crop.Jute,))
             ds = synthgen.generate(cfg)
             cs = pipeline.prepare_crop_split(ds, Crop.Jute, 0.8, 100 + seed)
-            x, y = cs.x_train, cs.y_train
+            norm, x, y = scaled_train(cs)
             forest = train_forest(x, y, ForestConfig(n_trees=20, seed=seed))
             single = train_forest(x, y, ForestConfig(
                 n_trees=1, bootstrap=False, max_depth=64, min_leaf=1,
                 features_per_split=46, seed=seed))
             from agroyield.models import Model
-            m_forest = Model("forest", forest, cs.normalizer, Crop.Jute)
-            m_single = Model("forest", single, cs.normalizer, Crop.Jute)
+            m_forest = Model("forest", forest, norm, Crop.Jute)
+            m_single = Model("forest", single, norm, Crop.Jute)
             err_f = evaluation.evaluate(m_forest, cs.test).error_pct
             err_s = evaluation.evaluate(m_single, cs.test).error_pct
             if err_f <= err_s:

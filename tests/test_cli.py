@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from agroyield import cli, ingest, schema
 from agroyield.cli import load_config, resolve_config, run
 from agroyield.errors import MalformedConfig
+from agroyield.models import VARIANTS
 from helpers import time_limit
 
 
@@ -144,6 +145,25 @@ class TestReport:
         assert len(doc["crops"]) == 6
         assert len(doc["crops"]["Jute"]) == 4
         assert len(list((out / "models").glob("*.json"))) == 24
+
+    def test_evaluate_reproduces_every_report_row(self, data_csv, tmp_path):
+        out = tmp_path / "report"
+        common = ["--data", str(data_csv), "--seed", "4", "--ratio", "0.7"]
+        assert run(["report", *common, "--epochs", "3", "--trees", "3",
+                    "--out", str(out)]) == 0
+        rows = {(crop, row["method"]): row for crop, crop_rows
+                in json.loads((out / "report.json").read_text())["crops"].items()
+                for row in crop_rows}
+        paths = sorted(str(p) for p in (out / "models").glob("*.json"))
+        metrics = tmp_path / "metrics.json"
+        assert run(["evaluate", *common, *paths, "--out", str(metrics)]) == 0
+        results = json.loads(metrics.read_text())
+        assert len(paths) == len(rows) == 24
+        for path in paths:
+            entry = results[path]
+            row = rows[entry["crop"], VARIANTS[entry["variant"]].label]
+            assert entry["error_pct"] == row["error_pct"]
+            assert entry["accuracy_pct"] == row["accuracy_pct"]
 
     def test_each_record_is_encoded_once(self, tmp_path, monkeypatch):
         data = tmp_path / "coverage.csv"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,7 @@ from agroyield.evaluation import (
     mape,
     plot_series_to_csv,
     render_markdown,
+    report_to_dict,
     select_crop,
 )
 from agroyield.models import Model
@@ -91,6 +94,14 @@ class TestEvaluate:
             evaluate(constant_model(1.0), dataset_of([]))
 
 
+def table_rows(metrics_by_variant):
+    """compare's metrics as the rows report.json stores, at an 80/20 split."""
+    report = EvalReport(metrics_by_crop={Crop.Jute: metrics_by_variant},
+                        source="unit", seed=0, train_ratio=0.8)
+    return [SimpleNamespace(**row)
+            for row in report_to_dict(report)["crops"]["Jute"]]
+
+
 class TestCompare:
     def models(self):
         return {key: constant_model(2.0 + i)
@@ -98,7 +109,7 @@ class TestCompare:
 
     def test_four_rows_fixed_order(self):
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
-        rows = compare(self.models(), dataset_of(records))
+        rows = table_rows(compare(self.models(), dataset_of(records)))
         assert [r.method for r in rows] == [
             "Deep Neural Network(DNN)",
             "Support Vector Machine(SVM)",
@@ -111,23 +122,24 @@ class TestCompare:
     def test_identical_model_gives_identical_rows(self):
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
         same = constant_model(3.0)
-        rows = compare({key: same for key, _ in METHOD_ORDER},
-                       dataset_of(records))
+        rows = table_rows(compare({key: same for key, _ in METHOD_ORDER},
+                                  dataset_of(records)))
         assert len({(r.accuracy_pct, r.error_pct) for r in rows}) == 1
 
     def test_row_complement_identity(self):
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
-        for row in compare(self.models(), dataset_of(records)):
+        for row in table_rows(compare(self.models(), dataset_of(records))):
             assert row.accuracy_pct + row.error_pct == pytest.approx(
                 100.0, abs=1e-9)
 
 
 class TestRenderMarkdown:
     def test_exact_header_and_method_order(self):
-        rows = compare({key: constant_model(2.0) for key, _ in METHOD_ORDER},
-                       dataset_of([make_record(yield_t_ha=2.0)]))
-        report = EvalReport(rows_by_crop={Crop.Jute: rows}, source="unit",
-                            seed=0)
+        metrics = compare({key: constant_model(2.0)
+                           for key, _ in METHOD_ORDER},
+                          dataset_of([make_record(yield_t_ha=2.0)]))
+        report = EvalReport(metrics_by_crop={Crop.Jute: metrics},
+                            source="unit", seed=0, train_ratio=0.8)
         text = render_markdown(report)
         assert "| Method | Training (%) | Testing (%) | Accuracy (%) | MSE (%) |" in text
         assert "## Evaluation measures of Jute" in text

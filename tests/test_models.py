@@ -24,7 +24,7 @@ from agroyield.models import (
     save_model,
 )
 from agroyield.schema import Crop
-from helpers import time_limit
+from helpers import scaled_train, time_limit
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ class TestVariantTable:
     def test_unknown_variant_is_malformed_config(self, crop_split):
         with pytest.raises(MalformedConfig):
             pipeline.train_variant("quantum", crop_split, 17)
-        model = Model("quantum", None, crop_split.normalizer)
+        model = Model("quantum", None, scaled_train(crop_split)[0])
         with pytest.raises(MalformedConfig):
             predict_model(model, np.zeros((1, 46)))
         with pytest.raises(MalformedConfig):
@@ -68,8 +68,7 @@ class TestVariantTable:
 class TestPredictModel:
     def test_all_variants_predict_finite_yields(self, crop_split,
                                                 trained_models):
-        x = ingest.normalize_features(
-            crop_split.normalizer, ingest.feature_matrix(crop_split.test))
+        x = ingest.feature_matrix(crop_split.test)
         for model in trained_models.values():
             preds = predict_model(model, x)
             assert preds.shape == (len(crop_split.test.records),)
@@ -108,6 +107,19 @@ class TestPredictModel:
         model = Model("forest", forest, norm)
         assert predict_model(model, np.ones((1, 46)))[0] == pytest.approx(2.0)
 
+    def test_rows_are_raw_and_scaled_by_the_model(self):
+        maxs = np.ones(46)
+        maxs[0] = 10.0
+        norm = ingest.Normalizer(column_mins=np.zeros(46), column_maxs=maxs,
+                                 target_min=0.0, target_max=10.0)
+        weights = np.zeros(46)
+        weights[0] = 1.0
+        model = Model("logistic", baselines.LogisticModel(weights, 0.0), norm)
+        row = np.zeros((1, 46))
+        row[0, 0] = 10.0  # the top of column 0's range, scaled to 1
+        assert predict_model(model, row)[0] == pytest.approx(
+            10.0 / (1.0 + np.exp(-1.0)))
+
     def test_non_finite_prediction_raises(self):
         # finite bounds whose span overflows to infinity
         norm = ingest.Normalizer(column_mins=np.zeros(46),
@@ -129,8 +141,7 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.variant == variant
         assert loaded.crop is Crop.Wheat
-        x = ingest.normalize_features(
-            crop_split.normalizer, ingest.feature_matrix(crop_split.test))
+        x = ingest.feature_matrix(crop_split.test)
         np.testing.assert_array_equal(predict_model(model, x),
                                       predict_model(loaded, x))
 
@@ -253,14 +264,22 @@ def _mutate(data, doc):
     parent[path[-1]] = new
 
 
-# normalized rows: zeros, ones and uniform rows reach both sides of splits
+# scaled rows: zeros, ones and uniform rows reach both sides of splits
 _PROBES = np.vstack([np.zeros(46), np.ones(46),
                      np.random.default_rng(0).uniform(size=(30, 46))])
 
 
+@pytest.fixture(scope="module")
+def raw_probes(crop_split):
+    """Raw rows that the small models' scaling maps onto `_PROBES`."""
+    norm = scaled_train(crop_split)[0]
+    return norm.column_mins + _PROBES * (norm.column_maxs - norm.column_mins)
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_mutated_model_file_loads_or_raises_package_error(small_docs, data):
+def test_mutated_model_file_loads_or_raises_package_error(small_docs,
+                                                          raw_probes, data):
     name = data.draw(st.sampled_from(sorted(small_docs)), label="file")
     doc = copy.deepcopy(small_docs[name])
     _mutate(data, doc)
@@ -269,7 +288,7 @@ def test_mutated_model_file_loads_or_raises_package_error(small_docs, data):
         try:
             model = model_from_json(text)
             ingest.normalize_features(model.normalizer, np.zeros((1, 46)))
-            preds = predict_model(model, _PROBES)
+            preds = predict_model(model, raw_probes)
         except AgroYieldError:
             return
     assert preds.shape == (len(_PROBES),) and np.isfinite(preds).all()

@@ -24,6 +24,7 @@ from agroyield.nn import (
     train,
 )
 from agroyield.schema import Crop
+from helpers import scaled_train
 
 
 def linear_unit(w=0.5, b=0.0):
@@ -306,8 +307,8 @@ def _trained_state(net, history):
 
 def _crop_split(n_records, seed, crop):
     ds = synthgen.generate(synthgen.GenConfig(n_records=n_records, seed=seed))
-    cs = pipeline.prepare_crop_split(ds, crop, 0.8, seed)
-    return cs.x_train, cs.y_train
+    _, x, y = scaled_train(pipeline.prepare_crop_split(ds, crop, 0.8, seed))
+    return x, y
 
 
 # sha256 of `_trained_state` after `train` at the default TrainConfig
