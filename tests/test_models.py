@@ -271,7 +271,8 @@ _PROBES = np.vstack([np.zeros(46), np.ones(46),
 
 @pytest.fixture(scope="module")
 def raw_probes(crop_split):
-    """Raw rows that the small models' scaling maps onto `_PROBES`."""
+    """Raw rows that the small models' scaling maps onto `_PROBES`
+    (columns constant in the train rows aside)."""
     norm = scaled_train(crop_split)[0]
     return norm.column_mins + _PROBES * (norm.column_maxs - norm.column_mins)
 
