@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroyield import baselines, ingest, nn, pipeline, synthgen
+from agroyield import baselines, ingest, nn, pipeline, schema, synthgen
 from agroyield.errors import (
     AgroYieldError,
     DimensionMismatch,
@@ -267,14 +267,22 @@ def _mutate(data, doc):
 # scaled rows: zeros, ones and uniform rows reach both sides of splits
 _PROBES = np.vstack([np.zeros(46), np.ones(46),
                      np.random.default_rng(0).uniform(size=(30, 46))])
+_INDICATOR = np.array([c in schema.INDICATOR_COLUMNS
+                       for c in schema.schema_columns()])
 
 
 @pytest.fixture(scope="module")
-def raw_probes(crop_split):
-    """Raw rows that the small models' scaling maps onto `_PROBES`
-    (columns constant in the train rows aside)."""
-    norm = scaled_train(crop_split)[0]
-    return norm.column_mins + _PROBES * (norm.column_maxs - norm.column_mins)
+def raw_probes(small_docs):
+    """Per file, the raw rows that its own normalizer scales onto `_PROBES`
+    (columns constant in its train rows aside)."""
+    raw = {}
+    for name, doc in small_docs.items():
+        norm = model_from_json(json.dumps(doc)).normalizer
+        rows = norm.column_mins + _PROBES * (norm.column_maxs
+                                             - norm.column_mins)
+        rows[:, _INDICATOR] = _PROBES[:, _INDICATOR]  # passed through unscaled
+        raw[name] = rows
+    return raw
 
 
 @settings(max_examples=400, deadline=None)
@@ -288,8 +296,7 @@ def test_mutated_model_file_loads_or_raises_package_error(small_docs,
     with time_limit(10), np.errstate(all="ignore"):
         try:
             model = model_from_json(text)
-            ingest.normalize_features(model.normalizer, np.zeros((1, 46)))
-            preds = predict_model(model, raw_probes)
+            preds = predict_model(model, raw_probes[name])
         except AgroYieldError:
             return
     assert preds.shape == (len(_PROBES),) and np.isfinite(preds).all()
