@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss, EmptyTrainingSet
+from .errors import AgroYieldError, DivergedLoss
 from .rng import derive_seed
 
 
 def _check_nonempty(x):
     if len(x) == 0:
-        raise EmptyTrainingSet("no training examples")
+        raise AgroYieldError("no training examples")
 
 
 def _check_finite(w, b, name, epoch):

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import baselines, evaluation, ingest, nn, pipeline, synthgen
-from .errors import AgroYieldError, DivergedLoss, MalformedConfig
+from .errors import AgroYieldError, DivergedLoss
 from .models import VARIANTS, load_model, save_model
 from .rng import derive_seed
 from .schema import VALUE_COLUMNS, Crop, District, parse_crop
@@ -60,23 +60,23 @@ def _check_ranges(values: dict, where: str) -> None:
     for key, (_, _, rule) in _FIELDS.items():
         value = values.get(key)
         if rule is not None and value is not None and not rule[1](value):
-            raise MalformedConfig(f"{where}{key} must be {rule[0]}, got {value}")
+            raise AgroYieldError(f"{where}{key} must be {rule[0]}, got {value}")
 
 
 def _typed(key: str, value, where: str):
     """`value` if it has the field's type; a float field also takes an int.
 
     Nothing else is converted: a bool, 2.9 or 3.0 for an int field, or a
-    string for a number raises MalformedConfig.
+    string for a number raises AgroYieldError.
     """
     kind = _FIELDS[key][0]
     if kind is float and type(value) is int:
         try:
             value = float(value)
         except OverflowError as exc:
-            raise MalformedConfig(f"{where}{key} is out of range") from exc
+            raise AgroYieldError(f"{where}{key} is out of range") from exc
     if type(value) is not kind:
-        raise MalformedConfig(
+        raise AgroYieldError(
             f"{where}{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
@@ -87,15 +87,15 @@ def load_config(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise MalformedConfig(f"cannot read config {path}: {exc}") from exc
+        raise AgroYieldError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad bytes, JSON or nesting
-        raise MalformedConfig(f"config {path} is not valid JSON: {exc}") from exc
+        raise AgroYieldError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise MalformedConfig(f"config {path} must be a JSON object")
+        raise AgroYieldError(f"config {path} must be a JSON object")
     out = {}
     for key, value in raw.items():
         if key not in _FIELDS:
-            raise MalformedConfig(f"config {path}: unknown field {key!r}")
+            raise AgroYieldError(f"config {path}: unknown field {key!r}")
         if value is not None:
             value = _typed(key, value, f"config {path}: ")
         out[key] = value
@@ -111,7 +111,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         try:
             effective["seed"] = int(env_seed)
         except ValueError as exc:
-            raise MalformedConfig(f"AGROYIELD_SEED is not an integer") from exc
+            raise AgroYieldError("AGROYIELD_SEED is not an integer") from exc
     if getattr(args, "config", None):
         file_values = load_config(args.config)
         for key, value in file_values.items():
@@ -141,7 +141,7 @@ def _load_clean(path) -> ingest.Dataset:
 def _load_crop_model(path):
     model = load_model(path)
     if model.crop is None:
-        raise MalformedConfig(f"model file {path} carries no crop tag")
+        raise AgroYieldError(f"model file {path} carries no crop tag")
     return model
 
 
@@ -176,7 +176,7 @@ def _cmd_generate(args, cfg):
     try:
         dataset = synthgen.generate(gen_cfg, responses)
     except MemoryError as exc:
-        raise MalformedConfig(f"cannot generate {n} records: {exc}") from exc
+        raise AgroYieldError(f"cannot generate {n} records: {exc}") from exc
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     ingest.write_csv(dataset, args.out)
     log.info("wrote %d records to %s", len(dataset), args.out)
@@ -184,7 +184,7 @@ def _cmd_generate(args, cfg):
 
 
 def _cmd_clean(args, cfg):
-    dataset = ingest.clean(ingest.load_csv(args.data))
+    dataset = _load_clean(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ingest.write_csv(dataset, out / "cleaned.csv")
@@ -196,11 +196,11 @@ def _cmd_clean(args, cfg):
 
 def _cmd_train(args, cfg):
     if cfg["model"] is None or cfg["crop"] is None:
-        raise MalformedConfig("train requires --model and --crop")
+        raise AgroYieldError("train requires --model and --crop")
     try:
         crop = parse_crop(cfg["crop"])
     except ValueError as exc:
-        raise MalformedConfig(str(exc)) from exc
+        raise AgroYieldError(str(exc)) from exc
     dataset = _load_clean(args.data)
     crop_split = pipeline.prepare_crop_split(
         dataset, crop, cfg["train_ratio"], cfg["seed"])
@@ -235,6 +235,8 @@ def _cmd_evaluate(args, cfg):
 
 def _cmd_report(args, cfg):
     dataset = _load_clean(args.data)
+    if len(dataset) == 0:
+        raise AgroYieldError(f"{args.data} has no valid records")
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     metrics_by_crop = {}
@@ -274,7 +276,7 @@ def _cmd_select(args, cfg):
     per_crop = {m.crop: m for m in map(_load_crop_model, args.models)}
     dataset = _load_clean(args.data)
     if len(dataset) == 0:
-        raise MalformedConfig(f"{args.data} has no valid records")
+        raise AgroYieldError(f"{args.data} has no valid records")
     record = dataset.records[0]
     rec = evaluation.select_crop(per_crop, record)
     doc = {

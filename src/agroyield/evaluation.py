@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ingest, schema
-from .errors import (
-    EmptyDataset,
-    EmptyTestSet,
-    LengthMismatch,
-    MissingCropModel,
-    NearZeroActual,
-    UnknownKind,
-)
+from .errors import AgroYieldError
 from .models import VARIANTS, Model, predict_model
 from .schema import Crop, District
 
@@ -70,17 +63,17 @@ def mape(predictions, actuals) -> float:
     p = np.asarray(predictions, dtype=float)
     a = np.asarray(actuals, dtype=float)
     if p.shape != a.shape or p.ndim != 1 or p.size == 0:
-        raise LengthMismatch(
+        raise AgroYieldError(
             f"predictions {p.shape} vs actuals {a.shape}")
     if np.any(np.abs(a) <= NEAR_ZERO_ACTUAL):
-        raise NearZeroActual("an actual value is too close to zero")
+        raise AgroYieldError("an actual value is too close to zero")
     return float(100.0 * np.mean(np.abs(p - a) / np.abs(a)))
 
 
 def _score(model: Model, x, actuals) -> Metrics:
     """Metrics of `model` on raw feature rows `x` with yields `actuals`."""
     if len(actuals) == 0:
-        raise EmptyTestSet("no test records")
+        raise AgroYieldError("no test records")
     return Metrics(error_pct=mape(predict_model(model, x), actuals),
                    n_test=len(actuals))
 
@@ -156,7 +149,7 @@ def select_crop(per_crop_models: dict, record: schema.AgroRecord) -> CropRecomme
     `record` must be valid, as every row of a cleaned dataset is."""
     missing = [c.name for c in Crop if c not in per_crop_models]
     if missing:
-        raise MissingCropModel(f"no model for crops: {', '.join(missing)}")
+        raise AgroYieldError(f"no model for crops: {', '.join(missing)}")
     # crop is not a feature, so one encoding serves every crop's model
     x = ingest.feature_matrix(ingest.record_dataset(record))
     predicted = {crop: float(predict_model(per_crop_models[crop], x)[0])
@@ -172,9 +165,9 @@ def emit_plot_data(dataset: ingest.Dataset, kind: str) -> PlotSeries:
     averages per (district, year, crop).
     """
     if kind not in PLOT_KINDS:
-        raise UnknownKind(f"unknown plot kind {kind!r}")
+        raise AgroYieldError(f"unknown plot kind {kind!r}")
     if len(dataset) == 0:
-        raise EmptyDataset("no records to plot")
+        raise AgroYieldError("no records to plot")
     weather = kind in _WEATHER_KINDS
     crop = np.full(len(dataset), -1) if weather else dataset.crop
     column = schema.VALUE_COLUMNS.index(kind)

@@ -26,8 +26,7 @@ from itertools import islice
 import numpy as np
 
 from . import schema
-from .errors import (EmptyDataset, EmptyInput, HeaderMismatch,
-                     MalformedConfig, TooFewRecords)
+from .errors import AgroYieldError
 from .rng import SplitMix64
 from .schema import Crop, District
 
@@ -136,11 +135,11 @@ def _columns(rows: list, start: int) -> tuple:
 
 def parse_csv(stream, source: str = "<stream>") -> Dataset:
     """Parse a CSV stream; malformed rows are logged and skipped, while
-    bytes that are not UTF-8 or an oversized field raise MalformedConfig."""
+    bytes that are not UTF-8 or an oversized field raise AgroYieldError."""
     try:
         return _parse_rows(stream, source)
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise MalformedConfig(f"{source} is not a readable CSV file: {exc}") from exc
+        raise AgroYieldError(f"{source} is not a readable CSV file: {exc}") from exc
 
 
 def _parse_rows(stream, source: str) -> Dataset:
@@ -155,11 +154,14 @@ def _parse_rows(stream, source: str) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyInput("input has no header row")
-    if tuple(header) != CSV_HEADER:
-        raise HeaderMismatch(
-            f"header does not match schema contract (got {len(header)} columns)"
-        )
+        raise AgroYieldError("input has no header row")
+    if len(header) != len(CSV_HEADER):
+        raise AgroYieldError(f"header does not match schema contract: got "
+                             f"{len(header)} columns, expected {len(CSV_HEADER)}")
+    for i, (got, want) in enumerate(zip(header, CSV_HEADER), start=1):
+        if got != want:  # a spreadsheet's UTF-8 BOM shows up in column 1
+            raise AgroYieldError(f"header does not match schema contract: "
+                                 f"column {i} is {got!r}, expected {want!r}")
     # every data row takes at least one of the lines left: count them, then
     # parse again from the top into arrays of that many rows
     capacity = sum(1 for _ in stream)
@@ -314,7 +316,7 @@ class Normalizer:
 def fit_normalizer(x: np.ndarray, y: np.ndarray) -> Normalizer:
     """Ranges of an encoded (n, 46) train matrix and its yield vector."""
     if len(x) == 0:
-        raise EmptyDataset("cannot fit a normalizer on an empty dataset")
+        raise AgroYieldError("cannot fit a normalizer on an empty dataset")
     return Normalizer(
         column_mins=x.min(axis=0),
         column_maxs=x.max(axis=0),
@@ -351,7 +353,7 @@ def split(dataset: Dataset, cfg: SplitConfig):
     """Seeded shuffle split; train gets the first floor(n * ratio) records."""
     n = len(dataset)
     if n < 2:
-        raise TooFewRecords(f"need at least 2 records to split, got {n}")
+        raise AgroYieldError(f"need at least 2 records to split, got {n}")
     order = SplitMix64(cfg.seed).permutation(n)
     n_train = int(n * cfg.train_ratio)
     return (dataset.take(order[:n_train], f"{dataset.source}[train]"),

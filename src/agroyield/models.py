@@ -14,7 +14,7 @@ node. Schema 1 differs only there: each tree is nested node dicts, which
 `model_from_json` checks every file before it is used: arrays have 46
 finite entries, network weight shapes match `layer_sizes` (46 ... 1), and
 every walk through a tree moves forward to a leaf, with a bounded number
-of NumPy operations per forest. Anything else raises MalformedConfig.
+of NumPy operations per forest. Anything else raises AgroYieldError.
 
 A model maps raw 46-feature rows to yields in t/ha. `fit_model` fits its
 min-max scaling on the raw train rows and yields, and `predict_model` takes
@@ -22,7 +22,7 @@ raw rows and scales them with it; no caller scales rows for a model.
 Predictions are returned in original units (t/ha): the network's and the
 SVM's raw outputs are clamped to [0, 1] before denormalization so reported
 yields are never negative; a non-finite prediction raises
-NonFinitePrediction.
+AgroYieldError.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import baselines, ingest, nn, schema
-from .errors import DimensionMismatch, MalformedConfig, NonFinitePrediction
+from .errors import AgroYieldError
 from .schema import json_number, json_numbers
 
 SCHEMA_VERSION = 2
@@ -90,23 +90,23 @@ def _dnn_from_dict(d: dict) -> nn.Network:
     if (type(sizes) is not list or len(sizes) < 2
             or any(type(n) is not int or n < 1 for n in sizes)
             or sizes[0] != N_FEATURES or sizes[-1] != 1):
-        raise MalformedConfig(f"dnn layer_sizes must be positive integers "
-                              f"from {N_FEATURES} to 1, got {sizes!r}")
+        raise AgroYieldError(f"dnn layer_sizes must be positive integers "
+                             f"from {N_FEATURES} to 1, got {sizes!r}")
     shapes = list(zip(sizes[1:], sizes[:-1]))  # (fan_out, fan_in)
     weights, biases = d["weights"], d["biases"]
     if (type(weights) is not list or len(weights) != len(shapes)
             or type(biases) is not list or len(biases) != len(shapes)):
-        raise MalformedConfig("dnn weights and biases must have one entry "
-                              "per layer")
+        raise AgroYieldError("dnn weights and biases must have one entry "
+                             "per layer")
     for w, (fan_out, fan_in) in zip(weights, shapes):
         if (type(w) is not list or len(w) != fan_out
                 or any(type(row) is not list or len(row) != fan_in
                        for row in w)):
-            raise MalformedConfig(f"dnn weights must have shape "
-                                  f"({fan_out}, {fan_in})")
+            raise AgroYieldError(f"dnn weights must have shape "
+                                 f"({fan_out}, {fan_in})")
     if d["hidden_activation"] not in nn.HIDDEN_ACTIVATIONS:
-        raise MalformedConfig(f"unknown dnn hidden_activation "
-                              f"{d['hidden_activation']!r}")
+        raise AgroYieldError(f"unknown dnn hidden_activation "
+                             f"{d['hidden_activation']!r}")
     return nn.Network(
         layer_sizes=tuple(sizes),
         weights=[json_numbers(list(chain.from_iterable(w)), "dnn weights")
@@ -132,7 +132,7 @@ def _forest_to_dict(p: baselines.ForestModel) -> dict:
 
 
 def _check_trees(trees: list) -> None:
-    """MalformedConfig unless each tree's lists are valid and every walk
+    """AgroYieldError unless each tree's lists are valid and every walk
     through a tree moves forward to a leaf.
 
     The lists of all trees are checked together as flat arrays: a bounded
@@ -142,8 +142,8 @@ def _check_trees(trees: list) -> None:
     for t, n in zip(trees, sizes):
         if n == 0 or any(type(c) is not list or len(c) != n
                          for c in (t.feature, t.value, t.right, t.n_samples)):
-            raise MalformedConfig("forest tree lists must be non-empty "
-                                  "lists of equal length")
+            raise AgroYieldError("forest tree lists must be non-empty "
+                                 "lists of equal length")
 
     def column(name, integer):
         return json_numbers(list(chain.from_iterable(getattr(t, name)
@@ -158,7 +158,7 @@ def _check_trees(trees: list) -> None:
     internal = feature >= 0
     ok = np.where(internal, (index + 1 < right) & (right < size), right == -1)
     if not (ok.all() and feature.min() >= -1 and feature.max() < N_FEATURES):
-        raise MalformedConfig(
+        raise AgroYieldError(
             f"forest tree has a feature outside [-1, {N_FEATURES}) or a right "
             f"child that does not point forward within its tree")
 
@@ -171,13 +171,13 @@ def _forest_from_dict(d: dict) -> baselines.ForestModel:
         kind, what = ((bool, "true or false") if name == "bootstrap"
                       else (int, "an integer"))
         if type(value) is not kind:
-            raise MalformedConfig(f"forest {name} must be {what}, "
-                                  f"got {value!r}")
+            raise AgroYieldError(f"forest {name} must be {what}, "
+                                 f"got {value!r}")
     cfg = baselines.ForestConfig(**values)
     trees = [baselines.FlatTree(**t) for t in d["trees"]]
     if len(trees) != cfg.n_trees:
-        raise MalformedConfig(f"forest has {len(trees)} trees, "
-                              f"n_trees is {cfg.n_trees!r}")
+        raise AgroYieldError(f"forest has {len(trees)} trees, "
+                             f"n_trees is {cfg.n_trees!r}")
     _check_trees(trees)
     return baselines.ForestModel(flat_trees=trees, config=cfg)
 
@@ -253,12 +253,12 @@ VARIANTS = {
 
 
 def variant_spec(name) -> Variant:
-    """The table entry for a variant name; MalformedConfig if there is none."""
+    """The table entry for a variant name; AgroYieldError if there is none."""
     try:
         return VARIANTS[name]
     except (KeyError, TypeError):
-        raise MalformedConfig(f"unknown model variant {name!r}; expected "
-                              f"one of {', '.join(VARIANTS)}") from None
+        raise AgroYieldError(f"unknown model variant {name!r}; expected "
+                             f"one of {', '.join(VARIANTS)}") from None
 
 
 def fit_model(variant: str, x: np.ndarray, y: np.ndarray, seed: int, hyper,
@@ -281,14 +281,14 @@ def predict_model(model: Model, x) -> np.ndarray:
     spec = variant_spec(model.variant)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != len(model.normalizer.column_mins):
-        raise DimensionMismatch(
+        raise AgroYieldError(
             f"expected {len(model.normalizer.column_mins)} features, "
             f"got {x.shape[1]}")
     raw = spec.predict_raw(model.payload,
                            ingest.normalize_features(model.normalizer, x))
     yields = ingest.denormalize_target(model.normalizer, raw)
     if not np.isfinite(yields).all():
-        raise NonFinitePrediction(
+        raise AgroYieldError(
             f"{model.variant} model predicts a non-finite yield")
     return yields
 
@@ -317,11 +317,11 @@ def model_from_json(text: str) -> Model:
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict):
-            raise MalformedConfig("a model file must be a JSON object")
+            raise AgroYieldError("a model file must be a JSON object")
         version = doc.get("schema_version")
         if type(version) is not int or version not in (1, SCHEMA_VERSION):
-            raise MalformedConfig(f"unsupported model schema_version "
-                                  f"{version!r}; expected 1 or 2")
+            raise AgroYieldError(f"unsupported model schema_version "
+                                 f"{version!r}; expected 1 or 2")
         variant = doc["variant"]
         spec = variant_spec(variant)
         d = doc["normalizer"]
@@ -342,7 +342,7 @@ def model_from_json(text: str) -> Model:
         crop = None if crop_name is None else schema.Crop[crop_name]
     except (KeyError, ValueError, TypeError, OverflowError,
             RecursionError) as exc:
-        raise MalformedConfig(f"bad model file: {exc}") from exc
+        raise AgroYieldError(f"bad model file: {exc}") from exc
     return Model(variant=variant, payload=payload, normalizer=norm, crop=crop)
 
 
@@ -356,5 +356,5 @@ def load_model(path) -> Model:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise MalformedConfig(f"model file {path} is not UTF-8: {exc}") from exc
+            raise AgroYieldError(f"model file {path} is not UTF-8: {exc}") from exc
     return model_from_json(text)

@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import sigmoid
-from .errors import (
-    DimensionMismatch,
-    DivergedLoss,
-    EmptyTrainingSet,
-    InvalidArchitecture,
-)
+from .errors import AgroYieldError, DivergedLoss
 
 DEFAULT_LAYER_SIZES = (46, 64, 32, 16, 1)
 HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
@@ -111,7 +106,7 @@ def init_network(layer_sizes=DEFAULT_LAYER_SIZES, hidden_activation="relu",
     """Glorot-uniform weights, zero biases, deterministic given seed."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise InvalidArchitecture(f"bad layer sizes {sizes}")
+        raise AgroYieldError(f"bad layer sizes {sizes}")
     _activate(hidden_activation, np.zeros(1))  # validate the name
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -149,7 +144,7 @@ def _network_on(flat, net: Network) -> Network:
 def _forward(net: Network, x: np.ndarray):
     """Activations of every layer for a 2-D float batch."""
     if x.shape[1] != net.n_inputs:
-        raise DimensionMismatch(
+        raise AgroYieldError(
             f"expected {net.n_inputs} inputs, got {x.shape[1]}")
     acts = [x]
     last = len(net.weights) - 1
@@ -235,14 +230,14 @@ def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
     if n == 0:
-        raise EmptyTrainingSet("no training examples")
+        raise AgroYieldError("no training examples")
 
     rng = np.random.default_rng(cfg.seed)
     n_val = int(n * cfg.validation_fraction)
     order = rng.permutation(n)
     val_idx, fit_idx = order[:n_val], order[n_val:]
     if len(fit_idx) == 0:
-        raise EmptyTrainingSet("validation carve-out left no training examples")
+        raise AgroYieldError("validation carve-out left no training examples")
     x_fit, y_fit = x[fit_idx], y[fit_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ingest
-from .errors import TooFewRecords
+from .errors import AgroYieldError
 from .models import Model, fit_model
 from .rng import derive_seed
 from .schema import Crop
@@ -39,7 +39,7 @@ def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
     with a seed derived from `seed` and the crop."""
     rows = np.flatnonzero(dataset.crop == crop.value)
     if len(rows) < 2:
-        raise TooFewRecords(
+        raise AgroYieldError(
             f"crop {crop.name} has {len(rows)} records; need at least 2")
     subset = dataset.take(rows, f"{dataset.source}[{crop.name}]")
     split_seed = derive_seed(seed, f"split.{crop.name}")

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidRecord, MalformedConfig
+from .errors import AgroYieldError
 
 FRACTION_SUM_TOL = 1e-9
 YIELD_CONSISTENCY_TOL = 1e-6
@@ -46,37 +46,6 @@ class Crop(Enum):
     Wheat = 3
     Potato = 4
     Jute = 5
-
-
-class LandType(Enum):
-    Highland = 0
-    MediumHighland = 1
-    MediumLowland = 2
-    Lowland = 3
-    VeryLowland = 4
-    Miscellaneous = 5
-
-
-class SoilType(Enum):
-    CalcareousAlluvium = 0
-    NoncalcareousAlluvium = 1
-    AcidBasinClay = 2
-    CalcareousBrownFloodplain = 3
-    CalcareousGreyFloodplain = 4
-    CalcareousDarkGreyFloodplain = 5
-    NoncalcareousGreyFloodplain = 6
-    NoncalcareousDarkGreyFloodplain = 7
-    Peat = 8
-    MadeLand = 9
-    NoncalcareousBrownFloodplain = 10
-    ShallowRedBrownTerrace = 11
-    DeepRedBrownTerrace = 12
-    BrownMottledTerrace = 13
-    ShallowGreyTerrace = 14
-    DeepGreyTerrace = 15
-    GreyValley = 16
-    AcidSulphateSoil = 17
-    BrownHillSoil = 18
 
 
 def _parse_enum(cls, name: str):
@@ -148,6 +117,17 @@ class AgroRecord:
 
 _WEATHER_COLUMNS = ("avg_rainfall", "max_temp", "min_temp", "humidity")
 _FERTILIZER_COLUMNS = ("urea", "tsp", "dap", "mp")
+LAND_FRAC_COLUMNS = tuple(f"land_frac_{t}" for t in (
+    "highland", "mediumhighland", "mediumlowland", "lowland", "verylowland",
+    "miscellaneous"))
+SOIL_FRAC_COLUMNS = tuple(f"soil_frac_{t}" for t in (
+    "calcareousalluvium", "noncalcareousalluvium", "acidbasinclay",
+    "calcareousbrownfloodplain", "calcareousgreyfloodplain",
+    "calcareousdarkgreyfloodplain", "noncalcareousgreyfloodplain",
+    "noncalcareousdarkgreyfloodplain", "peat", "madeland",
+    "noncalcareousbrownfloodplain", "shallowredbrownterrace",
+    "deepredbrownterrace", "brownmottledterrace", "shallowgreyterrace",
+    "deepgreyterrace", "greyvalley", "acidsulphatesoil", "brownhillsoil"))
 _SOIL_PROP_COLUMNS = (
     "soil_moisture",
     "soil_texture",
@@ -165,8 +145,8 @@ _COLUMNS = (
     ("year",)
     + _WEATHER_COLUMNS
     + _FERTILIZER_COLUMNS
-    + tuple(f"land_frac_{lt.name.lower()}" for lt in LandType)
-    + tuple(f"soil_frac_{st.name.lower()}" for st in SoilType)
+    + LAND_FRAC_COLUMNS
+    + SOIL_FRAC_COLUMNS
     + _SOIL_PROP_COLUMNS
     + ("area",)
     + tuple(f"district_{d.name.lower()}" for d in _INDICATOR_DISTRICTS)
@@ -207,7 +187,7 @@ INDICATOR_PATTERNS = np.array([encode_district(d) for d in District])
 def record_values(record: AgroRecord) -> tuple:
     """The record's 47 stored values, in `VALUE_COLUMNS` order."""
     if len(record.land_fractions) != 6 or len(record.soil_fractions) != 19:
-        raise InvalidRecord(["fractions must be 6 land and 19 soil entries"])
+        raise AgroYieldError("fractions must be 6 land and 19 soil entries")
     w, f, sp = record.weather, record.fertilizer, record.soil_props
     return (
         (w.avg_rainfall, w.max_temp, w.min_temp, w.humidity,
@@ -259,32 +239,32 @@ def sum_in_order(terms) -> np.ndarray:
 
 
 def json_number(value, what) -> float:
-    """A finite JSON number (not a bool) as a float; MalformedConfig if it
+    """A finite JSON number (not a bool) as a float; AgroYieldError if it
     is anything else, an integer beyond float range included."""
     try:
         ok = type(value) in (int, float) and math.isfinite(value)
     except OverflowError:
         ok = False
     if not ok:
-        raise MalformedConfig(f"{what} must be a finite number, got {value!r}")
+        raise AgroYieldError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
 def json_numbers(values, what, size=None, integer=False) -> np.ndarray:
     """A JSON list of finite numbers (integers if `integer`; never bools) as
-    an array of `size` entries; MalformedConfig if it is anything else."""
+    an array of `size` entries; AgroYieldError if it is anything else."""
     kinds = {int} if integer else {int, float}
     if (type(values) is not list or not set(map(type, values)) <= kinds
             or size is not None and len(values) != size):
         count = "" if size is None else f"{size} "
-        raise MalformedConfig(f"{what} must be a list of {count}"
-                              f"{'integers' if integer else 'numbers'}")
+        raise AgroYieldError(f"{what} must be a list of {count}"
+                             f"{'integers' if integer else 'numbers'}")
     try:
         arr = np.fromiter(values, np.int64 if integer else float, len(values))
     except OverflowError as exc:  # an integer beyond int64 or float range
-        raise MalformedConfig(f"{what} is out of range: {exc}") from exc
+        raise AgroYieldError(f"{what} is out of range: {exc}") from exc
     if not np.isfinite(arr).all():
-        raise MalformedConfig(f"{what} must be finite")
+        raise AgroYieldError(f"{what} must be finite")
     return arr
 
 
@@ -366,8 +346,8 @@ def violation_messages(row_mask: np.ndarray) -> list:
 
 
 def require_valid(year: np.ndarray, values: np.ndarray) -> None:
-    """Raise InvalidRecord with the violations of the first invalid row."""
+    """Raise AgroYieldError with the violations of the first invalid row."""
     mask = violations(year, values)
     bad = np.flatnonzero(mask.any(axis=1))
     if len(bad):
-        raise InvalidRecord(violation_messages(mask[bad[0]]))
+        raise AgroYieldError("; ".join(violation_messages(mask[bad[0]])))

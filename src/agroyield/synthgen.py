@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import MalformedConfig
+from .errors import AgroYieldError
 from .ingest import Dataset
 from .schema import (BLOCK_ROWS, FERTILIZER, INDICATOR_PATTERNS, INDICATORS,
                      LAND, SOIL, VALUE_COLUMNS, AgroRecord, Crop, District,
@@ -127,13 +127,13 @@ _VECTOR_LENGTHS = {"fertilizer_coeffs": 4, "fertilizer_scales": 4,
 
 
 def _response_from_dict(d, crop: str) -> CropResponse:
-    """One crop's entry; MalformedConfig names a missing or ill-typed key
+    """One crop's entry; AgroYieldError names a missing or ill-typed key
     or a width that is not > 0 (it divides)."""
     def get(*path):
         node = d
         for depth, key in enumerate(path):
             if not isinstance(node, dict) or key not in node:
-                raise MalformedConfig(
+                raise AgroYieldError(
                     f"responses for {crop}: missing "
                     f"{'.'.join(path[:depth + 1])}")
             node = node[key]
@@ -146,7 +146,7 @@ def _response_from_dict(d, crop: str) -> CropResponse:
     def width(key):
         value = number(key, "width")
         if value <= 0:
-            raise MalformedConfig(
+            raise AgroYieldError(
                 f"responses for {crop}: {key}.width must be > 0, got {value}")
         return value
 
@@ -173,7 +173,7 @@ def load_responses(path=None) -> dict:
     """Load per-crop responses; defaults to the shipped presets.
 
     A document that is not valid JSON, not an object, lacks a crop or has
-    a missing or ill-typed key raises MalformedConfig.
+    a missing or ill-typed key raises AgroYieldError.
     """
     try:
         if path is None:
@@ -184,14 +184,14 @@ def load_responses(path=None) -> dict:
                 text = fh.read()
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad bytes, JSON or nesting
-        raise MalformedConfig(
+        raise AgroYieldError(
             f"responses file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise MalformedConfig(f"responses file {path} must be a JSON object")
+        raise AgroYieldError(f"responses file {path} must be a JSON object")
     out = {}
     for crop in Crop:
         if crop.name not in raw:
-            raise MalformedConfig(f"responses file missing crop {crop.name}")
+            raise AgroYieldError(f"responses file missing crop {crop.name}")
         out[crop] = _response_from_dict(raw[crop.name], crop.name)
     return out
 
@@ -211,7 +211,7 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
 
     Records cycle through the (district, year, crop) triples in
     enumeration order, so n = |districts| * |years| * |crops| covers each
-    triple exactly once. Every row is validated once; InvalidRecord names
+    triple exactly once. Every row is validated once; AgroYieldError names
     the violations of the first invalid one.
     """
     if responses is None:

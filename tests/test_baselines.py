@@ -17,7 +17,7 @@ from agroyield.baselines import (
     train_logistic,
     train_svm,
 )
-from agroyield.errors import DivergedLoss, EmptyTrainingSet
+from agroyield.errors import AgroYieldError, DivergedLoss
 from agroyield.rng import derive_seed
 from agroyield.schema import Crop
 from helpers import leaf_value, scaled_train
@@ -52,7 +52,7 @@ class TestLogistic:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_empty_training_set(self):
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(AgroYieldError, match="no training examples"):
             train_logistic(np.empty((0, 3)), np.empty(0))
 
 
@@ -166,7 +166,7 @@ class TestBuildTree:
                    if f < 0)
 
     def test_empty_sample(self):
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(AgroYieldError, match="no training examples"):
             _one_tree(np.empty((0, 2)), np.empty(0))
 
     @pytest.mark.parametrize("bound, message", [

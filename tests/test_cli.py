@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from agroyield import cli, ingest, schema
 from agroyield.cli import load_config, resolve_config, run
-from agroyield.errors import MalformedConfig
+from agroyield.errors import AgroYieldError
 from agroyield.models import VARIANTS
 from helpers import time_limit
 
@@ -293,19 +293,19 @@ class TestConfig:
     def test_out_of_range_ratio_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"train_ratio": 1.5}')
-        with pytest.raises(MalformedConfig):
+        with pytest.raises(AgroYieldError, match="train_ratio must be in"):
             load_config(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"blastoff": 3}')
-        with pytest.raises(MalformedConfig):
+        with pytest.raises(AgroYieldError, match="unknown field 'blastoff'"):
             load_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
-        with pytest.raises(MalformedConfig):
+        with pytest.raises(AgroYieldError, match="is not valid JSON"):
             load_config(path)
 
     @pytest.mark.parametrize("content", [
@@ -314,7 +314,7 @@ class TestConfig:
     def test_undecodable_json_rejected(self, content, tmp_path):
         path = tmp_path / "c.json"
         path.write_bytes(content)
-        with pytest.raises(MalformedConfig):
+        with pytest.raises(AgroYieldError, match="is not valid JSON"):
             load_config(path)
 
     @pytest.mark.parametrize("doc", [
@@ -326,7 +326,8 @@ class TestConfig:
     def test_ill_typed_value_rejected(self, doc, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(doc)
-        with pytest.raises(MalformedConfig):
+        with pytest.raises(AgroYieldError, match=r"must be (an integer|a "
+                           r"number|a string), got|lr is out of range"):
             load_config(path)
 
     def test_values_keep_their_json_type(self, tmp_path):
@@ -354,6 +355,24 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         assert run(["clean", "--data", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_header_only_report_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text(",".join(ingest.CSV_HEADER) + "\n")
+        out = tmp_path / "report"
+        assert run(["report", "--data", str(data), "--out", str(out)]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"data error: {data} has no valid records"
+        assert not out.exists()  # so no report.json either
+
+    def test_byte_order_mark_is_named(self, data_csv, tmp_path, capsys):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
+        assert run(["clean", "--data", str(data),
+                    "--out", str(tmp_path / "out")]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == ("data error: header does not match schema contract: "
+                        "column 1 is '\\ufeffdistrict', expected 'district'")
 
     def test_diverged_training_exit_code(self, data_csv, tmp_path):
         assert run(["train", "--data", str(data_csv), "--model", "dnn",

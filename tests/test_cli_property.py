@@ -1,5 +1,6 @@
 """Property test of the CLI contract: whatever the inputs, every subcommand
-returns 0, 1, 2 or 3, raises nothing and prints no traceback."""
+returns 0, 1, 2 or 3, raises nothing and prints no traceback; a data error
+(2) or training failure (3) ends stderr with a line that names its kind."""
 
 import contextlib
 import io
@@ -209,3 +210,7 @@ def test_every_call_exits_with_a_documented_code(data, inputs):
     event(f"{argv[0]} exits {code}")
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    prefix = {2: "data error: ", 3: "training failure: "}.get(code)
+    if prefix is not None:
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(prefix), (argv, err.getvalue())

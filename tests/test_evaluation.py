@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from agroyield import baselines, evaluation, ingest, synthgen
-from agroyield.errors import (
-    EmptyDataset,
-    EmptyTestSet,
-    LengthMismatch,
-    MissingCropModel,
-    NearZeroActual,
-    UnknownKind,
-)
+from agroyield.errors import AgroYieldError
 from agroyield.evaluation import (
     METHOD_ORDER,
     EvalReport,
@@ -54,11 +47,11 @@ class TestMape:
         assert mape([110.0, 90.0], [100.0, 100.0]) == pytest.approx(10.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(AgroYieldError, match="vs actuals"):
             mape([1.0, 2.0], [1.0])
 
     def test_near_zero_actual(self):
-        with pytest.raises(NearZeroActual):
+        with pytest.raises(AgroYieldError, match="too close to zero"):
             mape([1.0], [1e-12])
 
     @given(st.lists(st.floats(0.5, 100.0), min_size=1, max_size=20),
@@ -90,7 +83,7 @@ class TestEvaluate:
             100.0, abs=1e-9)
 
     def test_empty_test_set(self):
-        with pytest.raises(EmptyTestSet):
+        with pytest.raises(AgroYieldError, match="no test records"):
             evaluate(constant_model(1.0), dataset_of([]))
 
 
@@ -171,7 +164,7 @@ class TestSelectCrop:
     def test_missing_model_raises(self):
         models = self.per_crop_models([1, 2, 3, 4, 5, 6])
         del models[Crop.Potato]
-        with pytest.raises(MissingCropModel):
+        with pytest.raises(AgroYieldError, match="no model for crops: Potato"):
             select_crop(models, make_record())
 
     def test_invariant_under_increasing_transforms(self):
@@ -234,11 +227,11 @@ class TestEmitPlotData:
         assert keys == sorted(keys)
 
     def test_unknown_kind(self):
-        with pytest.raises(UnknownKind):
+        with pytest.raises(AgroYieldError, match="unknown plot kind 'wind'"):
             emit_plot_data(self.dataset(), "wind")
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(AgroYieldError, match="no records to plot"):
             emit_plot_data(dataset_of([]), "yield")
 
     def test_csv_export_shape(self):

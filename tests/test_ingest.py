@@ -13,14 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agroyield import ingest, schema, synthgen
-from agroyield.errors import (
-    AgroYieldError,
-    EmptyDataset,
-    EmptyInput,
-    HeaderMismatch,
-    MalformedConfig,
-    TooFewRecords,
-)
+from agroyield.errors import AgroYieldError
 from agroyield.ingest import (
     CSV_HEADER,
     Dataset,
@@ -68,17 +61,33 @@ class TestParseCsv:
         assert ds.cleaning_log == [(0, "parse failure")]
 
     def test_header_mismatch(self):
-        with pytest.raises(HeaderMismatch):
+        with pytest.raises(AgroYieldError,
+                           match="got 3 columns, expected 50"):
             parse_csv("a,b,c\n1,2,3\n")
 
     def test_reordered_header_rejected(self):
         cols = list(CSV_HEADER)
         cols[0], cols[1] = cols[1], cols[0]
-        with pytest.raises(HeaderMismatch):
+        with pytest.raises(AgroYieldError,
+                           match="column 1 is 'year', expected 'district'"):
             parse_csv(",".join(cols) + "\n")
 
+    def test_byte_order_mark_named_in_header_error(self):
+        # a spreadsheet's UTF-8 export starts with a BOM; it is not stripped
+        text = "\ufeff" + csv_text([make_record()])
+        with pytest.raises(AgroYieldError, match=re.escape(
+                "header does not match schema contract: "
+                "column 1 is '\\ufeffdistrict', expected 'district'")):
+            parse_csv(text)
+
+    def test_missing_column_gives_both_counts(self):
+        with pytest.raises(AgroYieldError, match=re.escape(
+                "header does not match schema contract: "
+                "got 49 columns, expected 50")):
+            parse_csv(",".join(CSV_HEADER[:-1]) + "\n")
+
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(AgroYieldError, match="no header row"):
             parse_csv("")
 
     def test_wrong_field_count_logged(self):
@@ -198,7 +207,7 @@ class TestNormalizer:
         assert np.all(norm.column_mins == norm.column_maxs)
 
     def test_empty_dataset_raises(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(AgroYieldError, match="empty dataset"):
             fit_normalizer(np.zeros((0, 46)), np.zeros(0))
 
     def test_endpoints_and_interior_value(self):
@@ -281,7 +290,7 @@ class TestSplit:
         assert combined == sorted(r.year for r in ds.records)
 
     def test_too_few_records(self):
-        with pytest.raises(TooFewRecords):
+        with pytest.raises(AgroYieldError, match="need at least 2 records"):
             split(self.make_dataset(1), SplitConfig(0.8, seed=0))
 
     def test_ratio_bounds(self):
@@ -489,7 +498,7 @@ def test_preallocated_parse_matches_concatenated_blocks(lines, newline, last,
     try:
         want = _reference_parse(stream())
     except csv.Error as exc:  # a bare "\r" inside a line of a str
-        with pytest.raises(MalformedConfig, match=re.escape(str(exc))):
+        with pytest.raises(AgroYieldError, match=re.escape(str(exc))):
             parse_csv(stream())
         return
     _assert_same_dataset(parse_csv(stream()), want)

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agroyield import nn, pipeline, synthgen
-from agroyield.errors import (
-    DimensionMismatch,
-    DivergedLoss,
-    EmptyTrainingSet,
-    InvalidArchitecture,
-)
+from agroyield.errors import AgroYieldError, DivergedLoss
 from agroyield.nn import (
     Network,
     TrainConfig,
@@ -72,7 +67,7 @@ class TestInit:
         assert np.all(np.abs(net.weights[0]) <= bound)
 
     def test_zero_size_layer_rejected(self):
-        with pytest.raises(InvalidArchitecture):
+        with pytest.raises(AgroYieldError, match="bad layer sizes"):
             init_network((4, 0, 1))
 
 
@@ -99,7 +94,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         net = init_network((4, 3, 1))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(AgroYieldError, match="expected 4 inputs, got 2"):
             forward(net, [1.0, 2.0])
 
     def test_linear_scale_consistency(self):
@@ -218,7 +213,7 @@ class TestTrain:
 
     def test_empty_training_set(self):
         net = init_network((2, 4, 1))
-        with pytest.raises(EmptyTrainingSet):
+        with pytest.raises(AgroYieldError, match="no training examples"):
             train(net, np.empty((0, 2)), np.empty(0), TrainConfig())
 
     def test_full_batch_step_never_increases_convex_mse(self):

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from agroyield import ingest, schema
-from agroyield.errors import InvalidRecord
+from agroyield.errors import AgroYieldError
 from agroyield.schema import (
+    LAND_FRAC_COLUMNS,
+    SOIL_FRAC_COLUMNS,
     Crop,
     District,
     Fertilizer,
-    LandType,
     SoilProperty,
-    SoilType,
     Weather,
     encode_district,
     parse_crop,
@@ -51,8 +51,8 @@ class TestEnums:
     def test_member_counts(self):
         assert len(District) == 7
         assert len(Crop) == 6
-        assert len(LandType) == 6
-        assert len(SoilType) == 19
+        assert len(LAND_FRAC_COLUMNS) == 6
+        assert len(SOIL_FRAC_COLUMNS) == 19
 
     def test_district_parse_case_insensitive(self):
         assert parse_district("dhaka") is District.Dhaka
@@ -118,7 +118,7 @@ class TestValidateRecord:
         r = make_record(year=year)
         assert messages(r)[0] == "year not finite"
         ds = dataset_of([r])
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(AgroYieldError, match="^year not finite$"):
             schema.require_valid(ds.year, ds.values)
 
 
@@ -146,7 +146,7 @@ class TestEncodeFeatures:
         # an invalid row is stopped where data enters, before any encoding
         ds = dataset_of([make_record(
             weather=Weather(2385.0, 34.0, 12.0, 150.0))])
-        with pytest.raises(InvalidRecord):
+        with pytest.raises(AgroYieldError, match=r"^humidity out of \[0,100\]$"):
             schema.require_valid(ds.year, ds.values)
         cleaned = ingest.clean(ds)
         assert len(cleaned) == 0
