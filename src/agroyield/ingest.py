@@ -157,7 +157,8 @@ def _parse_rows(stream, source: str) -> Dataset:
         raise AgroYieldError("input has no header row")
     if len(header) != len(CSV_HEADER):
         raise AgroYieldError(f"header does not match schema contract: got "
-                             f"{len(header)} columns, expected {len(CSV_HEADER)}")
+                             f"{len(header)} columns, expected "
+                             f"{len(CSV_HEADER)}")
     for i, (got, want) in enumerate(zip(header, CSV_HEADER), start=1):
         if got != want:  # a spreadsheet's UTF-8 BOM shows up in column 1
             raise AgroYieldError(f"header does not match schema contract: "

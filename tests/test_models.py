@@ -72,7 +72,8 @@ class TestPredictModel:
             assert np.all(preds >= 0)
 
     def test_dimension_mismatch(self, trained_models):
-        with pytest.raises(AgroYieldError, match="expected 46 features, got 10"):
+        with pytest.raises(AgroYieldError,
+                           match="expected 46 features, got 10"):
             predict_model(trained_models["dnn"], np.zeros((1, 10)))
 
     def test_logistic_zero_model_denormalizes_midpoint(self):
@@ -123,7 +124,8 @@ class TestPredictModel:
                                  target_min=-1e308, target_max=1e308)
         model = Model("logistic", baselines.LogisticModel(np.zeros(46), 0.0),
                       norm)
-        with pytest.raises(AgroYieldError, match="non-finite yield"), np.errstate(over="ignore"):
+        with (pytest.raises(AgroYieldError, match="non-finite yield"),
+              np.errstate(over="ignore")):
             predict_model(model, np.zeros((1, 46)))
 
 

@@ -146,7 +146,8 @@ class TestEncodeFeatures:
         # an invalid row is stopped where data enters, before any encoding
         ds = dataset_of([make_record(
             weather=Weather(2385.0, 34.0, 12.0, 150.0))])
-        with pytest.raises(AgroYieldError, match=r"^humidity out of \[0,100\]$"):
+        with pytest.raises(AgroYieldError,
+                           match=r"^humidity out of \[0,100\]$"):
             schema.require_valid(ds.year, ds.values)
         cleaned = ingest.clean(ds)
         assert len(cleaned) == 0
