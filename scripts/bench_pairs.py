@@ -23,6 +23,13 @@ interquartile range, and two verdicts:
   wider than that bound, unless every change run beats every parent run;
   else `holds`.
 
+It also prints, with no verdict, the same medians, quartiles and pairs
+won (lower is counted as won) for two diagnostics from the run JSON's
+`extra`: `wall_s`, the median unit in seconds, and `kernel_ms`, the
+sampler's kernel time that `wall_ref` divides by. The kernel runs in the
+timed process, so work that the change moves onto another CPU can slow it
+and make `wall_ref` overstate the gain; the two show whether it did.
+
 A run that exits non-zero is listed and its pair counts as lost. The
 temporary directory is removed afterwards.
 """
@@ -51,29 +58,49 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def judge(parent: list, change: list, metric: dict, failed: tuple) -> dict:
-    """Both verdicts on paired runs of one metric; None marks a failed run.
+# figures of the run JSON's `extra` shown beside the verdicts, lower first
+DIAGNOSTICS = ("wall_s", "kernel_ms")
 
-    `metric` is the metric's entry in BENCHMARK.json and `failed` the
-    (parent, change) share of operations that failed. A pair is won when
-    both runs succeeded and the change is strictly better. "holds" is the
-    gain rule and "verdict" the no-regression rule of the module docstring.
-    """
+
+def compare(parent: list, change: list, better: str) -> dict:
+    """Pairs, pairs won and, when each side has a successful run, both
+    sides' quartiles, the parent's interquartile range and the relative
+    change of the median. None marks a failed run; a pair is won when both
+    runs succeeded and the change is strictly better."""
     if len(parent) != len(change):
         raise ValueError("parent and change need one run per seed each")
-    sign = -1.0 if metric["better"] == "lower" else 1.0
+    sign = -1.0 if better == "lower" else 1.0
     wins = sum(p is not None and c is not None and sign * (c - p) > 0
                for p, c in zip(parent, change))
     ok_p = [p for p in parent if p is not None]
     ok_c = [c for c in change if c is not None]
-    out = {"pairs": len(parent), "wins": wins, "holds": False,
-           "verdict": None}
-    if not ok_p or not ok_c:
+    out = {"pairs": len(parent), "wins": wins}
+    if ok_p and ok_c:
+        p1, pm, p3 = quartiles(ok_p)
+        c1, cm, c3 = quartiles(ok_c)
+        out.update(parent=(p1, pm, p3), change=(c1, cm, c3),
+                   parent_iqr=p3 - p1,
+                   delta=(cm - pm) / abs(pm) if pm else math.nan)
+    return out
+
+
+def judge(parent: list, change: list, metric: dict, failed: tuple) -> dict:
+    """Both verdicts on paired runs of one metric; None marks a failed run.
+
+    `metric` is the metric's entry in BENCHMARK.json and `failed` the
+    (parent, change) share of operations that failed. "holds" is the gain
+    rule and "verdict" the no-regression rule of the module docstring, on
+    top of what `compare` gives.
+    """
+    out = dict(compare(parent, change, metric["better"]), holds=False,
+               verdict=None)
+    if "parent" not in out:
         return out
-    p1, pm, p3 = quartiles(ok_p)
-    c1, cm, c3 = quartiles(ok_c)
-    out.update(parent=(p1, pm, p3), change=(c1, cm, c3), parent_iqr=p3 - p1,
-               delta=(cm - pm) / abs(pm) if pm else math.nan)
+    sign = -1.0 if metric["better"] == "lower" else 1.0
+    wins = out["wins"]
+    (p1, pm, p3), (c1, cm, c3) = out["parent"], out["change"]
+    ok_p = [p for p in parent if p is not None]
+    ok_c = [c for c in change if c is not None]
     out["holds"] = (len(parent) >= 10
                     and 10 * wins >= 9 * len(parent)
                     and sign * (cm - pm) > p3 - p1
@@ -109,8 +136,30 @@ def run_side(tree: Path, workload: str, seed: int, out: Path):
         return None, f"exited {proc.returncode}: {' '.join(tail)}"
     doc = json.loads(out.read_text())
     metrics = dict(doc["end_to_end"], failed=doc["failed"],
-                   attempted=doc["attempted"])
+                   attempted=doc["attempted"],
+                   **{name: doc["extra"][name] for name in DIAGNOSTICS})
     return metrics, None
+
+
+def figures(result: dict) -> str:
+    """Medians, quartiles and pairs won of a `compare` result, as printed."""
+    (p1, pm, p3), (c1, cm, c3) = result["parent"], result["change"]
+    return (f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
+            f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
+            f"median {100 * result['delta']:+.1f}%  "
+            f"wins {result['wins']}/{result['pairs']}")
+
+
+def diagnostic_lines(runs: dict) -> list:
+    """One line per DIAGNOSTICS figure of the parent and change runs."""
+    lines = []
+    for name in DIAGNOSTICS:
+        result = compare([r and r[name] for r in runs["parent"]],
+                         [r and r[name] for r in runs["change"]], "lower")
+        shown = (figures(result) if "parent" in result
+                 else "no successful runs on one side")
+        lines.append(f"  {name} (diagnostic, no verdict): {shown}")
+    return lines
 
 
 def failed_share(runs: list) -> float:
@@ -160,11 +209,8 @@ def main(argv=None) -> int:
         if "parent" not in result:
             print(f"  {name}: no successful runs on one side")
             continue
-        (p1, pm, p3), (c1, cm, c3) = result["parent"], result["change"]
-        print(f"  {name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
-              f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
-              f"median {100 * result['delta']:+.1f}%  "
-              f"wins {result['wins']}/{result['pairs']}  "
+        pm = result["parent"][1]
+        print(f"  {name}: {figures(result)}  "
               f"parent IQR {result['parent_iqr']:.6g}  "
               f"gain holds: {'yes' if result['holds'] else 'no'}")
         spread = result["parent_iqr"] / abs(pm) if pm else math.nan
@@ -173,6 +219,8 @@ def main(argv=None) -> int:
                if result["verdict"] == "unresolved" else "")
         print(f"    no regression (bound {100 * metric['bound']:g}%): "
               f"{result['verdict']}{why}")
+    for line in diagnostic_lines(runs):
+        print(line)
     print(f"  failed operations: parent {failed[0]:.6g}  "
           f"change {failed[1]:.6g}")
     for line in failures:

@@ -138,6 +138,14 @@ def _load_clean(path) -> ingest.Dataset:
     return ingest.clean(ingest.load_csv(path))
 
 
+def _load_records(path) -> ingest.Dataset:
+    """The valid rows of `path`; a data error when there is none."""
+    dataset = _load_clean(path)
+    if len(dataset) == 0:
+        raise AgroYieldError(f"{path} has no valid records")
+    return dataset
+
+
 def _load_crop_model(path):
     model = load_model(path)
     if model.crop is None:
@@ -234,9 +242,7 @@ def _cmd_evaluate(args, cfg):
 
 
 def _cmd_report(args, cfg):
-    dataset = _load_clean(args.data)
-    if len(dataset) == 0:
-        raise AgroYieldError(f"{args.data} has no valid records")
+    dataset = _load_records(args.data)
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     metrics_by_crop = {}
@@ -262,7 +268,7 @@ def _cmd_report(args, cfg):
 
 
 def _cmd_plot_data(args, cfg):
-    dataset = _load_clean(args.data)
+    dataset = _load_records(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kinds = [args.kind] if args.kind else list(evaluation.PLOT_KINDS)
@@ -274,9 +280,7 @@ def _cmd_plot_data(args, cfg):
 
 def _cmd_select(args, cfg):
     per_crop = {m.crop: m for m in map(_load_crop_model, args.models)}
-    dataset = _load_clean(args.data)
-    if len(dataset) == 0:
-        raise AgroYieldError(f"{args.data} has no valid records")
+    dataset = _load_records(args.data)
     record = dataset.records[0]
     rec = evaluation.select_crop(per_crop, record)
     doc = {

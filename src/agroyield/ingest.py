@@ -18,6 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import shutil
+import signal
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -39,6 +43,9 @@ CSV_HEADER = (
 # Rows parsed, hashed or formatted per block: enough to amortize the NumPy
 # calls, few enough that the block's str objects stay under a megabyte.
 _CHUNK_ROWS = 256
+# Rows per forked part of `write_csv`: below this a part's fork, exit and
+# copy cost more than formatting its rows in the caller saves.
+_FORK_ROWS = 512
 # one salt per key entry: district, crop, year, then the value columns
 _HASH_SALT = (np.arange(1, 4 + len(schema.VALUE_COLUMNS), dtype=np.uint64)
               * np.uint64(0x9E3779B97F4A7C15))
@@ -207,18 +214,99 @@ def _format_floats(column: np.ndarray) -> list:
     return text
 
 
+def _format_rows(dataset: Dataset, start: int, stop: int, fh) -> None:
+    """Write rows start, ..., stop - 1 as CSV lines, a block at a time."""
+    for begin in range(start, stop, _CHUNK_ROWS):
+        rows = slice(begin, min(begin + _CHUNK_ROWS, stop))
+        columns = [
+            [_DISTRICT_NAMES[d] for d in dataset.district[rows].tolist()],
+            list(map(str, dataset.year[rows].tolist())),
+            [_CROP_NAMES[c] for c in dataset.crop[rows].tolist()],
+        ] + [_format_floats(col) for col in dataset.values[rows].T]
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
+def _part_bounds(n: int) -> list:
+    """Bounds of the row ranges `write_csv` formats in parallel: one range
+    per CPU the process may run on, but at most one per `_FORK_ROWS` rows,
+    each starting at a multiple of `_CHUNK_ROWS`."""
+    parts = 1
+    if hasattr(os, "fork"):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            cpus = os.cpu_count() or 1
+        parts = max(1, min(cpus, n // _FORK_ROWS))
+    blocks = -(-n // _CHUNK_ROWS)
+    return [min(n, blocks * i // parts * _CHUNK_ROWS)
+            for i in range(parts + 1)]
+
+
+def _fork_part(dataset: Dataset, start: int, stop: int, directory):
+    """(pid, file) of a forked child that formats rows start, ..., stop - 1
+    into an anonymous file in `directory`; (None, None) when the file or the
+    child cannot be made. The child leaves only through `os._exit`, so it
+    runs no exit handler and flushes no buffer it inherited."""
+    try:
+        part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n",
+                                      dir=directory)
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        part.close()
+        return None, None
+    if pid == 0:
+        code = 1
+        try:
+            _format_rows(dataset, start, stop, part)
+            part.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, part
+
+
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset of valid rows, as `clean` or `generate` makes."""
+    """Write a dataset of valid rows, as `clean` or `generate` makes.
+
+    The rows are split as `_part_bounds` says. The calling process formats
+    the first range into the file while one forked child per other range
+    formats it into an anonymous file beside it; the parts are then
+    appended in order. A part whose child did not exit 0 is formatted by
+    the caller, so the bytes, and any error raised, are those of one
+    process. No child or part file outlives the call."""
+    bounds = _part_bounds(len(dataset))
+    directory = os.path.dirname(os.path.abspath(path))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
-        for start in range(0, len(dataset), _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            columns = [
-                [_DISTRICT_NAMES[d] for d in dataset.district[rows].tolist()],
-                list(map(str, dataset.year[rows].tolist())),
-                [_CROP_NAMES[c] for c in dataset.crop[rows].tolist()],
-            ] + [_format_floats(col) for col in dataset.values[rows].T]
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        fh.flush()  # else each child would inherit the header in the buffer
+        children = []  # [pid or None once reaped, part file, start, stop]
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                children.append([*_fork_part(dataset, start, stop, directory),
+                                 start, stop])
+            _format_rows(dataset, 0, bounds[1], fh)
+            for child in children:
+                pid, part, start, stop = child
+                status = 1
+                if pid is not None:
+                    status = os.waitpid(pid, 0)[1]
+                    child[0] = None
+                if status == 0:
+                    part.seek(0)
+                    fh.flush()
+                    shutil.copyfileobj(part.buffer, fh.buffer)
+                else:
+                    _format_rows(dataset, start, stop, fh)
+        finally:
+            for pid, part, _, _ in children:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                if part is not None:
+                    part.close()
 
 
 def cleaning_log_jsonl(dataset: Dataset) -> str:

@@ -1,6 +1,7 @@
 """Shared test helpers: valid records, tiny datasets, a crop split's scaled
-train part, a FlatTree walker and a time limit."""
+train part, a FlatTree walker, a time limit and a one-CPU pin."""
 
+import os
 import signal
 from contextlib import contextmanager
 
@@ -92,3 +93,16 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def one_cpu():
+    """Pin this process to one CPU of its affinity mask for the block, so
+    `ingest.write_csv` formats every row in process; the mask is restored
+    afterwards."""
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)

@@ -104,3 +104,23 @@ def test_a_change_that_beats_every_parent_run_resolves_the_spread():
     change[0] = None  # a failed run beats nothing
     assert bench_pairs.judge(PARENT, change, tight,
                              NO_FAILURES)["verdict"] == "unresolved"
+
+
+def test_diagnostics_show_medians_and_wins_without_a_verdict():
+    def run(wall_s, kernel_ms):
+        return {"wall_s": wall_s, "kernel_ms": kernel_ms}
+
+    runs = {"parent": [run(p / 100, 0.30) for p in PARENT],
+            "change": [run((p - 25) / 100, 0.39) for p in PARENT[:-1]]
+            + [None]}
+    wall, kernel = bench_pairs.diagnostic_lines(runs)
+    assert wall.startswith("  wall_s (diagnostic, no verdict): parent 1.005 ")
+    assert "wins 9/10" in wall
+    assert kernel.startswith(
+        "  kernel_ms (diagnostic, no verdict): parent 0.3 [0.3, 0.3]  "
+        "change 0.39 [0.39, 0.39]  median +30.0%  wins 0/10")
+    for line in (wall, kernel):
+        assert "holds" not in line and "regress" not in line
+    runs["change"] = [None] * 10
+    assert bench_pairs.diagnostic_lines(runs)[0].endswith(
+        "no successful runs on one side")

@@ -365,6 +365,16 @@ class TestExitCodes:
         assert last == f"data error: {data} has no valid records"
         assert not out.exists()  # so no report.json either
 
+    def test_header_only_plot_data_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text(",".join(ingest.CSV_HEADER) + "\n")
+        out = tmp_path / "plots"
+        assert run(["plot-data", "--data", str(data), "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("data error:")]
+        assert errors == [f"data error: {data} has no valid records"]
+        assert not out.exists()
+
     def test_byte_order_mark_is_named(self, data_csv, tmp_path, capsys):
         data = tmp_path / "bom.csv"
         data.write_bytes(b"\xef\xbb\xbf" + data_csv.read_bytes())
