@@ -8,6 +8,7 @@ import os
 import time
 from contextlib import nullcontext
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -106,6 +107,26 @@ def test_a_failed_child_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
     pids = counting_forks(monkeypatch)
     ingest.write_csv(ds, tmp_path / "all.csv")
     assert len(pids) == 1
+    assert (tmp_path / "all.csv").read_bytes() \
+        == (tmp_path / "one.csv").read_bytes()
+    assert_nothing_left(tmp_path, ["all.csv", "one.csv"])
+
+
+@forks
+@pytest.mark.parametrize("cannot", ["fork", "make a part file"])
+def test_a_part_that_cannot_be_forked_is_formatted_in_process(
+        tmp_path, monkeypatch, cannot):
+    ds = dataset(2 * R + 1)
+    with one_cpu():
+        ingest.write_csv(ds, tmp_path / "one.csv")
+    if cannot == "fork":
+        failing = mock.Mock(side_effect=BlockingIOError(errno.EAGAIN, "busy"))
+        monkeypatch.setattr(os, "fork", failing)
+    else:
+        failing = mock.Mock(side_effect=PermissionError(errno.EACCES, "no"))
+        monkeypatch.setattr(ingest.tempfile, "TemporaryFile", failing)
+    ingest.write_csv(ds, tmp_path / "all.csv")
+    assert failing.call_count == 1
     assert (tmp_path / "all.csv").read_bytes() \
         == (tmp_path / "one.csv").read_bytes()
     assert_nothing_left(tmp_path, ["all.csv", "one.csv"])
