@@ -78,8 +78,9 @@ def test_write_csv_copies_nothing(generated, tmp_path):
     assert_within_bound(peak, dataset, NO_COPY)
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="one CPU in the affinity mask: write_csv never forks")
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="one CPU in the affinity mask: write_csv never forks")
 def test_forked_write_csv_copies_nothing_in_the_caller(generated, tmp_path):
     # forked children format the other ranges, which tracemalloc cannot see
     dataset = generated[0]
