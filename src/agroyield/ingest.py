@@ -31,7 +31,7 @@ import numpy as np
 
 from . import schema
 from .errors import AgroYieldError
-from .rng import SplitMix64
+from .rng import GAMMA, MIX1, MIX2, SplitMix64
 from .schema import Crop, District
 
 CSV_HEADER = (
@@ -51,7 +51,7 @@ _CHUNK_ROWS = 256
 _FORK_ROWS = 512
 # one salt per key entry: district, crop, year, then the value columns
 _HASH_SALT = (np.arange(1, 4 + len(schema.VALUE_COLUMNS), dtype=np.uint64)
-              * np.uint64(0x9E3779B97F4A7C15))
+              * np.uint64(GAMMA))
 _YIELD = schema.VALUE_COLUMNS.index("yield")
 _DISTRICT_NAMES = [d.name.lower() for d in District]
 _CROP_NAMES = [c.name.lower() for c in Crop]
@@ -331,9 +331,9 @@ def _row_hashes(dataset: Dataset) -> np.ndarray:
             (dataset.values[rows] + 0.0).view(np.int64)]).view(np.uint64)
         z += _HASH_SALT
         z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z *= np.uint64(MIX1)
         z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
+        z *= np.uint64(MIX2)
         z ^= z >> np.uint64(31)
         hashes[rows] = z.sum(axis=1, dtype=np.uint64)
     return hashes

@@ -6,24 +6,25 @@ sigmoid. Training is mini-batch SGD with seeded per-epoch shuffles and
 validation-patience early stopping; the parameters returned are those of
 the best validation epoch.
 
-`train` keeps every parameter in one contiguous float64 buffer. Layer by
-layer it holds the (fan_out, fan_in) weight matrix in row-major order,
-then the fan_out biases: 5,633 numbers for 46-64-32-16-1. The working
-network's arrays are views into that buffer, and a second buffer with
-the same layout holds the gradient and is overwritten on every step.
-A step is a forward pass that adds each bias and applies relu in place,
-a backward pass that writes each layer's summed gradient into its views,
-and one pass over the whole buffer: g /= m; g *= lr; p -= g. Per element
-that is the IEEE arithmetic of w -= lr * (sum / m) on separate arrays,
-so the weights and the loss history are bit-identical to an update of
-each array with a copy per step. `forward_batch`, `backward_batch`,
-`sgd_step`, `mse` and `gradient_check` run the same forward, backward
-and update code as `train`.
+A `Network` keeps every parameter in one contiguous float64 buffer,
+`params`. Layer by layer it holds the (fan_out, fan_in) weight matrix in
+row-major order, then the fan_out biases: 5,633 numbers for
+46-64-32-16-1. Its `weights` and `biases` are views into that buffer,
+made once when the network is built. A gradient is a network of the same
+shape, so `train` overwrites a second buffer with the same layout on
+every step. A step is a forward pass that adds each bias and applies
+relu in place, a backward pass that writes each layer's summed gradient
+into its views, and one pass over the whole buffer: g /= m; g *= lr;
+p -= g. Per element that is the IEEE arithmetic of w -= lr * (sum / m) on
+separate arrays, so the weights and the loss history are bit-identical
+to an update of each array with a copy per step. `forward_batch`,
+`backward_batch`, `mse` and `gradient_check` run the same forward and
+backward code as `train`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,20 +56,26 @@ def _activation_grad(name, a):
 
 @dataclass
 class Network:
+    """Built from per-layer arrays, which are copied once into `params`;
+    `weights` and `biases` are then views into it. `replace(net)` copies."""
     layer_sizes: tuple
     weights: list   # per layer, (fan_out, fan_in)
     biases: list    # per layer, (fan_out,)
     hidden_activation: str
+    params: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def n_inputs(self):
-        return self.layer_sizes[0]
-
-
-@dataclass
-class Gradients:
-    weight_grads: list
-    bias_grads: list
+    def __post_init__(self):
+        self.params = np.concatenate(
+            [a.ravel() for layer in zip(self.weights, self.biases)
+             for a in layer], dtype=float)
+        self.weights, self.biases, at = [], [], 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1],
+                                   self.layer_sizes[1:]):
+            self.weights.append(self.params[at:at + fan_out * fan_in]
+                                .reshape(fan_out, fan_in))
+            at += fan_out * fan_in
+            self.biases.append(self.params[at:at + fan_out])
+            at += fan_out
 
 
 @dataclass(frozen=True)
@@ -118,34 +125,11 @@ def init_network(layer_sizes=DEFAULT_LAYER_SIZES, hidden_activation="relu",
                    hidden_activation=hidden_activation)
 
 
-def _flatten(weights, biases) -> np.ndarray:
-    """A new flat buffer holding the arrays in the layout of `train`."""
-    return np.concatenate([a.ravel() for layer in zip(weights, biases)
-                           for a in layer], dtype=float)
-
-
-def _views(flat, net: Network):
-    """Per-layer weight and bias views of a flat buffer laid out for `net`."""
-    weights, biases, at = [], [], 0
-    for fan_out, fan_in in (w.shape for w in net.weights):
-        weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
-        at += fan_out * fan_in
-        biases.append(flat[at:at + fan_out])
-        at += fan_out
-    return weights, biases
-
-
-def _network_on(flat, net: Network) -> Network:
-    """A network like `net` whose arrays are views into `flat`."""
-    return Network(tuple(net.layer_sizes), *_views(flat, net),
-                   hidden_activation=net.hidden_activation)
-
-
 def _forward(net: Network, x: np.ndarray):
     """Activations of every layer for a 2-D float batch."""
-    if x.shape[1] != net.n_inputs:
+    if x.shape[1] != net.layer_sizes[0]:
         raise AgroYieldError(
-            f"expected {net.n_inputs} inputs, got {x.shape[1]}")
+            f"expected {net.layer_sizes[0]} inputs, got {x.shape[1]}")
     acts = [x]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -155,23 +139,17 @@ def _forward(net: Network, x: np.ndarray):
     return acts
 
 
-def _backward(net: Network, acts, targets, grads: Gradients, flat):
-    """Write the batch-mean gradient of 1/2 (pred - target)^2 into
-    `grads`, whose arrays are views covering the flat buffer `flat`."""
+def _backward(net: Network, acts, targets, grads: Network):
+    """Overwrite `grads`, a network of net's shape, with the batch-mean
+    gradient of 1/2 (pred - target)^2."""
     delta = acts[-1] - targets.reshape(-1, 1)  # identity output unit
     for layer in range(len(net.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[layer], out=grads.weight_grads[layer])
-        np.add.reduce(delta, axis=0, out=grads.bias_grads[layer])
+        np.matmul(delta.T, acts[layer], out=grads.weights[layer])
+        np.add.reduce(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
             delta = delta @ net.weights[layer]
             delta *= _activation_grad(net.hidden_activation, acts[layer])
-    flat /= acts[0].shape[0]
-
-
-def _descend(params, grad, learning_rate):
-    """One SGD update of a flat buffer; `grad` is overwritten."""
-    grad *= learning_rate
-    params -= grad
+    grads.params /= acts[0].shape[0]
 
 
 def forward_batch(net: Network, x: np.ndarray):
@@ -184,36 +162,13 @@ def forward_batch(net: Network, x: np.ndarray):
     return acts[-1][:, 0], acts
 
 
-def forward(net: Network, x):
-    """Single-example forward pass; returns (prediction, activations)."""
-    preds, acts = forward_batch(net, np.asarray(x, dtype=float).reshape(1, -1))
-    return float(preds[0]), acts
-
-
-def backward_batch(net: Network, activations, targets) -> Gradients:
-    """Mean gradient of 1/2 (pred - target)^2 over the batch."""
-    flat = np.empty(sum(w.size + b.size
-                        for w, b in zip(net.weights, net.biases)))
-    grads = Gradients(*_views(flat, net))
-    _backward(net, activations, np.atleast_1d(np.asarray(targets, dtype=float)),
-              grads, flat)
+def backward_batch(net: Network, activations, targets) -> Network:
+    """Mean gradient of 1/2 (pred - target)^2 over the batch, as a network
+    of net's shape."""
+    grads = replace(net)
+    _backward(net, activations,
+              np.atleast_1d(np.asarray(targets, dtype=float)), grads)
     return grads
-
-
-def backward(net: Network, activations, target: float) -> Gradients:
-    return backward_batch(net, activations, [target])
-
-
-def sgd_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
-    params = _flatten(net.weights, net.biases)
-    _descend(params, _flatten(grads.weight_grads, grads.bias_grads),
-             learning_rate)
-    return _network_on(params, net)
-
-
-def loss(net: Network, x, target: float) -> float:
-    pred, _ = forward(net, x)
-    return 0.5 * (pred - float(target)) ** 2
 
 
 def mse(net: Network, x: np.ndarray, y: np.ndarray) -> float:
@@ -241,10 +196,8 @@ def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
     x_fit, y_fit = x[fit_idx], y[fit_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 
-    params = _flatten(net.weights, net.biases)
-    current = _network_on(params, net)
-    grad = np.empty_like(params)
-    grads = Gradients(*_views(grad, net))
+    current, grads = replace(net), replace(net)
+    params, grad, lr = current.params, grads.params, cfg.learning_rate
     best = params.copy()
     best_monitor = np.inf
     since_best = 0
@@ -257,8 +210,9 @@ def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
             for start in range(0, n_fit, cfg.batch_size):
                 batch = perm[start:start + cfg.batch_size]
                 acts = _forward(current, x_fit[batch])
-                _backward(current, acts, y_fit[batch], grads, grad)
-                _descend(params, grad, cfg.learning_rate)
+                _backward(current, acts, y_fit[batch], grads)
+                grad *= lr
+                params -= grad
             train_mse = mse(current, x_fit, y_fit)
             if not np.isfinite(train_mse):
                 raise DivergedLoss(f"training MSE became {train_mse}")
@@ -274,34 +228,34 @@ def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
                 since_best += 1
                 if since_best > cfg.patience:
                     break
-    return _network_on(best, net), history
+    params[:] = best
+    return current, history
 
 
 def gradient_check(net: Network, x, target: float, epsilon: float = 1e-5) -> float:
-    """Max relative deviation of backprop vs central finite differences."""
+    """Max relative deviation of backprop vs central finite differences.
+
+    Each parameter is perturbed in `net.params` and restored, bit for bit.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    x = np.asarray(x, dtype=float)
-    _, acts = forward(net, x)
-    grads = backward(net, acts, target)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    target = float(target)
+    analytic = backward_batch(net, forward_batch(net, x)[1], [target]).params
+    params = net.params
 
     worst = 0.0
-    params = [(net.weights, grads.weight_grads), (net.biases, grads.bias_grads)]
-    for arrays, grad_arrays in params:
-        for arr, grad in zip(arrays, grad_arrays):
-            flat, gflat = arr.ravel(), np.asarray(grad).ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + epsilon
-                up = loss(net, x, target)
-                flat[k] = orig - epsilon
-                down = loss(net, x, target)
-                flat[k] = orig
-                numeric = (up - down) / (2.0 * epsilon)
-                analytic = gflat[k]
-                # the 1e-6 floor compares near-zero gradients at absolute
-                # scale, where central-difference roundoff (~eps_machine /
-                # epsilon) would otherwise dominate the ratio
-                denom = max(1e-6, abs(analytic) + abs(numeric))
-                worst = max(worst, abs(analytic - numeric) / denom)
+    for k in range(params.size):
+        orig = params[k]
+        params[k] = orig + epsilon
+        up = 0.5 * (forward_batch(net, x)[0][0] - target) ** 2
+        params[k] = orig - epsilon
+        down = 0.5 * (forward_batch(net, x)[0][0] - target) ** 2
+        params[k] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        # the 1e-6 floor compares near-zero gradients at absolute scale,
+        # where central-difference roundoff (~eps_machine / epsilon) would
+        # otherwise dominate the ratio
+        denom = max(1e-6, abs(analytic[k]) + abs(numeric))
+        worst = max(worst, abs(analytic[k] - numeric) / denom)
     return worst

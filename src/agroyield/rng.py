@@ -20,9 +20,9 @@ draws can never shift another stage's stream.
 
 MASK64 = (1 << 64) - 1
 
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -41,10 +41,10 @@ class SplitMix64:
         self._state = seed & MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
+        self._state = (self._state + GAMMA) & MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        z = ((z ^ (z >> 30)) * MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX2) & MASK64
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:

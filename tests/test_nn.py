@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroyield import nn, pipeline, synthgen
+from agroyield import ingest, models, nn, pipeline, synthgen
 from agroyield.errors import AgroYieldError, DivergedLoss
 from agroyield.nn import (
     Network,
     TrainConfig,
-    backward,
-    forward,
+    backward_batch,
     forward_batch,
     gradient_check,
     init_network,
-    sgd_step,
     train,
 )
 from agroyield.schema import Crop
@@ -29,6 +27,9 @@ def linear_unit(w=0.5, b=0.0):
 
 def numeric_gradients(net, x, target, eps=1e-6):
     """Independent central-difference oracle over every parameter."""
+    def loss():
+        return 0.5 * (forward_batch(net, x)[0][0] - target) ** 2
+
     grads_w, grads_b = [], []
     for arr_list, out in ((net.weights, grads_w), (net.biases, grads_b)):
         for arr in arr_list:
@@ -37,9 +38,9 @@ def numeric_gradients(net, x, target, eps=1e-6):
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + eps
-                up = nn.loss(net, x, target)
+                up = loss()
                 flat[k] = orig - eps
-                down = nn.loss(net, x, target)
+                down = loss()
                 flat[k] = orig
                 gflat[k] = (up - down) / (2 * eps)
             out.append(g)
@@ -76,26 +77,26 @@ class TestForward:
         net = init_network((3, 4, 1), seed=0)
         for w in net.weights:
             w[:] = 0.0
-        pred, _ = forward(net, [1.0, -2.0, 3.0])
-        assert pred == 0.0
+        preds, _ = forward_batch(net, [1.0, -2.0, 3.0])
+        assert preds[0] == 0.0
 
     def test_single_linear_unit(self):
-        pred, _ = forward(linear_unit(0.5), [1.0])
-        assert pred == 0.5
+        preds, _ = forward_batch(linear_unit(0.5), [1.0])
+        assert preds[0] == 0.5
 
     def test_relu_clamps_negative_preactivation(self):
         net = Network(layer_sizes=(1, 1, 1),
                       weights=[np.array([[1.0]]), np.array([[1.0]])],
                       biases=[np.array([0.0]), np.array([0.0])],
                       hidden_activation="relu")
-        pred, acts = forward(net, [-3.0])
+        preds, acts = forward_batch(net, [-3.0])
         assert acts[1][0, 0] == 0.0
-        assert pred == 0.0
+        assert preds[0] == 0.0
 
     def test_dimension_mismatch(self):
         net = init_network((4, 3, 1))
         with pytest.raises(AgroYieldError, match="expected 4 inputs, got 2"):
-            forward(net, [1.0, 2.0])
+            forward_batch(net, [1.0, 2.0])
 
     def test_linear_scale_consistency(self):
         # bias-free single linear layer: doubling inputs doubles output
@@ -104,63 +105,37 @@ class TestForward:
                       weights=[rng.normal(size=(1, 5))],
                       biases=[np.zeros(1)], hidden_activation="relu")
         x = rng.normal(size=5)
-        p1, _ = forward(net, x)
-        p2, _ = forward(net, 2 * x)
-        assert p2 == pytest.approx(2 * p1, rel=1e-12)
+        p1, _ = forward_batch(net, x)
+        p2, _ = forward_batch(net, 2 * x)
+        assert p2[0] == pytest.approx(2 * p1[0], rel=1e-12)
 
 
 class TestBackward:
     def test_single_linear_unit_hand_gradient(self):
         net = linear_unit(0.5)
-        _, acts = forward(net, [1.0])
-        grads = backward(net, acts, 0.0)
+        _, acts = forward_batch(net, [1.0])
+        grads = backward_batch(net, acts, [0.0])
         # d/dw 1/2 (w*x - t)^2 = (0.5 - 0) * 1
-        assert grads.weight_grads[0][0, 0] == pytest.approx(0.5)
+        assert grads.weights[0][0, 0] == pytest.approx(0.5)
 
     def test_zero_error_gives_zero_gradients(self):
         net = init_network((4, 5, 1), "sigmoid", seed=2)
         x = np.ones(4)
-        pred, acts = forward(net, x)
-        grads = backward(net, acts, pred)
-        assert all(np.allclose(g, 0) for g in grads.weight_grads)
-        assert all(np.allclose(g, 0) for g in grads.bias_grads)
+        preds, acts = forward_batch(net, x)
+        grads = backward_batch(net, acts, preds)
+        assert all(np.allclose(g, 0) for g in grads.weights)
+        assert all(np.allclose(g, 0) for g in grads.biases)
 
     def test_matches_independent_finite_difference_oracle(self):
         rng = np.random.default_rng(11)
         net = init_network((6, 7, 4, 1), "sigmoid", seed=11)
         x = rng.normal(size=6)
         target = rng.normal()
-        _, acts = forward(net, x)
-        analytic = backward(net, acts, target)
+        _, acts = forward_batch(net, x)
+        analytic = backward_batch(net, acts, [target])
         num_w, num_b = numeric_gradients(net, x, target)
-        for a, n_ in zip(analytic.weight_grads + analytic.bias_grads,
-                         num_w + num_b):
+        for a, n_ in zip(analytic.weights + analytic.biases, num_w + num_b):
             np.testing.assert_allclose(a, n_, rtol=1e-4, atol=1e-7)
-
-
-class TestSgdStep:
-    def test_zero_learning_rate_is_identity(self):
-        net = init_network((3, 2, 1), seed=1)
-        _, acts = forward(net, [1.0, 2.0, 3.0])
-        grads = backward(net, acts, 1.0)
-        stepped = sgd_step(net, grads, 0.0)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(net.weights, stepped.weights))
-
-    def test_update_arithmetic(self):
-        net = linear_unit(1.0)
-        grads = nn.Gradients(weight_grads=[np.array([[0.5]])],
-                             bias_grads=[np.array([0.0])])
-        stepped = sgd_step(net, grads, 0.1)
-        assert stepped.weights[0][0, 0] == pytest.approx(0.95)
-
-    def test_two_equal_steps_equal_one_double_step(self):
-        grads = nn.Gradients(weight_grads=[np.array([[0.5]])],
-                             bias_grads=[np.array([0.25])])
-        twice = sgd_step(sgd_step(linear_unit(1.0), grads, 0.1), grads, 0.1)
-        once = sgd_step(linear_unit(1.0), grads, 0.2)
-        assert twice.weights[0][0, 0] == pytest.approx(once.weights[0][0, 0])
-        assert twice.biases[0][0] == pytest.approx(once.biases[0][0])
 
 
 class TestTrain:
@@ -217,20 +192,19 @@ class TestTrain:
             train(net, np.empty((0, 2)), np.empty(0), TrainConfig())
 
     def test_full_batch_step_never_increases_convex_mse(self):
-        # single linear layer through the same code path, lr = 1e-3
+        # single linear layer, 20 full-batch steps of lr = 1e-3
         rng = np.random.default_rng(8)
         x = rng.normal(size=(50, 4))
         y = x @ np.array([1.0, -2.0, 0.5, 3.0]) + 0.3
         net = Network(layer_sizes=(4, 1),
                       weights=[rng.normal(size=(1, 4))],
                       biases=[np.zeros(1)], hidden_activation="relu")
-        current = net
-        prev = nn.mse(current, x, y)
-        for _ in range(20):
-            _, acts = forward_batch(current, x)
-            grads = nn.backward_batch(current, acts, y)
-            current = sgd_step(current, grads, 1e-3)
-            now = nn.mse(current, x, y)
+        _, history = train(net, x, y, TrainConfig(
+            learning_rate=1e-3, batch_size=50, max_epochs=20, patience=20,
+            validation_fraction=0.0))
+        assert len(history.train_mse) == 20
+        prev = nn.mse(net, x, y)
+        for now in history.train_mse:
             assert now <= prev + 1e-12
             prev = now
 
@@ -291,6 +265,44 @@ class TestGradientCheck:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             gradient_check(linear_unit(), [1.0], 0.0, 0.0)
+
+
+def _assert_one_buffer(net):
+    """`net`'s arrays are views that tile `params` in the module layout."""
+    sizes = net.layer_sizes
+    assert net.params.size == sum((fan_in + 1) * fan_out for fan_in, fan_out
+                                  in zip(sizes[:-1], sizes[1:]))
+    arrays = [a for layer in zip(net.weights, net.biases) for a in layer]
+    assert all(np.shares_memory(a, net.params) for a in arrays)
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]),
+                          net.params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_inputs=st.integers(1, 5),
+       hidden=st.lists(st.integers(1, 6), max_size=2),
+       activation=st.sampled_from(nn.HIDDEN_ACTIVATIONS),
+       seed=st.integers(0, 2**16))
+def test_every_network_is_one_buffer(n_inputs, hidden, activation, seed):
+    net = init_network((n_inputs, *hidden, 1), activation, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(4, n_inputs))
+    y = rng.normal(size=4)
+    trained, _ = train(net, x, y, TrainConfig(
+        batch_size=2, max_epochs=2, seed=seed, validation_fraction=0.0))
+    grads = backward_batch(net, forward_batch(net, x)[1], y)
+    norm = ingest.Normalizer(column_mins=np.zeros(models.N_FEATURES),
+                             column_maxs=np.ones(models.N_FEATURES),
+                             target_min=0.0, target_max=1.0)
+    wide = init_network((models.N_FEATURES, *hidden, 1), activation, seed)
+    loaded = models.model_from_json(models.model_to_json(
+        models.Model("dnn", wide, norm))).payload
+    for each in (net, trained, grads, loaded):
+        _assert_one_buffer(each)
+
+    before = net.params.tobytes()
+    gradient_check(net, x[0], y[0])
+    assert net.params.tobytes() == before
 
 
 def _trained_state(net, history):
@@ -361,9 +373,8 @@ def _reference_train(net, x, y, cfg):
     """The per-array loop that the flat-buffer `train` replaced.
 
     Each step runs a forward pass, the mean gradient of every array, and
-    an update that copies every array, as `forward_batch`,
-    `backward_batch` and `sgd_step` did; `best` is copied every epoch
-    that improves.
+    an update that copies every array; `best` is copied every epoch that
+    improves.
     """
     act = net.hidden_activation
     rng = np.random.default_rng(cfg.seed)
