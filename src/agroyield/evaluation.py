@@ -170,7 +170,7 @@ def emit_plot_data(dataset: ingest.Dataset, kind: str) -> PlotSeries:
         raise AgroYieldError("no records to plot")
     weather = kind in _WEATHER_KINDS
     crop = np.full(len(dataset), -1) if weather else dataset.crop
-    column = schema.VALUE_COLUMNS.index(kind)
+    column = schema.VALUE_INDEX[kind]
     # stable, so each group keeps the dataset's order and `sum` adds in it
     order = np.lexsort((crop, dataset.year, dataset.district))
     keys = np.column_stack([dataset.district, dataset.year, crop])[order]

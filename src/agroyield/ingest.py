@@ -4,7 +4,7 @@ A `Dataset` holds columns: `district` and `crop` enum values, an int64
 `year`, an (n, 47) float matrix `values` of the features other than the
 year, production and yield (`schema.VALUE_COLUMNS`), and `row`, the 0-based
 data row of the source file, which the cleaning log names. Every layer
-works on the arrays; `Dataset.records` builds an `AgroRecord` view when read.
+works on the arrays; `Dataset.records[i]` builds row i as an `AgroRecord`.
 
 CSV contract: UTF-8, comma-separated, `.` decimal point, mandatory header
     district, year, crop, <45 remaining schema columns>, production, yield
@@ -52,7 +52,7 @@ _FORK_ROWS = 512
 # one salt per key entry: district, crop, year, then the value columns
 _HASH_SALT = (np.arange(1, 4 + len(schema.VALUE_COLUMNS), dtype=np.uint64)
               * np.uint64(GAMMA))
-_YIELD = schema.VALUE_COLUMNS.index("yield")
+_YIELD = schema.VALUE_INDEX["yield"]
 _DISTRICT_NAMES = [d.name.lower() for d in District]
 _CROP_NAMES = [c.name.lower() for c in Crop]
 
@@ -87,7 +87,7 @@ class Dataset:
 
 
 class Records(Sequence):
-    """Read-only `AgroRecord` views of a dataset's rows, built when read."""
+    """A dataset's rows as `schema.AgroRecord`s, each built when read."""
 
     def __init__(self, dataset: Dataset):
         self._dataset = dataset
@@ -97,9 +97,9 @@ class Records(Sequence):
 
     def __getitem__(self, i) -> schema.AgroRecord:
         ds = self._dataset
-        return schema.record_from_values(
+        return schema.AgroRecord(
             District(int(ds.district[i])), int(ds.year[i]),
-            Crop(int(ds.crop[i])), ds.values[i].tolist())
+            Crop(int(ds.crop[i])), tuple(ds.values[i].tolist()))
 
 
 def record_dataset(record: schema.AgroRecord) -> Dataset:
@@ -107,7 +107,7 @@ def record_dataset(record: schema.AgroRecord) -> Dataset:
     return Dataset(np.array([record.district.value]),
                    np.array([record.crop.value]),
                    np.array([schema.year64(record.year)], dtype=np.int64),
-                   np.array([schema.record_values(record)], dtype=float),
+                   np.array([record.values], dtype=float),
                    np.zeros(1, dtype=np.int64))
 
 

@@ -74,47 +74,6 @@ CROP_DISPLAY_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class Weather:
-    avg_rainfall: float  # annual mm
-    max_temp: float      # deg C
-    min_temp: float      # deg C
-    humidity: float      # percent
-
-
-@dataclass(frozen=True)
-class Fertilizer:
-    urea: float  # metric tons applied
-    tsp: float
-    dap: float
-    mp: float
-
-
-@dataclass(frozen=True)
-class SoilProperty:
-    moisture: float      # ordinal 1-5
-    texture: float       # ordinal 1-5
-    consistency: float   # ordinal 1-5
-    reaction: float      # pH-like, [3.0, 10.0]
-    structure: float     # ordinal 1-5
-    composition: float   # ordinal 1-5
-
-
-@dataclass(frozen=True)
-class AgroRecord:
-    district: District
-    year: int
-    crop: Crop
-    weather: Weather
-    fertilizer: Fertilizer
-    land_fractions: tuple  # 6 reals summing to 1
-    soil_fractions: tuple  # 19 reals summing to 1
-    soil_props: SoilProperty
-    area: float            # hectares
-    production: float      # metric tons
-    yield_t_ha: float      # metric tons / hectare (target)
-
-
 _WEATHER_COLUMNS = ("avg_rainfall", "max_temp", "min_temp", "humidity")
 _FERTILIZER_COLUMNS = ("urea", "tsp", "dap", "mp")
 LAND_FRAC_COLUMNS = tuple(f"land_frac_{t}" for t in (
@@ -172,44 +131,31 @@ def encode_district(district: District) -> tuple:
 
 # A record's stored values, as columns of a dataset's (n, 47) float
 # matrix: every feature but the year (indicators included), then the
-# production and the target.
+# production and the target. Code finds a column through `VALUE_INDEX`.
 VALUE_COLUMNS = _COLUMNS[1:] + ("production", "yield")
-FERTILIZER = slice(4, 8)
-LAND = slice(8, 14)
-SOIL = slice(14, 33)
-INDICATORS = slice(40, 45)
-_V = {name: j for j, name in enumerate(VALUE_COLUMNS)}
+VALUE_INDEX = {name: j for j, name in enumerate(VALUE_COLUMNS)}
+FERTILIZER, LAND, SOIL, INDICATORS = (
+    slice(VALUE_INDEX[group[0]], VALUE_INDEX[group[-1]] + 1) for group in (
+        _FERTILIZER_COLUMNS, LAND_FRAC_COLUMNS, SOIL_FRAC_COLUMNS,
+        INDICATOR_COLUMNS))
 
 # indicator pattern of each district, indexed by District value
 INDICATOR_PATTERNS = np.array([encode_district(d) for d in District])
 
 
-def record_values(record: AgroRecord) -> tuple:
-    """The record's 47 stored values, in `VALUE_COLUMNS` order."""
-    if len(record.land_fractions) != 6 or len(record.soil_fractions) != 19:
-        raise AgroYieldError("fractions must be 6 land and 19 soil entries")
-    w, f, sp = record.weather, record.fertilizer, record.soil_props
-    return (
-        (w.avg_rainfall, w.max_temp, w.min_temp, w.humidity,
-         f.urea, f.tsp, f.dap, f.mp)
-        + tuple(record.land_fractions) + tuple(record.soil_fractions)
-        + (sp.moisture, sp.texture, sp.consistency, sp.reaction,
-           sp.structure, sp.composition, record.area)
-        + encode_district(record.district)
-        + (record.production, record.yield_t_ha)
-    )
-
-
-def record_from_values(district: District, year: int, crop: Crop,
-                       values: list) -> AgroRecord:
-    """The inverse of `record_values`; indicator values are not read."""
-    return AgroRecord(
-        district=district, year=year, crop=crop,
-        weather=Weather(*values[0:4]), fertilizer=Fertilizer(*values[4:8]),
-        land_fractions=tuple(values[LAND]), soil_fractions=tuple(values[SOIL]),
-        soil_props=SoilProperty(*values[33:39]), area=values[39],
-        production=values[45], yield_t_ha=values[46],
-    )
+@dataclass(frozen=True)
+class AgroRecord:
+    """One dataset row. `values` holds its 47 stored floats in
+    `VALUE_COLUMNS` order: weather (annual rainfall in mm, max and min
+    temperature in deg C, humidity in %), fertilizer applied (4, metric
+    tons), land fractions (6) and soil fractions (19), each summing to 1,
+    soil properties (6: ordinals 1-5 and a pH-like reaction in [3, 10]),
+    area in hectares, the 5 district indicators, production in metric tons
+    and the target yield in t/ha."""
+    district: District
+    year: int
+    crop: Crop
+    values: tuple
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -270,7 +216,7 @@ def json_numbers(values, what, size=None, integer=False) -> np.ndarray:
 
 _NONNEGATIVE = ("area", "production", "yield")
 _FINITE = _WEATHER_COLUMNS + _FERTILIZER_COLUMNS + _NONNEGATIVE
-_FINITE_COLUMNS = [_V[name] for name in _FINITE]
+_FINITE_COLUMNS = [VALUE_INDEX[name] for name in _FINITE]
 # (message, column, lo, hi): violated unless lo <= value <= hi, so NaN
 # violates. In report order; the fraction rules fall after the first six.
 _BOUNDS = (
@@ -283,7 +229,7 @@ _BOUNDS = (
     ("soil reaction out of [3,10]", "soil_reaction", 3.0, 10.0),
     *((f"{name} < 0", name, 0.0, np.inf) for name in _NONNEGATIVE),
 )
-_BOUND_COLUMNS = [_V[column] for _, column, _, _ in _BOUNDS]
+_BOUND_COLUMNS = [VALUE_INDEX[column] for _, column, _, _ in _BOUNDS]
 _LO, _HI = (np.array([b[k] for b in _BOUNDS]) for k in (2, 3))
 _MESSAGES = (
     "year not finite", *(f"{name} not finite" for name in _FINITE),
@@ -327,12 +273,13 @@ def _block_violations(year: np.ndarray, v: np.ndarray) -> np.ndarray:
             ~np.isfinite(v[:, SOIL]).all(axis=1)])
         x = v[:, _BOUND_COLUMNS]
         outside = ~((_LO <= x) & (x <= _HI))
-        area, production, target = v[:, 39], v[:, 45], v[:, 46]
+        area, production, target = (v[:, VALUE_INDEX[c]]
+                                    for c in ("area", "production", "yield"))
         implied = production / np.where(area > 0, area, 1.0)
         tol = YIELD_CONSISTENCY_TOL * np.maximum(1.0, target)
         ranged = np.column_stack([
             year < 1900, year == YEAR_OUT_OF_RANGE,
-            ~(v[:, _V["min_temp"]] < v[:, _V["max_temp"]]),
+            ~(v[:, VALUE_INDEX["min_temp"]] < v[:, VALUE_INDEX["max_temp"]]),
             outside[:, :6], *_fractions(v, LAND), *_fractions(v, SOIL),
             outside[:, 6:],
             (area > 0) & (np.abs(target - implied) > tol)])

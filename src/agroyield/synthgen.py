@@ -25,8 +25,8 @@ import numpy as np
 from .errors import AgroYieldError
 from .ingest import Dataset
 from .schema import (BLOCK_ROWS, FERTILIZER, INDICATOR_PATTERNS, INDICATORS,
-                     LAND, SOIL, VALUE_COLUMNS, AgroRecord, Crop, District,
-                     json_number, json_numbers, record_values, require_valid,
+                     LAND, SOIL, VALUE_COLUMNS, VALUE_INDEX, AgroRecord, Crop,
+                     District, json_number, json_numbers, require_valid,
                      sum_in_order)
 
 MAX_TEMP_RANGE = (22.5, 35.0)
@@ -46,6 +46,9 @@ _UNIFORM_DRAWS = (
     ("max_temp", MAX_TEMP_RANGE), ("min_temp", MIN_TEMP_RANGE),
     ("avg_rainfall", RAINFALL_RANGE), ("humidity", HUMIDITY_RANGE),
     *FERTILIZER_RANGES.items())
+# the ordinal soil properties, drawn together after the fractions
+_ORDINALS = [VALUE_INDEX[f"soil_{name}"] for name in (
+    "moisture", "texture", "consistency", "structure", "composition")]
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def _oracle(values: np.ndarray, which: np.ndarray, table: list) -> np.ndarray:
         return np.array([getattr(r, name) for r in table], dtype=float)
 
     def bump(column, key):
-        x = values[:, VALUE_COLUMNS.index(column)]
+        x = values[:, VALUE_INDEX[column]]
         z = (x - param(f"opt_{key}")[which]) / param(f"width_{key}")[which]
         return np.fromiter(map(math.exp, (-z * z).tolist()), float, len(z))
 
@@ -117,7 +120,7 @@ def _oracle(values: np.ndarray, which: np.ndarray, table: list) -> np.ndarray:
 
 def ground_truth_yield(record: AgroRecord, response: CropResponse) -> float:
     """Noise-free yield in t/ha for a record under a crop response."""
-    values = np.array([record_values(record)], dtype=float)
+    values = np.array([record.values], dtype=float)
     return float(_oracle(values, np.zeros(1, dtype=int), [response])[0])
 
 
@@ -222,14 +225,12 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
     # data: weather, fertilizer, fractions, ordinals, reaction, area, noise.
     rng = np.random.default_rng(cfg.seed)
     for column, (lo, hi) in _UNIFORM_DRAWS:
-        values[:, VALUE_COLUMNS.index(column)] = rng.uniform(lo, hi, n)
+        values[:, VALUE_INDEX[column]] = rng.uniform(lo, hi, n)
     for columns in (LAND, SOIL):
         _draw_fractions(rng, values[:, columns])
-    ordinals = rng.integers(1, 6, (n, 5))
-    values[:, 33:36], values[:, 37:39] = ordinals[:, :3], ordinals[:, 3:]
-    del ordinals
-    values[:, 36] = rng.uniform(*REACTION_RANGE, n)
-    values[:, 39] = rng.uniform(*AREA_RANGE, n)
+    values[:, _ORDINALS] = rng.integers(1, 6, (n, len(_ORDINALS)))
+    values[:, VALUE_INDEX["soil_reaction"]] = rng.uniform(*REACTION_RANGE, n)
+    values[:, VALUE_INDEX["area"]] = rng.uniform(*AREA_RANGE, n)
 
     years = range(cfg.years[0], cfg.years[1] + 1)
     triples = np.array([(d.value, y, k) for d in cfg.districts for y in years
@@ -241,8 +242,9 @@ def generate(cfg: GenConfig, responses: dict | None = None) -> Dataset:
         if cfg.noise_sigma > 0:
             y *= np.maximum(0.01,
                             1.0 + cfg.noise_sigma * rng.standard_normal(n))
-        values[:, -2] = y * values[:, VALUE_COLUMNS.index("area")]
-    values[:, -1] = y
+        values[:, VALUE_INDEX["production"]] = (
+            y * values[:, VALUE_INDEX["area"]])
+    values[:, VALUE_INDEX["yield"]] = y
     # a custom response can give a negative or non-finite yield
     require_valid(year, values)
     crop = np.array([c.value for c in cfg.crops])[which]

@@ -8,40 +8,43 @@ from contextlib import contextmanager
 import numpy as np
 
 from agroyield import ingest, schema
-from agroyield.schema import (
-    AgroRecord,
-    Crop,
-    District,
-    Fertilizer,
-    SoilProperty,
-    Weather,
-)
+from agroyield.schema import AgroRecord, Crop, District
 
 # values from the published sample rows (Dhaka 2008)
 TABLE1_DHAKA_2008 = dict(avg_rainfall=2385.0, humidity=71.0,
                          urea=25967.0, tsp=8262.0, dap=1573.0)
 
+# a valid record's values, by `schema.VALUE_COLUMNS` name, except the yield
+# (keyword `yield_t_ha`), the production and the district indicators
+_DEFAULTS = dict(
+    **TABLE1_DHAKA_2008, max_temp=34.0, min_temp=12.0, mp=2000.0,
+    **dict(zip(schema.LAND_FRAC_COLUMNS, (1.0,) + (0.0,) * 5)),
+    **dict(zip(schema.SOIL_FRAC_COLUMNS, (1.0,) + (0.0,) * 18)),
+    soil_moisture=3.0, soil_texture=3.0, soil_consistency=3.0,
+    soil_reaction=6.5, soil_structure=3.0, soil_composition=3.0,
+    area=1000.0, yield_t_ha=2.0)
 
-def make_record(**over) -> AgroRecord:
-    yield_t_ha = over.pop("yield_t_ha", 2.0)
-    area = over.pop("area", 1000.0)
-    fields = dict(
-        district=District.Dhaka,
-        year=2008,
-        crop=Crop.AusRice,
-        weather=Weather(avg_rainfall=2385.0, max_temp=34.0, min_temp=12.0,
-                        humidity=71.0),
-        fertilizer=Fertilizer(urea=25967.0, tsp=8262.0, dap=1573.0, mp=2000.0),
-        land_fractions=(1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-        soil_fractions=(1.0,) + (0.0,) * 18,
-        soil_props=SoilProperty(moisture=3.0, texture=3.0, consistency=3.0,
-                                reaction=6.5, structure=3.0, composition=3.0),
-        area=area,
-        production=yield_t_ha * area,
-        yield_t_ha=yield_t_ha,
-    )
-    fields.update(over)
-    return AgroRecord(**fields)
+
+def make_record(district=District.Dhaka, year=2008, crop=Crop.AusRice,
+                **values) -> AgroRecord:
+    """A valid record, with `values` overriding the defaults by column
+    name. The indicators follow the district, and the production defaults
+    to yield * area; an unknown name raises TypeError."""
+    unknown = values.keys() - _DEFAULTS.keys() - {"production"}
+    if unknown:
+        raise TypeError(f"make_record() got unknown values {sorted(unknown)}")
+    named = {**_DEFAULTS, **values}
+    named.setdefault("production", named["yield_t_ha"] * named["area"])
+    named.update(zip(schema.INDICATOR_COLUMNS,
+                     schema.encode_district(district)))
+    named["yield"] = named["yield_t_ha"]
+    return AgroRecord(district, year, crop,
+                      tuple(named[name] for name in schema.VALUE_COLUMNS))
+
+
+def record_value(record, name):
+    """`record`'s value in the `schema.VALUE_COLUMNS` column `name`."""
+    return record.values[schema.VALUE_INDEX[name]]
 
 
 def leaf_value(tree, row):
@@ -59,7 +62,7 @@ def dataset_of(records, source="<memory>") -> ingest.Dataset:
         crop=np.array([r.crop.value for r in records], dtype=np.int64),
         year=np.array([schema.year64(r.year) for r in records],
                       dtype=np.int64),
-        values=np.array([schema.record_values(r) for r in records],
+        values=np.array([r.values for r in records],
                         dtype=float).reshape(len(records), 47),
         row=np.arange(len(records)), source=source)
 

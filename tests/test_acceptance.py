@@ -17,7 +17,7 @@ from agroyield import baselines, evaluation, ingest, nn, pipeline, synthgen
 from agroyield.cli import run
 from agroyield.evaluation import METHOD_ORDER, EvalReport, compare, render_markdown
 from agroyield.schema import Crop
-from helpers import dataset_of, leaf_value, make_record
+from helpers import dataset_of, leaf_value, make_record, record_value
 from test_evaluation import constant_model
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -241,8 +241,8 @@ def test_criterion_9_calibration_bounds():
     ds = synthgen.generate(synthgen.GenConfig(n_records=100000, seed=9))
     assert len(ds.records) == 100000
     for record in ds.records:
-        assert 22.5 <= record.weather.max_temp <= 35.0
-        assert 10.0 <= record.weather.min_temp <= 22.0
+        assert 22.5 <= record_value(record, "max_temp") <= 35.0
+        assert 10.0 <= record_value(record, "min_temp") <= 22.0
 
 
 # ------------------------------------------------------------------------

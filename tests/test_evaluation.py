@@ -19,8 +19,8 @@ from agroyield.evaluation import (
     select_crop,
 )
 from agroyield.models import Model
-from agroyield.schema import Crop, District, Weather
-from helpers import dataset_of, make_record
+from agroyield.schema import Crop, District
+from helpers import dataset_of, make_record, record_value
 
 
 def constant_model(value, target_min=0.0, target_max=10.0, crop=None):
@@ -188,11 +188,11 @@ class TestEmitPlotData:
     def dataset(self):
         records = [
             make_record(district=District.Dhaka, year=2008,
-                        crop=Crop.Jute, yield_t_ha=2.0,
-                        weather=Weather(2385.0, 34.0, 12.0, 71.0)),
+                        crop=Crop.Jute, yield_t_ha=2.0, avg_rainfall=2385.0,
+                        max_temp=34.0, min_temp=12.0, humidity=71.0),
             make_record(district=District.Dhaka, year=2008,
-                        crop=Crop.Jute, yield_t_ha=4.0,
-                        weather=Weather(1900.0, 30.0, 14.0, 65.0)),
+                        crop=Crop.Jute, yield_t_ha=4.0, avg_rainfall=1900.0,
+                        max_temp=30.0, min_temp=14.0, humidity=65.0),
             make_record(district=District.Tangail, year=2009,
                         crop=Crop.Wheat, yield_t_ha=3.0),
         ]
@@ -213,7 +213,8 @@ class TestEmitPlotData:
         explicit = {}
         for r in ds.records:
             key = (r.district, r.year, r.crop)
-            explicit[key] = explicit.get(key, 0.0) + r.production
+            explicit[key] = (explicit.get(key, 0.0)
+                             + record_value(r, "production"))
         assert {(d, y, c): v for d, y, c, v in series.points} == explicit
 
     def test_yield_kind_averages(self):
@@ -247,13 +248,13 @@ def _reference_plot_points(records, kind):
     for r in records:
         if kind in ("max_temp", "min_temp", "avg_rainfall"):
             key = (r.district, r.year, None)
-            value = getattr(r.weather, kind)
+            value = record_value(r, kind)
         elif kind == "production":
             key = (r.district, r.year, r.crop)
-            value = r.production
+            value = record_value(r, "production")
         else:
             key = (r.district, r.year, r.crop)
-            value = r.yield_t_ha
+            value = record_value(r, "yield")
         groups.setdefault(key, []).append(value)
 
     def sort_key(item):

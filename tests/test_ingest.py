@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,8 +26,7 @@ from agroyield.ingest import (
     split,
     write_csv,
 )
-from agroyield.schema import Fertilizer, Weather
-from helpers import dataset_of, make_record
+from helpers import dataset_of, make_record, record_value
 from test_schema import valid_records
 
 
@@ -43,9 +43,9 @@ class TestParseCsv:
         ds = parse_csv(csv_text([r]))
         assert len(ds.records) == 1
         got = ds.records[0]
-        assert got.weather.avg_rainfall == 2385.0
-        assert got.weather.humidity == 71.0
-        assert got.fertilizer.urea == 25967.0
+        assert record_value(got, "avg_rainfall") == 2385.0
+        assert record_value(got, "humidity") == 71.0
+        assert record_value(got, "urea") == 25967.0
         assert got == r
 
     def test_header_only_gives_empty_dataset(self):
@@ -156,7 +156,7 @@ class TestDeduplicate:
 
 class TestDropInvalid:
     def test_inverted_temps_removed_with_reason(self):
-        bad = make_record(weather=Weather(2385.0, 20.0, 30.0, 71.0))
+        bad = make_record(max_temp=20.0, min_temp=30.0)
         ds = clean(dataset_of([bad]))
         assert list(ds.records) == []
         assert "min_temp < max_temp violated" in ds.cleaning_log[0][1]
@@ -169,7 +169,8 @@ class TestDropInvalid:
 
     def test_mixed_counts(self):
         good = [make_record(year=2008 + i) for i in range(3)]
-        bad = [make_record(weather=Weather(0.0, 20.0, 30.0, 71.0), year=y)
+        bad = [make_record(avg_rainfall=0.0, max_temp=20.0, min_temp=30.0,
+                           year=y)
                for y in (2014, 2015)]
         ds = clean(dataset_of(good + bad))
         assert len(ds.records) == 3
@@ -178,7 +179,7 @@ class TestDropInvalid:
 
 def rainfall_dataset(values):
     return dataset_of([
-        make_record(weather=Weather(v, 34.0, 12.0, 71.0), year=2008 + i)
+        make_record(avg_rainfall=v, year=2008 + i)
         for i, v in enumerate(values)
     ])
 
@@ -317,11 +318,13 @@ def _reference_deduplicate(records):
 def _variant(base, kind):
     """`base`, or a copy with a zero fraction negated or a NaN humidity."""
     if kind == "negative-zero":
-        return make_record(year=base.year, yield_t_ha=base.yield_t_ha,
-                           land_fractions=(1.0, -0.0, 0.0, 0.0, 0.0, 0.0))
+        return make_record(year=base.year,
+                           yield_t_ha=record_value(base, "yield"),
+                           land_frac_mediumhighland=-0.0)
     if kind == "nan":
-        return make_record(year=base.year, yield_t_ha=base.yield_t_ha,
-                           weather=Weather(2385.0, 34.0, 12.0, math.nan))
+        return make_record(year=base.year,
+                           yield_t_ha=record_value(base, "yield"),
+                           humidity=math.nan)
     return base
 
 
@@ -530,12 +533,12 @@ def _reference_csv(records) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
-        features = schema.record_values(r)[:45]
+        features = r.values[:45]
         writer.writerow(
             [r.district.name.lower(), str(r.year), r.crop.name.lower()]
             + [_reference_format_value(float(v)) for v in features]
-            + [_reference_format_value(r.production),
-               _reference_format_value(r.yield_t_ha)])
+            + [_reference_format_value(record_value(r, "production")),
+               _reference_format_value(record_value(r, "yield"))])
     return out.getvalue()
 
 
@@ -560,14 +563,10 @@ def large_valued_records(draw):
     """Valid records whose unbounded columns hold values near 1e15."""
     base = draw(valid_records())
     non_negative = _NEAR_1E15.map(abs)
-    return make_record(
-        district=base.district, crop=base.crop, year=base.year,
-        weather=Weather(draw(non_negative), base.weather.max_temp,
-                        base.weather.min_temp, base.weather.humidity),
-        fertilizer=Fertilizer(*(draw(non_negative) for _ in range(4))),
-        land_fractions=base.land_fractions,
-        soil_fractions=base.soil_fractions, soil_props=base.soil_props,
-        area=base.area, yield_t_ha=base.yield_t_ha)
+    values = list(base.values)
+    for name in ("avg_rainfall", "urea", "tsp", "dap", "mp"):
+        values[schema.VALUE_INDEX[name]] = draw(non_negative)
+    return replace(base, values=tuple(values))
 
 
 @settings(max_examples=100, deadline=None)
@@ -589,3 +588,46 @@ def test_write_then_load_keeps_the_arrays_of_a_generated_dataset(tmp_path):
     back = ingest.load_csv(tmp_path / "d.csv")
     for name in ("district", "crop", "year", "values"):
         assert np.array_equal(getattr(back, name), getattr(ds, name))
+
+
+# ------------------------------------------------------------------------
+# The row view against the rows it views.
+
+def _assert_rows_round_trip(ds):
+    """`record_dataset` of each row's record holds the row's bytes."""
+    assert len(ds.records) == len(ds)
+    for i, record in enumerate(ds.records):
+        one, want = ingest.record_dataset(record), ds.take([i], ds.source)
+        for name in ("district", "crop", "year", "values"):
+            got, row = getattr(one, name), getattr(want, name)
+            assert (got.dtype, got.tobytes()) == (row.dtype, row.tobytes())
+        assert record.values[schema.INDICATORS] == tuple(
+            schema.INDICATOR_PATTERNS[record.district.value].tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+       st.lists(st.tuples(st.integers(0, 299), st.sampled_from(
+           ["avg_rainfall", "urea", "tsp", "dap", "mp"])), max_size=6),
+       st.lists(st.tuples(st.integers(0, 299), st.sampled_from(
+           [1900, 2 ** 31, 2 ** 62, 2 ** 63 - 2])), max_size=4))
+def test_record_dataset_round_trips_every_row(tmp_path_factory, seed, n,
+                                              zeros, years):
+    generated = synthgen.generate(synthgen.GenConfig(n_records=n, seed=seed))
+    _assert_rows_round_trip(generated)
+    # the written CSV with some cells set to -0.0 and some years to large
+    # valid ones, so clean keeps every row
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    write_csv(generated, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edits = [(row, CSV_HEADER.index(name), "-0.0") for row, name in zeros]
+    edits += [(row, 1, str(year)) for row, year in years]
+    for row, field, text in edits:
+        fields = lines[1 + row % n].split(",")
+        fields[field] = text
+        lines[1 + row % n] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cleaned = clean(ingest.load_csv(path))
+    assert len(cleaned) == n
+    assert np.signbit(cleaned.values).any() == bool(zeros)
+    _assert_rows_round_trip(cleaned)

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -10,11 +11,9 @@ from agroyield.errors import AgroYieldError
 from agroyield.schema import (
     LAND_FRAC_COLUMNS,
     SOIL_FRAC_COLUMNS,
+    AgroRecord,
     Crop,
     District,
-    Fertilizer,
-    SoilProperty,
-    Weather,
     encode_district,
     parse_crop,
     parse_district,
@@ -94,18 +93,16 @@ class TestValidateRecord:
         assert messages(make_record()) == []
 
     def test_humidity_out_of_range(self):
-        r = make_record(weather=Weather(2385.0, 34.0, 12.0, 150.0))
+        r = make_record(humidity=150.0)
         assert any("humidity" in v for v in messages(r))
 
     def test_land_fraction_sum(self):
-        r = make_record(land_fractions=(0.8, 0.0, 0.0, 0.0, 0.0, 0.0))
+        r = make_record(land_frac_highland=0.8)
         assert any("land_fractions sum" in v for v in messages(r))
 
     def test_reports_every_violation(self):
-        r = make_record(
-            weather=Weather(2385.0, 20.0, 30.0, 150.0),
-            land_fractions=(0.8, 0.0, 0.0, 0.0, 0.0, 0.0),
-        )
+        r = make_record(max_temp=20.0, min_temp=30.0, humidity=150.0,
+                        land_frac_highland=0.8)
         assert len(messages(r)) >= 3
 
     def test_yield_production_consistency(self):
@@ -144,8 +141,7 @@ class TestEncodeFeatures:
 
     def test_invalid_record_raises(self):
         # an invalid row is stopped where data enters, before any encoding
-        ds = dataset_of([make_record(
-            weather=Weather(2385.0, 34.0, 12.0, 150.0))])
+        ds = dataset_of([make_record(humidity=150.0)])
         with pytest.raises(AgroYieldError,
                            match=r"^humidity out of \[0,100\]$"):
             schema.require_valid(ds.year, ds.values)
@@ -183,21 +179,19 @@ def valid_records(draw):
     area = draw(st.floats(1.0, 1e5))
     return make_record(
         district=district, crop=crop, year=year,
-        weather=Weather(
-            avg_rainfall=draw(st.floats(0.0, 5000.0)),
-            max_temp=max_temp, min_temp=min_temp,
-            humidity=draw(st.floats(0.0, 100.0)),
-        ),
-        fertilizer=Fertilizer(*(draw(st.floats(0.0, 1e5)) for _ in range(4))),
-        land_fractions=land, soil_fractions=soil,
-        soil_props=SoilProperty(
-            moisture=float(draw(st.integers(1, 5))),
-            texture=float(draw(st.integers(1, 5))),
-            consistency=float(draw(st.integers(1, 5))),
-            reaction=draw(st.floats(3.0, 10.0)),
-            structure=float(draw(st.integers(1, 5))),
-            composition=float(draw(st.integers(1, 5))),
-        ),
+        avg_rainfall=draw(st.floats(0.0, 5000.0)),
+        max_temp=max_temp, min_temp=min_temp,
+        humidity=draw(st.floats(0.0, 100.0)),
+        **{name: draw(st.floats(0.0, 1e5))
+           for name in ("urea", "tsp", "dap", "mp")},
+        **dict(zip(LAND_FRAC_COLUMNS, land)),
+        **dict(zip(SOIL_FRAC_COLUMNS, soil)),
+        soil_moisture=float(draw(st.integers(1, 5))),
+        soil_texture=float(draw(st.integers(1, 5))),
+        soil_consistency=float(draw(st.integers(1, 5))),
+        soil_reaction=draw(st.floats(3.0, 10.0)),
+        soil_structure=float(draw(st.integers(1, 5))),
+        soil_composition=float(draw(st.integers(1, 5))),
         area=area, yield_t_ha=yield_t_ha,
     )
 
@@ -218,14 +212,10 @@ class TestProperties:
     def test_district_injectivity(self, record, other_district):
         if other_district is record.district:
             return
-        changed = make_record(
-            district=other_district, crop=record.crop, year=record.year,
-            weather=record.weather, fertilizer=record.fertilizer,
-            land_fractions=record.land_fractions,
-            soil_fractions=record.soil_fractions,
-            soil_props=record.soil_props, area=record.area,
-            yield_t_ha=record.yield_t_ha,
-        )
+        values = list(record.values)
+        values[schema.INDICATORS] = encode_district(other_district)
+        changed = replace(record, district=other_district,
+                          values=tuple(values))
         assert features(changed) != features(record)
 
 
@@ -234,69 +224,62 @@ class TestProperties:
 
 def _reference_validate_record(record):
     """The per-record validator the rule table replaced, kept verbatim."""
+    value = dict(zip(schema.VALUE_COLUMNS, record.values))
+    land_fractions = [value[c] for c in LAND_FRAC_COLUMNS]
+    soil_fractions = [value[c] for c in SOIL_FRAC_COLUMNS]
     v = []
-    w, f, sp = record.weather, record.fertilizer, record.soil_props
     if not -sys.float_info.max <= record.year <= sys.float_info.max:
         v.append("year not finite")
-    numeric = {
-        "avg_rainfall": w.avg_rainfall,
-        "max_temp": w.max_temp,
-        "min_temp": w.min_temp,
-        "humidity": w.humidity,
-        "urea": f.urea, "tsp": f.tsp, "dap": f.dap, "mp": f.mp,
-        "area": record.area,
-        "production": record.production,
-        "yield": record.yield_t_ha,
-    }
-    for name, value in numeric.items():
-        if not math.isfinite(value):
+    for name in ("avg_rainfall", "max_temp", "min_temp", "humidity",
+                 "urea", "tsp", "dap", "mp", "area", "production", "yield"):
+        if not math.isfinite(value[name]):
             v.append(f"{name} not finite")
-    if any(not math.isfinite(x) for x in record.land_fractions):
+    if any(not math.isfinite(x) for x in land_fractions):
         v.append("land_fractions not finite")
-    if any(not math.isfinite(x) for x in record.soil_fractions):
+    if any(not math.isfinite(x) for x in soil_fractions):
         v.append("soil_fractions not finite")
     if v:
         return v
 
     if record.year < 1900:
         v.append("year < 1900")
-    if not w.min_temp < w.max_temp:
+    if not value["min_temp"] < value["max_temp"]:
         v.append("min_temp < max_temp violated")
-    if not 0.0 <= w.humidity <= 100.0:
+    if not 0.0 <= value["humidity"] <= 100.0:
         v.append("humidity out of [0,100]")
-    if w.avg_rainfall < 0:
+    if value["avg_rainfall"] < 0:
         v.append("avg_rainfall < 0")
     for name in ("urea", "tsp", "dap", "mp"):
-        if getattr(f, name) < 0:
+        if value[name] < 0:
             v.append(f"{name} < 0")
-    if len(record.land_fractions) != 6:
+    if len(land_fractions) != 6:
         v.append("land_fractions length != 6")
-    elif min(record.land_fractions) < 0:
+    elif min(land_fractions) < 0:
         v.append("land_fractions has negative entry")
-    elif abs(sum(record.land_fractions) - 1.0) > schema.FRACTION_SUM_TOL:
+    elif abs(sum(land_fractions) - 1.0) > schema.FRACTION_SUM_TOL:
         v.append("land_fractions sum != 1")
-    if len(record.soil_fractions) != 19:
+    if len(soil_fractions) != 19:
         v.append("soil_fractions length != 19")
-    elif min(record.soil_fractions) < 0:
+    elif min(soil_fractions) < 0:
         v.append("soil_fractions has negative entry")
-    elif abs(sum(record.soil_fractions) - 1.0) > schema.FRACTION_SUM_TOL:
+    elif abs(sum(soil_fractions) - 1.0) > schema.FRACTION_SUM_TOL:
         v.append("soil_fractions sum != 1")
     for name in ("moisture", "texture", "consistency", "structure", "composition"):
-        val = getattr(sp, name)
+        val = value[f"soil_{name}"]
         if not 1.0 <= val <= 5.0:
             v.append(f"soil {name} out of [1,5]")
-    if not 3.0 <= sp.reaction <= 10.0:
+    if not 3.0 <= value["soil_reaction"] <= 10.0:
         v.append("soil reaction out of [3,10]")
-    if record.area < 0:
+    if value["area"] < 0:
         v.append("area < 0")
-    if record.production < 0:
+    if value["production"] < 0:
         v.append("production < 0")
-    if record.yield_t_ha < 0:
+    if value["yield"] < 0:
         v.append("yield < 0")
-    if record.area > 0:
-        implied = record.production / record.area
-        tol = schema.YIELD_CONSISTENCY_TOL * max(1.0, record.yield_t_ha)
-        if abs(record.yield_t_ha - implied) > tol:
+    if value["area"] > 0:
+        implied = value["production"] / value["area"]
+        tol = schema.YIELD_CONSISTENCY_TOL * max(1.0, value["yield"])
+        if abs(value["yield"] - implied) > tol:
             v.append("yield inconsistent with production/area")
     return v
 
@@ -313,9 +296,10 @@ _YEARS = st.one_of(st.integers(1800, 2100),
 def edgy_records(draw):
     """A valid record with a few values replaced by edge cases, production
     maybe a little off yield * area, and maybe a fraction group shifted to
-    sum to about 1 +- 1e-9."""
+    sum to about 1 +- 1e-9. The indicators follow the district, whatever
+    edge values were drawn for them."""
     base = draw(valid_records())
-    values = list(schema.record_values(base))
+    values = list(base.values)
     for j in draw(st.lists(st.integers(0, 46), max_size=5)):
         values[j] = draw(st.one_of(st.sampled_from(_EDGE_VALUES),
                                    st.floats(), st.floats(-200.0, 200.0)))
@@ -325,8 +309,8 @@ def edgy_records(draw):
     if group is not None:
         values[group.start] += draw(st.sampled_from(
             [1e-9, -1e-9, 0.9e-9, -0.9e-9, 1.1e-9, -1.1e-9]))
-    return schema.record_from_values(base.district, draw(_YEARS), base.crop,
-                                     values)
+    values[schema.INDICATORS] = encode_district(base.district)
+    return AgroRecord(base.district, draw(_YEARS), base.crop, tuple(values))
 
 
 @settings(max_examples=500, deadline=None)

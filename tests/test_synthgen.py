@@ -1,15 +1,14 @@
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from agroyield import ingest, schema, synthgen
-from agroyield.schema import Crop, District, Fertilizer, Weather
+from agroyield.schema import LAND_FRAC_COLUMNS, SOIL_FRAC_COLUMNS, Crop, District
 from agroyield.synthgen import CropResponse, GenConfig, generate, ground_truth_yield, load_responses
-from helpers import make_record
+from helpers import make_record, record_value
 from test_schema import valid_records
 
 
@@ -28,28 +27,29 @@ def unit_response(**over):
     return CropResponse(**fields)
 
 
+NO_FERTILIZER = dict(urea=0.0, tsp=0.0, dap=0.0, mp=0.0)
+
+
 class TestGroundTruthYield:
     def test_at_optima_with_unit_suitability_gives_base_yield(self):
-        record = make_record(fertilizer=Fertilizer(0.0, 0.0, 0.0, 0.0))
+        record = make_record(**NO_FERTILIZER)
         assert ground_truth_yield(record, unit_response()) == pytest.approx(3.0)
 
     def test_one_width_off_optimum_scales_by_exp_minus_one(self):
         resp = unit_response()
-        record = make_record(fertilizer=Fertilizer(0.0, 0.0, 0.0, 0.0))
-        shifted = make_record(
-            fertilizer=Fertilizer(0.0, 0.0, 0.0, 0.0),
-            weather=Weather(2385.0 + resp.width_rainfall, 34.0, 12.0, 71.0),
-        )
+        record = make_record(**NO_FERTILIZER)
+        shifted = make_record(**NO_FERTILIZER,
+                              avg_rainfall=2385.0 + resp.width_rainfall)
         ratio = (ground_truth_yield(shifted, resp)
                  / ground_truth_yield(record, resp))
         assert ratio == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_jute_prefers_high_rainfall_and_humidity(self):
         jute = load_responses()[Crop.Jute]
-        wet = make_record(crop=Crop.Jute,
-                          weather=Weather(2350.0, 33.0, 15.0, 71.0))
-        dry = make_record(crop=Crop.Jute,
-                          weather=Weather(1150.0, 33.0, 15.0, 58.0))
+        wet = make_record(crop=Crop.Jute, avg_rainfall=2350.0, max_temp=33.0,
+                          min_temp=15.0, humidity=71.0)
+        dry = make_record(crop=Crop.Jute, avg_rainfall=1150.0, max_temp=33.0,
+                          min_temp=15.0, humidity=58.0)
         assert ground_truth_yield(wet, jute) > ground_truth_yield(dry, jute)
 
     def test_strictly_positive_on_generated_records(self):
@@ -60,8 +60,8 @@ class TestGroundTruthYield:
 
     def test_fertilizer_response_saturates(self):
         resp = unit_response()
-        low = make_record(fertilizer=Fertilizer(1000.0, 0.0, 0.0, 0.0))
-        high = make_record(fertilizer=Fertilizer(1e9, 0.0, 0.0, 0.0))
+        low = make_record(**{**NO_FERTILIZER, "urea": 1000.0})
+        high = make_record(**{**NO_FERTILIZER, "urea": 1e9})
         cap = 3.0 * (1.0 + resp.fertilizer_coeffs[0])
         assert ground_truth_yield(low, resp) < ground_truth_yield(high, resp) <= cap
 
@@ -75,7 +75,8 @@ class TestGenerate:
 
     def test_max_temp_in_published_range(self):
         ds = generate(GenConfig(n_records=500, seed=3))
-        assert all(22.5 <= r.weather.max_temp <= 35.0 for r in ds.records)
+        assert all(22.5 <= record_value(r, "max_temp") <= 35.0
+                   for r in ds.records)
 
     def test_same_seed_byte_identical(self, tmp_path):
         a = generate(GenConfig(n_records=200, seed=9))
@@ -90,7 +91,8 @@ class TestGenerate:
         ds = generate(GenConfig(n_records=100, seed=2, noise_sigma=0.0),
                       responses)
         for r in ds.records:
-            assert r.yield_t_ha == ground_truth_yield(r, responses[r.crop])
+            assert record_value(r, "yield") \
+                == ground_truth_yield(r, responses[r.crop])
 
     def test_generated_records_are_valid(self):
         ds = generate(GenConfig(n_records=200, seed=4))
@@ -143,17 +145,17 @@ def _reference_ground_truth_yield(record, response):
         z = (x - opt) / width
         return math.exp(-z * z)
 
-    w, f = record.weather, record.fertilizer
+    v = dict(zip(schema.VALUE_COLUMNS, record.values))
     g = (
-        bump(w.avg_rainfall, response.opt_rainfall, response.width_rainfall)
-        * bump(w.max_temp, response.opt_max_temp, response.width_max_temp)
-        * bump(w.humidity, response.opt_humidity, response.width_humidity)
+        bump(v["avg_rainfall"], response.opt_rainfall, response.width_rainfall)
+        * bump(v["max_temp"], response.opt_max_temp, response.width_max_temp)
+        * bump(v["humidity"], response.opt_humidity, response.width_humidity)
     )
     soil = sum(frac * wt for frac, wt
-               in zip(record.soil_fractions, response.soil_weights))
+               in zip([v[c] for c in SOIL_FRAC_COLUMNS], response.soil_weights))
     land = sum(frac * wt for frac, wt
-               in zip(record.land_fractions, response.land_weights))
-    amounts = (f.urea, f.tsp, f.dap, f.mp)
+               in zip([v[c] for c in LAND_FRAC_COLUMNS], response.land_weights))
+    amounts = (v["urea"], v["tsp"], v["dap"], v["mp"])
     fert = 1.0 + sum(
         c * (a / (a + s)) if a > 0 else 0.0
         for c, a, s in zip(response.fertilizer_coeffs, amounts,
@@ -176,8 +178,9 @@ def test_generated_yields_equal_scalar_reference():
                   responses)
     for r in ds.records:
         expected = _reference_ground_truth_yield(r, responses[r.crop])
-        assert r.yield_t_ha == expected
-        assert r.production == expected * r.area
+        assert record_value(r, "yield") == expected
+        assert record_value(r, "production") \
+            == expected * record_value(r, "area")
 
 
 # sha256 of the district, crop, year, values and row bytes of 9,000
