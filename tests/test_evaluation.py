@@ -243,7 +243,8 @@ class TestEmitPlotData:
 
 
 def _reference_plot_points(records, kind):
-    """The per-record grouping `emit_plot_data` replaced, kept verbatim."""
+    """The per-record grouping `emit_plot_data` replaced, with its logic
+    unchanged; it reads each value from the record's row by name."""
     groups = {}
     for r in records:
         if kind in ("max_temp", "min_temp", "avg_rainfall"):

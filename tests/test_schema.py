@@ -223,7 +223,8 @@ class TestProperties:
 # The column validator against the scalar validator it replaced.
 
 def _reference_validate_record(record):
-    """The per-record validator the rule table replaced, kept verbatim."""
+    """The per-record validator the rule table replaced, with its checks,
+    arithmetic and order unchanged; it reads the row's values by name."""
     value = dict(zip(schema.VALUE_COLUMNS, record.values))
     land_fractions = [value[c] for c in LAND_FRAC_COLUMNS]
     soil_fractions = [value[c] for c in SOIL_FRAC_COLUMNS]

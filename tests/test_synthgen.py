@@ -140,7 +140,8 @@ class TestResponses:
 # The column oracle against the per-record formula it replaced.
 
 def _reference_ground_truth_yield(record, response):
-    """The scalar oracle `generate` used per record, kept verbatim."""
+    """The scalar oracle `generate` used per record, with its arithmetic
+    and order unchanged; it reads the row's values by name."""
     def bump(x, opt, width):
         z = (x - opt) / width
         return math.exp(-z * z)
