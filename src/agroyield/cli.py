@@ -32,12 +32,11 @@ _MAX_RECORDS = sys.maxsize // (8 * len(VALUE_COLUMNS))
 
 # field -> (type, default, (allowed range, test) or None). Ranges are
 # checked on config-file values and again on the merged configuration.
-# A default is read from the class that uses the value; epochs and lr are
-# None because each model family has its own.
+# A default is read from the class that uses the value, the train ratio's
+# excepted; epochs and lr are None because each model family has its own.
 _FIELDS = {
     "seed": (int, 0, None),
-    "train_ratio": (float, ingest.SplitConfig.train_ratio,
-                    ("in (0, 1)", lambda v: 0 < v < 1)),
+    "train_ratio": (float, 0.8, ("in (0, 1)", lambda v: 0 < v < 1)),
     "n": (int, synthgen.GenConfig.n_records,
           (f"from 1 to {_MAX_RECORDS}", lambda v: 1 <= v <= _MAX_RECORDS)),
     "noise_sigma": (float, synthgen.GenConfig.noise_sigma,
@@ -227,9 +226,11 @@ def _cmd_evaluate(args, cfg):
     results = {}
     for path in args.models:
         model = _load_crop_model(path)
-        _, test = pipeline.split_crop(
+        _, rows = pipeline.split_crop(
             dataset, model.crop, cfg["train_ratio"], cfg["seed"])
-        metrics = evaluation.evaluate(model, test)
+        test = dataset.take(rows)
+        metrics = evaluation.evaluate(model, ingest.feature_matrix(test),
+                                      ingest.target_vector(test))
         results[str(path)] = {
             "variant": model.variant,
             "crop": model.crop.name,
@@ -257,7 +258,8 @@ def _cmd_report(args, cfg):
                                            _hyper(cfg))
             trained[variant] = model
             save_model(model, out / "models" / f"{crop.name.lower()}_{variant}.json")
-        metrics_by_crop[crop] = evaluation.compare(trained, crop_split.test)
+        metrics_by_crop[crop] = evaluation.compare(
+            trained, crop_split.x_test, crop_split.y_test)
         log.info("evaluated %s", crop.name)
     report = evaluation.EvalReport(
         metrics_by_crop=metrics_by_crop, source=dataset.source,

@@ -4,7 +4,8 @@ Accuracy is reported as the exact complement of the mean absolute
 percentage error (accuracy + error = 100). The comparison table keeps
 the literal column name "MSE (%)" for layout compatibility with the
 published tables even though the value is the MAPE; report footnotes say
-so.
+so. `evaluate` and `compare` score encoded test rows (raw features and
+yields, as `pipeline.CropSplit` holds them) and encode nothing.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def mape(predictions, actuals) -> float:
     return float(100.0 * np.mean(np.abs(p - a) / np.abs(a)))
 
 
-def _score(model: Model, x, actuals) -> Metrics:
+def evaluate(model: Model, x, actuals) -> Metrics:
     """Metrics of `model` on raw feature rows `x` with yields `actuals`."""
     if len(actuals) == 0:
         raise AgroYieldError("no test records")
@@ -78,16 +79,9 @@ def _score(model: Model, x, actuals) -> Metrics:
                    n_test=len(actuals))
 
 
-def evaluate(model: Model, test: ingest.Dataset) -> Metrics:
-    return _score(model, ingest.feature_matrix(test),
-                  ingest.target_vector(test))
-
-
-def compare(models: dict, test: ingest.Dataset) -> dict:
-    """{variant: Metrics} in method order for a single crop's test set."""
-    x = ingest.feature_matrix(test)
-    actuals = ingest.target_vector(test)
-    return {key: _score(models[key], x, actuals) for key, _ in METHOD_ORDER}
+def compare(models: dict, x, actuals) -> dict:
+    """{variant: Metrics} in method order on one crop's encoded test rows."""
+    return {key: evaluate(models[key], x, actuals) for key, _ in METHOD_ORDER}
 
 
 def _table_rows(report: EvalReport, crop: Crop) -> list:

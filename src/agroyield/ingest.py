@@ -1,4 +1,4 @@
-"""CSV parsing, cleaning, min-max normalization, seeded splits.
+"""CSV parsing, cleaning, min-max normalization, seeded row-index splits.
 
 A `Dataset` holds columns: `district` and `crop` enum values, an int64
 `year`, an (n, 47) float matrix `values` of the features other than the
@@ -79,11 +79,11 @@ class Dataset:
     def records(self) -> "Records":
         return Records(self)
 
-    def take(self, index, source: str, cleaning_log=()) -> "Dataset":
-        """Rows `index`, in that order, as a new dataset."""
+    def take(self, index) -> "Dataset":
+        """Rows `index`, in that order, as a new dataset with an empty log."""
         return Dataset(self.district[index], self.crop[index],
                        self.year[index], self.values[index], self.row[index],
-                       source, list(cleaning_log))
+                       self.source)
 
 
 class Records(Sequence):
@@ -103,22 +103,12 @@ class Records(Sequence):
 
 
 def record_dataset(record: schema.AgroRecord) -> Dataset:
-    """A one-row dataset holding `record`."""
+    """A one-row dataset holding `record`, whose year must fit int64."""
     return Dataset(np.array([record.district.value]),
                    np.array([record.crop.value]),
-                   np.array([schema.year64(record.year)], dtype=np.int64),
+                   np.array([record.year], dtype=np.int64),
                    np.array([record.values], dtype=float),
                    np.zeros(1, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    train_ratio: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_ratio < 1.0:
-            raise ValueError("train_ratio must be in (0, 1)")
 
 
 @lru_cache(maxsize=256)
@@ -374,9 +364,8 @@ def clean(dataset: Dataset) -> Dataset:
         (int(dataset.row[i]), "; ".join(schema.violation_messages(mask[i])))
         for i in np.flatnonzero(invalid)]
     keep = first & ~invalid
-    if keep.all():
-        return replace(dataset, cleaning_log=log)
-    return dataset.take(np.flatnonzero(keep), dataset.source, log)
+    kept = dataset if keep.all() else dataset.take(np.flatnonzero(keep))
+    return replace(kept, cleaning_log=log)
 
 
 def feature_matrix(dataset: Dataset) -> np.ndarray:
@@ -441,12 +430,13 @@ def denormalize_target(norm: Normalizer, y_norm):
     return np.asarray(y_norm, dtype=float) * span + norm.target_min
 
 
-def split(dataset: Dataset, cfg: SplitConfig):
-    """Seeded shuffle split; train gets the first floor(n * ratio) records."""
-    n = len(dataset)
+def split(n: int, train_ratio: float, seed: int) -> tuple:
+    """Seeded shuffle split of rows 0, ..., n - 1 into (train, test) int64
+    index arrays; train gets the first floor(n * ratio) of the order."""
+    if not 0.0 < train_ratio < 1.0:
+        raise ValueError("train_ratio must be in (0, 1)")
     if n < 2:
         raise AgroYieldError(f"need at least 2 records to split, got {n}")
-    order = SplitMix64(cfg.seed).permutation(n)
-    n_train = int(n * cfg.train_ratio)
-    return (dataset.take(order[:n_train], f"{dataset.source}[train]"),
-            dataset.take(order[n_train:], f"{dataset.source}[test]"))
+    order = np.array(SplitMix64(seed).permutation(n), dtype=np.int64)
+    n_train = int(n * train_ratio)
+    return order[:n_train], order[n_train:]

@@ -19,10 +19,10 @@ of NumPy operations per forest. Anything else raises AgroYieldError.
 A model maps raw 46-feature rows to yields in t/ha. `fit_model` fits its
 min-max scaling on the raw train rows and yields, and `predict_model` takes
 raw rows and scales them with it; no caller scales rows for a model.
-Predictions are returned in original units (t/ha): the network's and the
-SVM's raw outputs are clamped to [0, 1] before denormalization so reported
-yields are never negative; a non-finite prediction raises
-AgroYieldError.
+Predictions are returned in original units (t/ha): every family's raw
+output, a loaded forest's leaf outside [0, 1] included, is clamped to
+[0, 1] before denormalization, so a yield lies in the train yields' range;
+a non-finite prediction raises AgroYieldError.
 """
 
 from __future__ import annotations
@@ -217,14 +217,14 @@ VARIANTS = {
     "dnn": Variant(
         label="Deep Neural Network(DNN)",
         fit=_fit_dnn,
-        predict_raw=lambda p, x: np.clip(nn.forward_batch(p, x)[0], 0.0, 1.0),
+        predict_raw=lambda p, x: nn.forward_batch(p, x)[0],
         to_dict=_dnn_to_dict,
         from_dict=_dnn_from_dict,
     ),
     "svm": Variant(
         label="Support Vector Machine(SVM)",
         fit=_fit_svm,
-        predict_raw=lambda p, x: np.clip(p.predict_raw(x), 0.0, 1.0),
+        predict_raw=lambda p, x: p.predict_raw(x),
         to_dict=lambda p: {"weights": p.weights.tolist(), "bias": p.bias,
                            "epsilon": p.epsilon, "c": p.c},
         from_dict=lambda d: baselines.SvmModel(
@@ -286,7 +286,8 @@ def predict_model(model: Model, x) -> np.ndarray:
             f"got {x.shape[1]}")
     raw = spec.predict_raw(model.payload,
                            ingest.normalize_features(model.normalizer, x))
-    yields = ingest.denormalize_target(model.normalizer, raw)
+    yields = ingest.denormalize_target(model.normalizer,
+                                       np.clip(raw, 0.0, 1.0))
     if not np.isfinite(yields).all():
         raise AgroYieldError(
             f"{model.variant} model predicts a non-finite yield")

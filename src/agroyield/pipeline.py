@@ -1,5 +1,5 @@
-"""Per-crop train/test splits and model training for the CLI's `train`
-and `report` commands (and `evaluate`'s test split)."""
+"""Per-crop splits, as row indices and as encoded arrays, and model
+training for the CLI's `train`, `evaluate` and `report` commands."""
 
 from __future__ import annotations
 
@@ -28,33 +28,34 @@ class Hyperparams:
 @dataclass
 class CropSplit:
     crop: Crop
-    test: ingest.Dataset
     x_train: np.ndarray  # (n_train, 46), raw features
     y_train: np.ndarray  # (n_train,), yields in t/ha
+    x_test: np.ndarray   # (n_test, 46)
+    y_test: np.ndarray   # (n_test,)
 
 
 def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
                seed: int) -> tuple:
-    """One crop's records, split 80/20-style into (train, test) datasets
-    with a seed derived from `seed` and the crop."""
+    """The (train, test) indices into `dataset` of one crop's rows, split
+    80/20-style with a seed derived from `seed` and the crop."""
     rows = np.flatnonzero(dataset.crop == crop.value)
     if len(rows) < 2:
         raise AgroYieldError(
             f"crop {crop.name} has {len(rows)} records; need at least 2")
-    subset = dataset.take(rows, f"{dataset.source}[{crop.name}]")
-    split_seed = derive_seed(seed, f"split.{crop.name}")
-    return ingest.split(
-        subset, ingest.SplitConfig(train_ratio=train_ratio, seed=split_seed))
+    train, test = ingest.split(len(rows), train_ratio,
+                               derive_seed(seed, f"split.{crop.name}"))
+    return rows[train], rows[test]
 
 
 def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
                        train_ratio: float, seed: int) -> CropSplit:
-    """Split one crop's records and encode the train part once, for every
-    variant trained on it."""
-    train, test = split_crop(dataset, crop, train_ratio, seed)
-    return CropSplit(crop=crop, test=test,
-                     x_train=ingest.feature_matrix(train),
-                     y_train=ingest.target_vector(train))
+    """Split one crop's rows and encode each part once, for every variant
+    trained and scored on it."""
+    train_rows, test_rows = split_crop(dataset, crop, train_ratio, seed)
+    train, test = dataset.take(train_rows), dataset.take(test_rows)
+    return CropSplit(crop, ingest.feature_matrix(train),
+                     ingest.target_vector(train), ingest.feature_matrix(test),
+                     ingest.target_vector(test))
 
 
 def train_variant(variant: str, crop_split: CropSplit, seed: int,

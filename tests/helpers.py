@@ -1,5 +1,6 @@
-"""Shared test helpers: valid records, tiny datasets, a crop split's scaled
-train part, a FlatTree walker, a time limit and a one-CPU pin."""
+"""Shared test helpers: valid records, tiny datasets and their encoding, a
+crop split's scaled train part, a FlatTree walker, a time limit and a
+one-CPU pin."""
 
 import os
 import signal
@@ -65,6 +66,13 @@ def dataset_of(records, source="<memory>") -> ingest.Dataset:
         values=np.array([r.values for r in records],
                         dtype=float).reshape(len(records), 47),
         row=np.arange(len(records)), source=source)
+
+
+def encoded(records):
+    """(x, y): the raw feature matrix and yields of `records`, as
+    `evaluation.evaluate` and `compare` take them."""
+    dataset = dataset_of(records)
+    return ingest.feature_matrix(dataset), ingest.target_vector(dataset)
 
 
 def scaled_train(crop_split):

@@ -17,7 +17,8 @@ from agroyield import baselines, evaluation, ingest, nn, pipeline, synthgen
 from agroyield.cli import run
 from agroyield.evaluation import METHOD_ORDER, EvalReport, compare, render_markdown
 from agroyield.schema import Crop
-from helpers import dataset_of, leaf_value, make_record, record_value
+from helpers import (dataset_of, encoded, leaf_value, make_record,
+                     record_value)
 from test_evaluation import constant_model
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -99,7 +100,8 @@ def test_criterion_2_oracle_learnability():
         }
         for variant, hyper in hypers.items():
             model = pipeline.train_variant(variant, cs, seed, hyper)
-            errs[variant] = evaluation.evaluate(model, cs.test).error_pct
+            errs[variant] = evaluation.evaluate(
+                model, cs.x_test, cs.y_test).error_pct
         dnn_ok += errs["dnn"] <= 10.0
         forest_ok += errs["forest"] <= 10.0
         logistic_worse += (errs["logistic"] > errs["dnn"]
@@ -135,7 +137,7 @@ def test_criterion_4_report_fidelity():
     for j, crop in enumerate(Crop):
         models = {key: constant_model(2.0 + 0.3 * (i + j))
                   for i, (key, _) in enumerate(METHOD_ORDER)}
-        metrics_by_crop[crop] = compare(models, dataset_of(records))
+        metrics_by_crop[crop] = compare(models, *encoded(records))
     report = EvalReport(metrics_by_crop=metrics_by_crop,
                         source="golden-fixture", seed=12345, train_ratio=0.8)
     golden = (DATA_DIR / "golden_report.md").read_text()
@@ -145,22 +147,15 @@ def test_criterion_4_report_fidelity():
 # ------------------------------------------------------------------------
 @criterion(5, "split sizes exact, disjoint, exhaustive, seed-stable")
 def test_criterion_5_split_exactness():
-    one = dataset_of([make_record()])
     for n in (10, 999, 300000):
-        # n rows that differ only in the year, so the year names the row
-        ds = ingest.Dataset(one.district.repeat(n), one.crop.repeat(n),
-                            1900 + np.arange(n), one.values.repeat(n, axis=0),
-                            np.arange(n))
-        cfg = ingest.SplitConfig(train_ratio=0.8, seed=77)
-        train_a, test_a = ingest.split(ds, cfg)
-        train_b, test_b = ingest.split(ds, cfg)
-        assert len(train_a.records) == int(0.8 * n)
-        assert len(test_a.records) == n - int(0.8 * n)
-        assert set(train_a.year.tolist()).isdisjoint(test_a.year.tolist())
-        assert sorted(train_a.year.tolist() + test_a.year.tolist()) \
-            == list(range(1900, 1900 + n))
-        assert train_a.year.tolist() == train_b.year.tolist()
-        assert test_a.year.tolist() == test_b.year.tolist()
+        train_a, test_a = ingest.split(n, 0.8, 77)
+        train_b, test_b = ingest.split(n, 0.8, 77)
+        assert len(train_a) == int(0.8 * n)
+        assert len(test_a) == n - int(0.8 * n)
+        assert set(train_a.tolist()).isdisjoint(test_a.tolist())
+        assert sorted(train_a.tolist() + test_a.tolist()) == list(range(n))
+        assert train_a.tolist() == train_b.tolist()
+        assert test_a.tolist() == test_b.tolist()
 
 
 # ------------------------------------------------------------------------

@@ -233,8 +233,10 @@ class TestForest:
             from agroyield.models import Model
             m_forest = Model("forest", forest, norm, Crop.Jute)
             m_single = Model("forest", single, norm, Crop.Jute)
-            err_f = evaluation.evaluate(m_forest, cs.test).error_pct
-            err_s = evaluation.evaluate(m_single, cs.test).error_pct
+            err_f = evaluation.evaluate(m_forest, cs.x_test,
+                                        cs.y_test).error_pct
+            err_s = evaluation.evaluate(m_single, cs.x_test,
+                                        cs.y_test).error_pct
             if err_f <= err_s:
                 wins += 1
         assert wins >= 4

@@ -20,7 +20,7 @@ from agroyield.evaluation import (
 )
 from agroyield.models import Model
 from agroyield.schema import Crop, District
-from helpers import dataset_of, make_record, record_value
+from helpers import dataset_of, encoded, make_record, record_value
 
 
 def constant_model(value, target_min=0.0, target_max=10.0, crop=None):
@@ -66,25 +66,25 @@ class TestMape:
 class TestEvaluate:
     def test_oracle_model_scores_100(self):
         records = [make_record(yield_t_ha=4.0, year=2008 + i) for i in range(3)]
-        metrics = evaluate(constant_model(4.0), dataset_of(records))
+        metrics = evaluate(constant_model(4.0), *encoded(records))
         assert metrics.accuracy_pct == pytest.approx(100.0)
         assert metrics.error_pct == pytest.approx(0.0)
 
     def test_uniform_ten_percent_overprediction(self):
         records = [make_record(yield_t_ha=2.0, year=2008 + i) for i in range(4)]
-        metrics = evaluate(constant_model(2.2), dataset_of(records))
+        metrics = evaluate(constant_model(2.2), *encoded(records))
         assert metrics.error_pct == pytest.approx(10.0)
 
     def test_complement_identity(self):
         records = [make_record(yield_t_ha=1.0 + i, year=2008 + i)
                    for i in range(5)]
-        metrics = evaluate(constant_model(1.7), dataset_of(records))
+        metrics = evaluate(constant_model(1.7), *encoded(records))
         assert metrics.accuracy_pct + metrics.error_pct == pytest.approx(
             100.0, abs=1e-9)
 
     def test_empty_test_set(self):
         with pytest.raises(AgroYieldError, match="no test records"):
-            evaluate(constant_model(1.0), dataset_of([]))
+            evaluate(constant_model(1.0), *encoded([]))
 
 
 def table_rows(metrics_by_variant):
@@ -102,7 +102,7 @@ class TestCompare:
 
     def test_four_rows_fixed_order(self):
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
-        rows = table_rows(compare(self.models(), dataset_of(records)))
+        rows = table_rows(compare(self.models(), *encoded(records)))
         assert [r.method for r in rows] == [
             "Deep Neural Network(DNN)",
             "Support Vector Machine(SVM)",
@@ -116,12 +116,12 @@ class TestCompare:
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
         same = constant_model(3.0)
         rows = table_rows(compare({key: same for key, _ in METHOD_ORDER},
-                                  dataset_of(records)))
+                                  *encoded(records)))
         assert len({(r.accuracy_pct, r.error_pct) for r in rows}) == 1
 
     def test_row_complement_identity(self):
         records = [make_record(yield_t_ha=2.5, year=2008 + i) for i in range(4)]
-        for row in table_rows(compare(self.models(), dataset_of(records))):
+        for row in table_rows(compare(self.models(), *encoded(records))):
             assert row.accuracy_pct + row.error_pct == pytest.approx(
                 100.0, abs=1e-9)
 
@@ -130,7 +130,7 @@ class TestRenderMarkdown:
     def test_exact_header_and_method_order(self):
         metrics = compare({key: constant_model(2.0)
                            for key, _ in METHOD_ORDER},
-                          dataset_of([make_record(yield_t_ha=2.0)]))
+                          *encoded([make_record(yield_t_ha=2.0)]))
         report = EvalReport(metrics_by_crop={Crop.Jute: metrics},
                             source="unit", seed=0, train_ratio=0.8)
         text = render_markdown(report)
@@ -274,7 +274,7 @@ def _reference_plot_points(records, kind):
 def test_plot_points_equal_per_record_reference(kind):
     ds = synthgen.generate(synthgen.GenConfig(n_records=1500, seed=21,
                                               years=(2008, 2010)))
-    shuffled = ds.take(np.random.default_rng(0).permutation(len(ds)), "s")
+    shuffled = ds.take(np.random.default_rng(0).permutation(len(ds)))
     for data in (ds, shuffled):
         assert emit_plot_data(data, kind).points \
             == _reference_plot_points(data.records, kind)

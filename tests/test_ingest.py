@@ -18,7 +18,6 @@ from agroyield.errors import AgroYieldError
 from agroyield.ingest import (
     CSV_HEADER,
     Dataset,
-    SplitConfig,
     clean,
     fit_normalizer,
     normalize_features,
@@ -264,39 +263,30 @@ class TestNormalizer:
 
 
 class TestSplit:
-    def make_dataset(self, n):
-        return dataset_of([make_record(year=1900 + i) for i in range(n)])
-
     def test_sizes_floor_rule(self):
-        train, test = split(self.make_dataset(10), SplitConfig(0.8, seed=1))
-        assert (len(train.records), len(test.records)) == (8, 2)
+        train, test = split(10, 0.8, 1)
+        assert (train.dtype, test.dtype) == (np.int64, np.int64)
+        assert (len(train), len(test)) == (8, 2)
 
     def test_same_seed_identical(self):
-        ds = self.make_dataset(20)
-        a = split(ds, SplitConfig(0.8, seed=42))
-        b = split(ds, SplitConfig(0.8, seed=42))
-        assert list(a[0].records) == list(b[0].records)
-        assert list(a[1].records) == list(b[1].records)
+        a, b = split(20, 0.8, 42), split(20, 0.8, 42)
+        assert a[0].tolist() == b[0].tolist()
+        assert a[1].tolist() == b[1].tolist()
 
     def test_different_seed_differs(self):
-        ds = self.make_dataset(50)
-        a = split(ds, SplitConfig(0.8, seed=1))
-        b = split(ds, SplitConfig(0.8, seed=2))
-        assert list(a[0].records) != list(b[0].records)
+        assert split(50, 0.8, 1)[0].tolist() != split(50, 0.8, 2)[0].tolist()
 
     def test_partition(self):
-        ds = self.make_dataset(31)
-        train, test = split(ds, SplitConfig(0.8, seed=3))
-        combined = sorted(r.year for r in [*train.records, *test.records])
-        assert combined == sorted(r.year for r in ds.records)
+        train, test = split(31, 0.8, 3)
+        assert sorted(train.tolist() + test.tolist()) == list(range(31))
 
     def test_too_few_records(self):
         with pytest.raises(AgroYieldError, match="need at least 2 records"):
-            split(self.make_dataset(1), SplitConfig(0.8, seed=0))
+            split(1, 0.8, 0)
 
     def test_ratio_bounds(self):
-        with pytest.raises(ValueError):
-            SplitConfig(train_ratio=1.5)
+        with pytest.raises(ValueError, match="train_ratio must be in"):
+            split(10, 1.5, 0)
 
 
 # ------------------------------------------------------------------------
@@ -362,13 +352,13 @@ def _reference_clean(dataset):
         seen.add(key)
     log = dataset.cleaning_log + [(row, "duplicate")
                                   for row in dataset.row[~first].tolist()]
-    deduped = dataset.take(np.flatnonzero(first), dataset.source, log)
+    deduped = replace(dataset.take(np.flatnonzero(first)), cleaning_log=log)
     mask = schema.violations(deduped.year, deduped.values)
     bad = mask.any(axis=1)
     log = deduped.cleaning_log + [
         (int(deduped.row[i]), "; ".join(schema.violation_messages(mask[i])))
         for i in np.flatnonzero(bad)]
-    return deduped.take(np.flatnonzero(~bad), deduped.source, log)
+    return replace(deduped.take(np.flatnonzero(~bad)), cleaning_log=log)
 
 
 def _assert_same_dataset(got, want):
@@ -597,7 +587,7 @@ def _assert_rows_round_trip(ds):
     """`record_dataset` of each row's record holds the row's bytes."""
     assert len(ds.records) == len(ds)
     for i, record in enumerate(ds.records):
-        one, want = ingest.record_dataset(record), ds.take([i], ds.source)
+        one, want = ingest.record_dataset(record), ds.take([i])
         for name in ("district", "crop", "year", "values"):
             got, row = getattr(one, name), getattr(want, name)
             assert (got.dtype, got.tobytes()) == (row.dtype, row.tobytes())
@@ -610,24 +600,36 @@ def _assert_rows_round_trip(ds):
        st.lists(st.tuples(st.integers(0, 299), st.sampled_from(
            ["avg_rainfall", "urea", "tsp", "dap", "mp"])), max_size=6),
        st.lists(st.tuples(st.integers(0, 299), st.sampled_from(
-           [1900, 2 ** 31, 2 ** 62, 2 ** 63 - 2])), max_size=4))
+           [1900, 2 ** 31, 2 ** 62, 2 ** 63 - 2])), max_size=4),
+       st.lists(st.tuples(st.integers(0, 299), st.sampled_from(
+           [10 ** 400, 2 ** 63 - 1])), min_size=1, max_size=3))
 def test_record_dataset_round_trips_every_row(tmp_path_factory, seed, n,
-                                              zeros, years):
+                                              zeros, years, coded_years):
     generated = synthgen.generate(synthgen.GenConfig(n_records=n, seed=seed))
     _assert_rows_round_trip(generated)
-    # the written CSV with some cells set to -0.0 and some years to large
-    # valid ones, so clean keeps every row
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     write_csv(generated, path)
     lines = path.read_text(encoding="utf-8").splitlines()
+
+    def load_edited(edits):
+        for row, field, text in edits:
+            fields = lines[1 + row % n].split(",")
+            fields[field] = text
+            lines[1 + row % n] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return ingest.load_csv(path)
+
+    # the written CSV with some cells set to -0.0 and some years to large
+    # valid ones, so clean keeps every row
     edits = [(row, CSV_HEADER.index(name), "-0.0") for row, name in zeros]
     edits += [(row, 1, str(year)) for row, year in years]
-    for row, field, text in edits:
-        fields = lines[1 + row % n].split(",")
-        fields[field] = text
-        lines[1 + row % n] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    cleaned = clean(ingest.load_csv(path))
+    cleaned = clean(load_edited(edits))
     assert len(cleaned) == n
     assert np.signbit(cleaned.values).any() == bool(zeros)
     _assert_rows_round_trip(cleaned)
+    # years that parse to the codes of `schema.year64`, whose rows clean
+    # drops: the rows as parsed round-trip too
+    loaded = load_edited([(row, 1, str(year)) for row, year in coded_years])
+    assert set(loaded.year.tolist()) & {schema.YEAR_NOT_FINITE,
+                                        schema.YEAR_OUT_OF_RANGE}
+    _assert_rows_round_trip(loaded)

@@ -64,10 +64,9 @@ class TestVariantTable:
 class TestPredictModel:
     def test_all_variants_predict_finite_yields(self, crop_split,
                                                 trained_models):
-        x = ingest.feature_matrix(crop_split.test)
         for model in trained_models.values():
-            preds = predict_model(model, x)
-            assert preds.shape == (len(crop_split.test.records),)
+            preds = predict_model(model, crop_split.x_test)
+            assert preds.shape == (len(crop_split.y_test),)
             assert np.all(np.isfinite(preds))
             assert np.all(preds >= 0)
 
@@ -104,6 +103,21 @@ class TestPredictModel:
         model = Model("forest", forest, norm)
         assert predict_model(model, np.ones((1, 46)))[0] == pytest.approx(2.0)
 
+    def test_forest_leaves_outside_the_unit_range_are_clamped(self):
+        norm = ingest.Normalizer(column_mins=np.zeros(46),
+                                 column_maxs=np.ones(46),
+                                 target_min=1.0, target_max=3.0)
+        # feature 0 at most 0.5 reaches the leaf 1.5, else the leaf -0.5
+        tree = baselines.FlatTree(feature=[0, -1, -1], value=[0.5, 1.5, -0.5],
+                                  right=[2, -1, -1], n_samples=[2, 1, 1])
+        forest = baselines.ForestModel(flat_trees=[tree],
+                                       config=baselines.ForestConfig(n_trees=1))
+        model = Model("forest", forest, norm)
+        x = np.zeros((2, 46))
+        x[1, 0] = 1.0
+        for m in (model, model_from_json(model_to_json(model))):
+            assert predict_model(m, x).tolist() == [3.0, 1.0]
+
     def test_rows_are_raw_and_scaled_by_the_model(self):
         maxs = np.ones(46)
         maxs[0] = 10.0
@@ -139,9 +153,8 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.variant == variant
         assert loaded.crop is Crop.Wheat
-        x = ingest.feature_matrix(crop_split.test)
-        np.testing.assert_array_equal(predict_model(model, x),
-                                      predict_model(loaded, x))
+        np.testing.assert_array_equal(predict_model(model, crop_split.x_test),
+                                      predict_model(loaded, crop_split.x_test))
 
     def test_serialization_is_deterministic(self, trained_models):
         a = model_to_json(trained_models["dnn"])

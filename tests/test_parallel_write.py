@@ -32,7 +32,7 @@ def generated():
 def dataset(n, integral=()):
     """The first `n` generated rows, with the `integral` value columns
     rounded, so that they are written as integers rather than by repr."""
-    ds = generated().take(np.arange(n), "<memory>")
+    ds = generated().take(np.arange(n))
     ds.values[:, list(integral)] = np.round(ds.values[:, list(integral)])
     return ds
 
