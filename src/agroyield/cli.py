@@ -223,14 +223,16 @@ def _cmd_train(args, cfg):
 
 def _cmd_evaluate(args, cfg):
     dataset = _load_clean(args.data)
-    results = {}
+    results, tests = {}, {}  # crop -> its encoded test rows, made once
     for path in args.models:
         model = _load_crop_model(path)
-        _, rows = pipeline.split_crop(
-            dataset, model.crop, cfg["train_ratio"], cfg["seed"])
-        test = dataset.take(rows)
-        metrics = evaluation.evaluate(model, ingest.feature_matrix(test),
-                                      ingest.target_vector(test))
+        if model.crop not in tests:
+            _, rows = pipeline.split_crop(
+                dataset, model.crop, cfg["train_ratio"], cfg["seed"])
+            test = dataset.take(rows)
+            tests[model.crop] = (ingest.feature_matrix(test),
+                                 ingest.target_vector(test))
+        metrics = evaluation.evaluate(model, *tests[model.crop])
         results[str(path)] = {
             "variant": model.variant,
             "crop": model.crop.name,

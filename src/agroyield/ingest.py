@@ -23,8 +23,9 @@ import shutil
 import signal
 import tempfile
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
@@ -39,16 +40,20 @@ CSV_HEADER = (
     + schema.schema_columns()[1:]
     + ("production", "yield")
 )
+_HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 
 # Rows parsed, hashed or formatted per block: enough to amortize the NumPy
 # calls, few enough that the block's str objects stay under a megabyte.
 _CHUNK_ROWS = 256
-# Rows per forked part of `write_csv`: below this a part's fork, exit and
-# copy cost more than formatting its rows in the caller saves. On a 2-vCPU
-# Xeon, two parts beat one process in 3 of 40 writes of 512 rows (256 +
-# 256), in 31, 1 and 29 of 40 writes of 768 rows (256 + 512) and in 35 and
-# 36 of 40 writes of 1,024 rows (512 + 512).
+# Rows per forked part of `write_csv` and `load_csv`: below this a part's
+# fork, exit and copy cost more than handling its rows in the caller saves.
+# On a 2-vCPU Xeon, two parts beat one process in 3 of 40 writes of 512
+# rows (256 + 256), in 31, 1 and 29 of 40 writes of 768 rows (256 + 512)
+# and in 35 and 36 of 40 writes of 1,024 rows (512 + 512); reads of 1,024
+# rows won 26 of 40 and of 1,536 rows 40 of 40.
 _FORK_ROWS = 512
+# bytes read at a time by the pass that finds where `load_csv`'s parts begin
+_BLOCK_BYTES = 1 << 16
 # one salt per key entry: district, crop, year, then the value columns
 _HASH_SALT = (np.arange(1, 4 + len(schema.VALUE_COLUMNS), dtype=np.uint64)
               * np.uint64(GAMMA))
@@ -142,6 +147,41 @@ def parse_csv(stream, source: str = "<stream>") -> Dataset:
         raise AgroYieldError(f"{source} is not a readable CSV file: {exc}") from exc
 
 
+def _row_blocks(reader, start: int):
+    """(columns, failed) of each block of `_CHUNK_ROWS` rows that `reader`
+    yields, the first numbered `start`: the `_columns` of the rows that
+    parse, and the numbers of the rows that do not."""
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        try:
+            columns, failed = _columns(rows, start), []
+        except ValueError:  # find the bad rows one by one
+            parts, failed = [_columns([], start)], []
+            for i, fields in enumerate(rows, start):
+                try:
+                    parts.append(_columns([fields], i))
+                except ValueError:
+                    failed.append(i)
+            columns = [np.concatenate(column) for column in zip(*parts)]
+        yield columns, failed
+        start += len(rows)
+
+
+def _empty_columns(n: int) -> list:
+    """Uninitialized arrays for the `_columns` of n rows."""
+    return [np.empty((n,) + a.shape[1:], a.dtype) for a in _columns([], 0)]
+
+
+def _fill(arrays: list, filled: int, blocks, log: list) -> int:
+    """Copy the columns of `blocks` into `arrays` from row `filled` on and
+    log their failed rows; the number of rows filled afterwards."""
+    for columns, failed in blocks:
+        for array, column in zip(arrays, columns):
+            array[filled:filled + len(column)] = column
+        filled += len(columns[0])
+        log.extend((row, "parse failure") for row in failed)
+    return filled
+
+
 def _parse_rows(stream, source: str) -> Dataset:
     if isinstance(stream, (bytes, bytearray)):
         stream = io.StringIO(stream.decode("utf-8"))
@@ -169,31 +209,126 @@ def _parse_rows(stream, source: str) -> Dataset:
     stream.seek(begin)
     reader = csv.reader(stream)
     next(reader)
-    arrays = [np.empty((capacity,) + a.shape[1:], a.dtype)
-              for a in _columns([], 0)]
-    filled, log, start = 0, [], 0
-    while rows := list(islice(reader, _CHUNK_ROWS)):
-        try:
-            blocks = [_columns(rows, start)]
-        except ValueError:  # find the bad rows one by one
-            blocks = []
-            for i, fields in enumerate(rows):
-                try:
-                    blocks.append(_columns([fields], start + i))
-                except ValueError:
-                    log.append((start + i, "parse failure"))
-        for block in blocks:
-            for array, part in zip(arrays, block):
-                array[filled:filled + len(part)] = part
-            filled += len(part)
-        start += len(rows)
+    arrays, log = _empty_columns(capacity), []
+    filled = _fill(arrays, 0, _row_blocks(reader, 0), log)
+    return Dataset(*(a[:filled] for a in arrays), source=source,
+                   cleaning_log=log)
+
+
+def _line_starts(fh) -> tuple | None:
+    """(n, starts) of the data lines of a binary CSV file `fh`, read from
+    its first data line on: there are n lines, and line k * `_CHUNK_ROWS`
+    starts at byte starts[k]. None when a line need not be one CSV row,
+    which is when the file holds a quote or a CR not followed by LF."""
+    offset = fh.tell()
+    starts, n, cr, last = [offset], 0, False, b"\n"
+    while block := fh.read(_BLOCK_BYTES):
+        if b'"' in block:
+            return None
+        if cr or b"\r" in block:  # each CR must begin a CRLF
+            crlf = block.count(b"\r\n") + (cr and block[:1] == b"\n")
+            if block.count(b"\r") + cr != crlf + block.endswith(b"\r"):
+                return None
+        ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        # the line after the newline at ends[j] is line n + j + 1
+        starts += (ends[-(n + 1) % _CHUNK_ROWS::_CHUNK_ROWS]
+                   + (offset + 1)).tolist()
+        n += len(ends)
+        offset += len(block)
+        cr, last = block.endswith(b"\r"), block[-1:]
+    if cr:
+        return None
+    return n + (last != b"\n"), starts
+
+
+def _part_blocks(path, begin: int, start: int, stop: int):
+    """The `_row_blocks` of data rows start, ..., stop - 1 of the CSV file
+    `path`, in which each line is one row and row `start` begins at byte
+    `begin`."""
+    with open(path, "rb") as fh:
+        fh.seek(begin)
+        lines = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        yield from _row_blocks(csv.reader(islice(lines, stop - start)), start)
+
+
+def _write_part(path, begin: int, start: int, stop: int, part) -> None:
+    """Write the `_part_blocks` of rows start, ..., stop - 1 to the binary
+    file `part`, each as its two row counts, its columns and its failed
+    rows, for `_read_part`."""
+    for columns, failed in _part_blocks(path, begin, start, stop):
+        part.write(np.array([len(columns[0]), len(failed)], np.int64))
+        for column in columns:
+            part.write(column)
+        part.write(np.array(failed, np.int64))
+
+
+def _read_part(part, arrays: list, filled: int, log: list) -> int:
+    """Read the blocks that `_write_part` wrote to `part` into `arrays` from
+    row `filled` on and log their failed rows; the rows filled afterwards."""
+    part.seek(0)
+    while counts := part.read(16):
+        kept, failed = np.frombuffer(counts, np.int64).tolist()
+        rows = np.empty(failed, np.int64)
+        for view in [a[filled:filled + kept] for a in arrays] + [rows]:
+            if part.readinto(view) != view.nbytes:
+                raise EOFError("a part file ends inside a block")
+        log.extend((row, "parse failure") for row in rows.tolist())
+        filled += kept
+    return filled
+
+
+def _load_parts(path, source: str) -> Dataset | None:
+    """`load_csv` of the parts that `_part_bounds` gives the data lines of
+    the file at `path`; None where only the one-process parse may decide
+    the result: for a file that is not regular, a header that is not the
+    contract's, a line that need not be one row, a part that cannot be
+    forked and a child that does not exit 0."""
+    if not os.path.isfile(path):  # a pipe can be read only once
+        return None
+    with open(path, "rb") as fh:
+        header = fh.readline(len(_HEADER_LINE) + 1)
+        if header not in (_HEADER_LINE, _HEADER_LINE[:-1] + b"\r\n"):
+            return None
+        lines = _line_starts(fh)
+    if lines is None:
+        return None
+    n, starts = lines
+    bounds = _part_bounds(n)
+    jobs = [partial(_write_part, path, starts[start // _CHUNK_ROWS], start,
+                    stop) for start, stop in zip(bounds[1:-1], bounds[2:])]
+    with _forked(jobs, os.path.dirname(os.path.abspath(path))) as children:
+        if any(pid is None for pid, _ in children):
+            return None
+        arrays, log = _empty_columns(n), []
+        filled = _fill(arrays, 0, _part_blocks(path, starts[0], 0, bounds[1]),
+                       log)
+        for child in children:
+            if not _exited(child):
+                return None
+            filled = _read_part(child[1], arrays, filled, log)
     return Dataset(*(a[:filled] for a in arrays), source=source,
                    cleaning_log=log)
 
 
 def load_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_csv(fh, source=str(path))
+    """`parse_csv` of the file at `path`, parsed on every CPU of the
+    affinity mask.
+
+    Where each data line is one row, the lines are split as `_part_bounds`
+    says. The calling process parses the first range into arrays for every
+    line, while one forked child per other range parses it into an
+    anonymous file beside `path`; each part is then read into place, in
+    order. Wherever that cannot be done, or anything fails, the file is
+    parsed again in one process, and what that returns or raises is the
+    result. No child or part file outlives the call."""
+    try:
+        dataset = _load_parts(path, str(path))
+    except Exception:  # the one-process parse below decides the outcome
+        dataset = None
+    if dataset is None:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            dataset = parse_csv(fh, source=str(path))
+    return dataset
 
 
 def _format_floats(column: np.ndarray) -> list:
@@ -208,7 +343,8 @@ def _format_floats(column: np.ndarray) -> list:
 
 
 def _format_rows(dataset: Dataset, start: int, stop: int, fh) -> None:
-    """Write rows start, ..., stop - 1 as CSV lines, a block at a time."""
+    """Write rows start, ..., stop - 1 to the binary file `fh` as CSV
+    lines, a block at a time."""
     for begin in range(start, stop, _CHUNK_ROWS):
         rows = slice(begin, min(begin + _CHUNK_ROWS, stop))
         columns = [
@@ -216,13 +352,13 @@ def _format_rows(dataset: Dataset, start: int, stop: int, fh) -> None:
             list(map(str, dataset.year[rows].tolist())),
             [_CROP_NAMES[c] for c in dataset.crop[rows].tolist()],
         ] + [_format_floats(col) for col in dataset.values[rows].T]
-        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        fh.write(("\n".join(map(",".join, zip(*columns))) + "\n").encode())
 
 
 def _part_bounds(n: int) -> list:
-    """Bounds of the row ranges `write_csv` formats in parallel: one range
-    per CPU the process may run on, but at most one per `_FORK_ROWS` rows,
-    each starting at a multiple of `_CHUNK_ROWS`."""
+    """Bounds of the row ranges that `write_csv` and `load_csv` handle in
+    parallel: one range per CPU the process may run on, but at most one per
+    `_FORK_ROWS` rows, each starting at a multiple of `_CHUNK_ROWS`."""
     parts = 1
     if hasattr(os, "fork"):
         try:
@@ -235,14 +371,14 @@ def _part_bounds(n: int) -> list:
             for i in range(parts + 1)]
 
 
-def _fork_part(dataset: Dataset, start: int, stop: int, directory):
-    """(pid, file) of a forked child that formats rows start, ..., stop - 1
-    into an anonymous file in `directory`; (None, None) when the file or the
-    child cannot be made. The child leaves only through `os._exit`, so it
-    runs no exit handler and flushes no buffer it inherited."""
+def _fork(fn, directory):
+    """(pid, file) of a forked child that runs `fn(file)` on an anonymous
+    binary file in `directory` and exits 0, or 1 if `fn` raises; (None,
+    None) when the file or the child cannot be made. The child leaves only
+    through `os._exit`, so it runs no exit handler and flushes no buffer it
+    inherited."""
     try:
-        part = tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n",
-                                      dir=directory)
+        part = tempfile.TemporaryFile(dir=directory)
     except OSError:
         return None, None
     try:
@@ -253,12 +389,38 @@ def _fork_part(dataset: Dataset, start: int, stop: int, directory):
     if pid == 0:
         code = 1
         try:
-            _format_rows(dataset, start, stop, part)
+            fn(part)
             part.flush()
             code = 0
         finally:
             os._exit(code)
     return pid, part
+
+
+@contextmanager
+def _forked(jobs, directory):
+    """A [pid, file] from `_fork` for each job. On leaving, every child
+    that `_exited` has not reaped is killed and reaped, and every file is
+    closed."""
+    children = []
+    try:
+        for job in jobs:
+            children.append(list(_fork(job, directory)))
+        yield children
+    finally:
+        for pid, part in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if part is not None:
+                part.close()
+
+
+def _exited(child: list) -> bool:
+    """Reap `child`, a [pid, file] of `_forked`: whether it exited 0. A
+    child that was never forked did not."""
+    pid, child[0] = child[0], None
+    return pid is not None and os.waitpid(pid, 0)[1] == 0
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -271,35 +433,20 @@ def write_csv(dataset: Dataset, path) -> None:
     the caller, so the bytes, and any error raised, are those of one
     process. No child or part file outlives the call."""
     bounds = _part_bounds(len(dataset))
-    directory = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    jobs = [partial(_format_rows, dataset, start, stop)
+            for start, stop in ranges]
+    with open(path, "wb") as fh:
+        fh.write(_HEADER_LINE)
         fh.flush()  # else each child would inherit the header in the buffer
-        children = []  # [pid or None once reaped, part file, start, stop]
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                children.append([*_fork_part(dataset, start, stop, directory),
-                                 start, stop])
+        with _forked(jobs, os.path.dirname(os.path.abspath(path))) as children:
             _format_rows(dataset, 0, bounds[1], fh)
-            for child in children:
-                pid, part, start, stop = child
-                status = 1
-                if pid is not None:
-                    status = os.waitpid(pid, 0)[1]
-                    child[0] = None
-                if status == 0:
-                    part.seek(0)
-                    fh.flush()
-                    shutil.copyfileobj(part.buffer, fh.buffer)
+            for child, (start, stop) in zip(children, ranges):
+                if _exited(child):
+                    child[1].seek(0)
+                    shutil.copyfileobj(child[1], fh)
                 else:
                     _format_rows(dataset, start, stop, fh)
-        finally:
-            for pid, part, _, _ in children:
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                if part is not None:
-                    part.close()
 
 
 def cleaning_log_jsonl(dataset: Dataset) -> str:

@@ -1,12 +1,13 @@
 """Shared test helpers: valid records, tiny datasets and their encoding, a
-crop split's scaled train part, a FlatTree walker, a time limit and a
-one-CPU pin."""
+crop split's scaled train part, a FlatTree walker, a time limit, a one-CPU
+pin and the checks of the forking CSV reader and writer."""
 
 import os
 import signal
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from agroyield import ingest, schema
 from agroyield.schema import AgroRecord, Crop, District
@@ -109,11 +110,32 @@ def time_limit(seconds):
 @contextmanager
 def one_cpu():
     """Pin this process to one CPU of its affinity mask for the block, so
-    `ingest.write_csv` formats every row in process; the mask is restored
-    afterwards."""
+    `ingest.write_csv` formats every row and `ingest.load_csv` parses every
+    line in process; the mask is restored afterwards."""
     mask = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(mask)})
     try:
         yield
     finally:
         os.sched_setaffinity(0, mask)
+
+
+def counting_forks(monkeypatch):
+    """The pids that `os.fork` returns to this process from now on."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_nothing_left(directory, names):
+    """No child of this process is left, reaped or not, and `directory`
+    holds exactly the files `names`."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir(directory)) == sorted(names)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import shutil
 import sys
 import tempfile
 import warnings
@@ -130,6 +131,41 @@ class TestTrainEvaluateSelect:
         assert doc["selected"] in {"AusRice", "AmanRice", "BoroRice", "Wheat",
                                    "Potato", "Jute"}
         assert len(doc["predicted_yield_t_ha"]) == 6
+
+    def test_evaluate_encodes_each_crop_once(self, data_csv, tmp_path,
+                                             monkeypatch):
+        files = {}
+        for crop, copies in (("jute", 3), ("wheat", 2)):
+            first = tmp_path / f"{crop}0.json"
+            assert run(["train", "--data", str(data_csv), "--model",
+                        "logistic", "--crop", crop, "--epochs", "1",
+                        "--seed", "5", "--out", str(first)]) == 0
+            files[crop] = [str(first)]
+            for i in range(1, copies):
+                files[crop].append(str(tmp_path / f"{crop}{i}.json"))
+                shutil.copy(first, files[crop][-1])
+        paths = [files["jute"][0], files["wheat"][0], files["jute"][1],
+                 files["wheat"][1], files["jute"][2]]
+
+        def evaluate(*models):
+            out = tmp_path / "metrics.json"
+            assert run(["evaluate", "--data", str(data_csv), "--seed", "5",
+                        *models, "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        alone = {path: evaluate(path)[path] for path in paths}
+        encoded = []  # rows per feature_matrix call
+        feature_matrix = ingest.feature_matrix
+
+        def counting(dataset):
+            encoded.append(len(dataset))
+            return feature_matrix(dataset)
+
+        monkeypatch.setattr(ingest, "feature_matrix", counting)
+        together = evaluate(*paths)
+        assert together == alone
+        assert encoded == [alone[files["jute"][0]]["n_test"],
+                           alone[files["wheat"][0]]["n_test"]]
 
 
 class TestReport:

@@ -8,8 +8,9 @@ NumPy 2.4 the peaks were generate 1.21 (its validation included), load_csv
 1.20, clean 0.13 without a dropped row and 1.06 with drops, and write_csv
 0.22, times those bytes; before the stages worked in one copy the first
 four were 2.88, 2.01, 2.44 and 2.32. `tracemalloc` sees only the process it
-runs in, so `write_csv` is bounded once pinned to one CPU, where it forks
-no child, and once more for the caller's share when it forks.
+runs in, so `load_csv` and `write_csv` are each bounded once pinned to one
+CPU, where they fork no child, and once more for the caller's share when
+they fork.
 """
 
 import os
@@ -56,7 +57,9 @@ def generated():
 def loaded(generated, tmp_path_factory):
     path = tmp_path_factory.mktemp("memory") / "raw.csv"
     ingest.write_csv(generated[0], path)
-    return traced_peak(ingest.load_csv, path)
+    # pinned to one CPU, so that the traced process parses every line
+    with one_cpu():
+        return traced_peak(ingest.load_csv, path)
 
 
 def test_generate_holds_one_copy(generated):
@@ -70,6 +73,20 @@ def test_load_csv_holds_one_copy(loaded):
     assert_within_bound(peak, dataset)
 
 
+forks = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="one CPU in the affinity mask: load_csv and write_csv never fork")
+
+
+@forks
+def test_forked_load_csv_holds_one_copy_in_the_caller(loaded):
+    # forked children parse the other ranges, which tracemalloc cannot see
+    assert len(ingest._part_bounds(RECORDS)) > 2
+    dataset, peak = traced_peak(ingest.load_csv, loaded[0].source)
+    assert len(dataset) == RECORDS
+    assert_within_bound(peak, dataset)
+
+
 def test_write_csv_copies_nothing(generated, tmp_path):
     # pinned to one CPU, so that the traced process formats every row
     dataset = generated[0]
@@ -78,9 +95,7 @@ def test_write_csv_copies_nothing(generated, tmp_path):
     assert_within_bound(peak, dataset, NO_COPY)
 
 
-@pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2,
-    reason="one CPU in the affinity mask: write_csv never forks")
+@forks
 def test_forked_write_csv_copies_nothing_in_the_caller(generated, tmp_path):
     # forked children format the other ranges, which tracemalloc cannot see
     dataset = generated[0]

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from agroyield import ingest, synthgen
 from agroyield.cli import run
-from helpers import one_cpu
+from helpers import assert_nothing_left, counting_forks, one_cpu
 
 R = ingest._FORK_ROWS
 CPUS = len(os.sched_getaffinity(0))
@@ -39,12 +39,6 @@ def dataset(n, integral=()):
 
 def no_space(*args):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
-def assert_nothing_left(directory, names):
-    with pytest.raises(ChildProcessError):  # no child, reaped or not
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir(directory)) == sorted(names)
 
 
 def test_part_bounds_cover_the_rows_in_aligned_ranges(monkeypatch):
@@ -78,19 +72,6 @@ def test_forked_output_is_byte_identical(tmp_path_factory, n, integral):
     ingest.write_csv(ds, out / "all.csv")
     assert (out / "all.csv").read_bytes() == (out / "one.csv").read_bytes()
     assert_nothing_left(out, ["all.csv", "one.csv"])
-
-
-def counting_forks(monkeypatch):
-    """The pids that `os.fork` returns to this process from now on."""
-    pids, real = [], os.fork
-
-    def fork():
-        pid = real()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
 
 
 @forks
@@ -173,7 +154,8 @@ def test_an_error_in_every_process_exits_as_one_process(
                                if line.startswith("data error:")]
         assert_nothing_left(out, ["cleaned.csv" if command == "clean"
                                   else "data.csv"])
-    assert len(pids) == 1
+    # the failing write forks once; `clean` also forks once to read raw.csv
+    assert len(pids) == (2 if command == "clean" else 1)
     assert outcome["one"] == outcome["all"] == (
         2, ["data error: [Errno 28] No space left on device"])
 
