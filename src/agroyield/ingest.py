@@ -20,17 +20,15 @@ import io
 import json
 import os
 import shutil
-import signal
-import tempfile
+import tempfile  # noqa: F401  the parallel tests patch ingest.tempfile
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
 
-from . import schema
+from . import fork, schema
 from .errors import AgroYieldError
 from .rng import GAMMA, MIX1, MIX2, SplitMix64
 from .schema import Crop, District
@@ -296,14 +294,14 @@ def _load_parts(path, source: str) -> Dataset | None:
     bounds = _part_bounds(n)
     jobs = [partial(_write_part, path, starts[start // _CHUNK_ROWS], start,
                     stop) for start, stop in zip(bounds[1:-1], bounds[2:])]
-    with _forked(jobs, os.path.dirname(os.path.abspath(path))) as children:
+    with fork.forked(jobs, os.path.dirname(os.path.abspath(path))) as children:
         if any(pid is None for pid, _ in children):
             return None
         arrays, log = _empty_columns(n), []
         filled = _fill(arrays, 0, _part_blocks(path, starts[0], 0, bounds[1]),
                        log)
         for child in children:
-            if not _exited(child):
+            if not fork.exited(child):
                 return None
             filled = _read_part(child[1], arrays, filled, log)
     return Dataset(*(a[:filled] for a in arrays), source=source,
@@ -359,68 +357,10 @@ def _part_bounds(n: int) -> list:
     """Bounds of the row ranges that `write_csv` and `load_csv` handle in
     parallel: one range per CPU the process may run on, but at most one per
     `_FORK_ROWS` rows, each starting at a multiple of `_CHUNK_ROWS`."""
-    parts = 1
-    if hasattr(os, "fork"):
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity mask on this platform
-            cpus = os.cpu_count() or 1
-        parts = max(1, min(cpus, n // _FORK_ROWS))
+    parts = max(1, min(fork.cpus(), n // _FORK_ROWS))
     blocks = -(-n // _CHUNK_ROWS)
     return [min(n, blocks * i // parts * _CHUNK_ROWS)
             for i in range(parts + 1)]
-
-
-def _fork(fn, directory):
-    """(pid, file) of a forked child that runs `fn(file)` on an anonymous
-    binary file in `directory` and exits 0, or 1 if `fn` raises; (None,
-    None) when the file or the child cannot be made. The child leaves only
-    through `os._exit`, so it runs no exit handler and flushes no buffer it
-    inherited."""
-    try:
-        part = tempfile.TemporaryFile(dir=directory)
-    except OSError:
-        return None, None
-    try:
-        pid = os.fork()
-    except OSError:
-        part.close()
-        return None, None
-    if pid == 0:
-        code = 1
-        try:
-            fn(part)
-            part.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return pid, part
-
-
-@contextmanager
-def _forked(jobs, directory):
-    """A [pid, file] from `_fork` for each job. On leaving, every child
-    that `_exited` has not reaped is killed and reaped, and every file is
-    closed."""
-    children = []
-    try:
-        for job in jobs:
-            children.append(list(_fork(job, directory)))
-        yield children
-    finally:
-        for pid, part in children:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            if part is not None:
-                part.close()
-
-
-def _exited(child: list) -> bool:
-    """Reap `child`, a [pid, file] of `_forked`: whether it exited 0. A
-    child that was never forked did not."""
-    pid, child[0] = child[0], None
-    return pid is not None and os.waitpid(pid, 0)[1] == 0
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -436,13 +376,14 @@ def write_csv(dataset: Dataset, path) -> None:
     ranges = list(zip(bounds[1:-1], bounds[2:]))
     jobs = [partial(_format_rows, dataset, start, stop)
             for start, stop in ranges]
+    directory = os.path.dirname(os.path.abspath(path))
     with open(path, "wb") as fh:
         fh.write(_HEADER_LINE)
         fh.flush()  # else each child would inherit the header in the buffer
-        with _forked(jobs, os.path.dirname(os.path.abspath(path))) as children:
+        with fork.forked(jobs, directory) as children:
             _format_rows(dataset, 0, bounds[1], fh)
             for child, (start, stop) in zip(children, ranges):
-                if _exited(child):
+                if fork.exited(child):
                     child[1].seek(0)
                     shutil.copyfileobj(child[1], fh)
                 else:

@@ -1,6 +1,7 @@
 """Shared test helpers: valid records, tiny datasets and their encoding, a
 crop split's scaled train part, a FlatTree walker, a time limit, a one-CPU
-pin and the checks of the forking CSV reader and writer."""
+pin, a skip marker for one CPU and the checks of the forking CSV stages
+and `report`."""
 
 import os
 import signal
@@ -110,14 +111,20 @@ def time_limit(seconds):
 @contextmanager
 def one_cpu():
     """Pin this process to one CPU of its affinity mask for the block, so
-    `ingest.write_csv` formats every row and `ingest.load_csv` parses every
-    line in process; the mask is restored afterwards."""
+    `ingest.write_csv` formats every row, `ingest.load_csv` parses every
+    line and `report` trains every crop in process; the mask is restored
+    afterwards."""
     mask = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(mask)})
     try:
         yield
     finally:
         os.sched_setaffinity(0, mask)
+
+
+forks = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2,
+    reason="one CPU in the affinity mask: nothing forks")
 
 
 def counting_forks(monkeypatch):

@@ -1,9 +1,13 @@
-"""Every imported name is read somewhere in its file.
+"""Every imported name is read somewhere in its file, and only the fork
+module forks.
 
-A stdlib-only stand-in for a linter's unused-import rule (pyflakes F401),
-over the package, the tests, the scripts and the benchmark harness. A name
-counts as read if it is loaded anywhere in the file, in any scope.
-`from __future__` imports and lines marked `# noqa: F401` are skipped.
+The first is a stdlib-only stand-in for a linter's unused-import rule
+(pyflakes F401), over the package, the tests, the scripts and the
+benchmark harness. A name counts as read if it is loaded anywhere in the
+file, in any scope. `from __future__` imports and lines marked
+`# noqa: F401` are skipped. The second keeps one copy of the fork, reap
+and exit logic: outside `agroyield/fork.py`, no module of the package
+calls or imports `os.fork`, `os.waitpid` or `os._exit`.
 """
 
 import ast
@@ -41,3 +45,34 @@ def test_every_imported_name_is_read():
     assert paths
     unused = [entry for p in paths for entry in unused_imports(p)]
     assert unused == [], "\n".join(unused)
+
+
+PROCESS_CALLS = {"fork", "waitpid", "_exit"}
+
+
+def process_calls(path: Path) -> list:
+    """`file:line os.name` for each use of a `PROCESS_CALLS` name of `os`
+    in `path`: an `os.<name>` attribute or a `from os import <name>`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in PROCESS_CALLS]
+    where = path.relative_to(ROOT)
+    return [f"{where}:{line} os.{name}" for line, name in found]
+
+
+def test_only_the_fork_module_forks():
+    package = ROOT / "src" / "agroyield"
+    own = process_calls(package / "fork.py")
+    # the check finds each of the fork module's own calls
+    assert {entry.split()[-1] for entry in own} \
+        == {f"os.{name}" for name in PROCESS_CALLS}
+    found = [entry for p in sorted(package.rglob("*.py"))
+             if p.name != "fork.py" for entry in process_calls(p)]
+    assert found == [], "\n".join(found)
