@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-import pickle
 import sys
 from pathlib import Path
 
@@ -254,30 +253,21 @@ def _cmd_evaluate(args, cfg):
     return 0
 
 
-def _save(out: Path, crop: Crop, variant: str, model) -> None:
-    save_model(model, out / "models" / f"{crop.name.lower()}_{variant}.json")
-
-
-def _train_crop(crop_split, cfg, out=None) -> tuple:
-    """({variant: Model}, {variant: Metrics}) of one crop's four variants,
-    scored on its test rows. With `out`, each model is saved under it as
-    soon as it is trained."""
-    trained = {}
-    for variant, _ in evaluation.METHOD_ORDER:
-        trained[variant] = pipeline.train_variant(
-            variant, crop_split, cfg["seed"], _hyper(cfg))
-        if out is not None:
-            _save(out, crop_split.crop, variant, trained[variant])
-    return trained, evaluation.compare(trained, crop_split.x_test,
-                                       crop_split.y_test)
-
-
-def _train_part(splits, cfg, part) -> None:
-    """Pickle the `_train_crop` of each crop split to the binary file
-    `part`, one after another. A forked child runs this, so it saves and
-    logs nothing."""
-    for crop_split in splits:
-        pickle.dump(_train_crop(crop_split, cfg), part)
+def _train_crops(dataset, cfg, crops):
+    """For each crop of `crops`, in order, split where this runs: (crop,
+    variant, model) of each of its four variants as it is trained, then
+    (crop, None, metrics by variant) scored on its test rows."""
+    for crop in crops:
+        crop_split = pipeline.prepare_crop_split(
+            dataset, crop, cfg["train_ratio"], cfg["seed"])
+        trained = {}
+        for variant, _ in evaluation.METHOD_ORDER:
+            trained[variant] = pipeline.train_variant(
+                variant, crop_split, cfg["seed"], _hyper(cfg))
+            yield crop, variant, trained[variant]
+        yield crop, None, evaluation.compare(trained, crop_split.x_test,
+                                             crop_split.y_test)
+        del crop_split, trained  # before the next crop's split is made
 
 
 def _training_work(rows: int, cfg: dict) -> int:
@@ -288,76 +278,33 @@ def _training_work(rows: int, cfg: dict) -> int:
                    + cfg["trees"])
 
 
-def _prepare(dataset, crop: Crop, cfg):
-    return pipeline.prepare_crop_split(dataset, crop, cfg["train_ratio"],
-                                       cfg["seed"])
-
-
-def _prepared(dataset, crops, cfg) -> tuple:
-    """(splits, error): the crop splits of `crops`, in order, up to the
-    first that cannot be made, and that crop's error (None if none)."""
-    splits = []
-    for crop in crops:
-        try:
-            splits.append(_prepare(dataset, crop, cfg))
-        except AgroYieldError as exc:
-            return splits, exc
-    return splits, None
-
-
 def _cmd_report(args, cfg):
     """Train and score each crop's four variants, then write the report.
-    Each crop's four model files are saved, and the crop logged, in crop
-    order.
+    Each model file is saved as its model comes in, and each crop logged
+    once scored, in crop order.
 
-    From `_FORK_WORK` row passes of training on, the crops are cut into
-    contiguous ranges, one per CPU of the affinity mask. The caller makes
-    the crop splits of every range but the first and forks one child per
-    such range, which trains it into an anonymous file under `--out`. The
-    caller trains the first range itself, one crop split at a time, then
-    saves each child's models, in order. A range whose child did not exit
-    0, or could not be forked, is trained by the caller, so the files, the
-    log and any error raised are those of one process. No child or part
-    file outlives the call."""
+    From `_FORK_WORK` row passes of training on, the crops are trained in
+    the `fork.each` of their ranges, one crop at least per range, with
+    part files under `--out`, so the files, the log and any error raised
+    are those of one process."""
     dataset = _load_records(args.data)
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     crops = [crop for crop in Crop if (dataset.crop == crop.value).any()]
-    parts = 1
-    if _training_work(len(dataset), cfg) >= _FORK_WORK:
-        parts = max(1, min(fork.cpus(), len(crops)))
-    bounds = [len(crops) * i // parts for i in range(parts + 1)]
-    first = bounds[1]  # the crops the caller trains
-    # an error here is raised after the crops before it are trained
-    later, error = _prepared(dataset, crops[first:], cfg)
-    ranges = [later[start - first:stop - first]
-              for start, stop in zip(bounds[1:-1], bounds[2:])]
-    ranges = [splits for splits in ranges if splits]
-    jobs = [functools.partial(_train_part, splits, cfg) for splits in ranges]
+    most = (len(crops) if _training_work(len(dataset), cfg) >= _FORK_WORK
+            else 1)
     metrics_by_crop = {}
-
-    def evaluated(crop_split, part=None):
-        crop = crop_split.crop
-        if part is None:
-            metrics_by_crop[crop] = _train_crop(crop_split, cfg, out)[1]
-        else:
-            trained, metrics_by_crop[crop] = pickle.load(part)
-            for variant, model in trained.items():
-                _save(out, crop, variant, model)
-        log.info("evaluated %s", crop.name)
-
-    with fork.forked(jobs, out) as children:
-        for crop in crops[:first]:
-            evaluated(_prepare(dataset, crop, cfg))
-        for child, splits in zip(children, ranges):
-            part = None
-            if fork.exited(child):
-                part = child[1]
-                part.seek(0)
-            for crop_split in splits:  # a failed child's range in process
-                evaluated(crop_split, part)
-    if error is not None:
-        raise error
+    with fork.each(functools.partial(_train_crops, dataset, cfg),
+                   [crops[start:stop]
+                    for start, stop in fork.ranges(len(crops), most)],
+                   out) as results:
+        for crop, variant, result in results:
+            if variant is None:
+                metrics_by_crop[crop] = result
+                log.info("evaluated %s", crop.name)
+            else:
+                save_model(result, out / "models"
+                           / f"{crop.name.lower()}_{variant}.json")
     report = evaluation.EvalReport(
         metrics_by_crop=metrics_by_crop, source=dataset.source,
         seed=cfg["seed"], train_ratio=cfg["train_ratio"])

@@ -1,23 +1,27 @@
 """Work split over the CPUs of the affinity mask, in forked children.
 
-`ingest.write_csv`, `ingest.load_csv` and the `report` command split their
-work into contiguous ranges. The caller handles the first range itself,
-and one child per other range writes its result to an anonymous file that
-the caller reads back. `forked` kills and reaps every child and closes
-every file on every way out, interrupts included, and a child leaves only
-through `os._exit`, so it runs no exit handler and flushes no buffer it
-inherited. While children run, NumPy's OpenBLAS computes on one thread
-in every process (`_one_blas_thread`).
+`ingest.write_csv`, `ingest.load_csv` and the `report` command cut their
+work into the contiguous `ranges` and run them with `each`. The caller
+runs the first item itself, and one child per other item pickles what it
+yields to an anonymous file that the caller reads back, in order. An item
+whose child failed, or could not be made, is run again by the caller, so
+what comes out, and any error raised, is what one process gives. `each`
+kills and reaps every child and closes every file on every way out,
+interrupts included, and a child leaves only through `os._exit`, so it
+runs no exit handler and flushes no buffer it inherited. While children
+run, NumPy's OpenBLAS computes on one thread in every process
+(`_one_blas_thread`).
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import pickle
 import signal
 import tempfile
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache
+from functools import lru_cache, partial
 
 
 def cpus() -> int:
@@ -28,6 +32,16 @@ def cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
+
+
+def ranges(n: int, most: int, unit: int = 1) -> list:
+    """(start, stop) of the contiguous ranges that cover 0, ..., n - 1:
+    one per CPU, but at most `most` and at least one, each starting at a
+    multiple of `unit`."""
+    parts = max(1, min(cpus(), most))
+    units = -(-n // unit)
+    bounds = [min(n, units * i // parts * unit) for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 @lru_cache(maxsize=1)
@@ -107,17 +121,45 @@ def _fork(fn, directory):
     return pid, part
 
 
+def _dump(run, item, part) -> None:
+    """Pickle each thing that `run(item)` yields to the file `part`."""
+    for result in run(item):
+        pickle.dump(result, part)
+
+
+def _results(run, items, children):
+    """What `run` yields for each item, in order: the first item's run
+    here, every other's read from its child's part file, or run here
+    where that child was not made or did not exit 0."""
+    yield from run(items[0])
+    for item, child in zip(items[1:], children):
+        pid, part = child
+        exited = pid is not None and os.waitpid(pid, 0)[1] == 0
+        child[0] = None  # reaped: `each` must not kill its pid
+        if exited:
+            end = part.seek(0, os.SEEK_END)
+            part.seek(0)
+            while part.tell() < end:
+                yield pickle.load(part)
+        else:
+            yield from run(item)
+
+
 @contextmanager
-def forked(jobs, directory):
-    """A [pid, file] from `_fork` for each job, in order. On leaving, every
-    child that `exited` has not reaped is killed and reaped, and every file
-    is closed. With any job, the block runs on one BLAS thread."""
+def each(run, items, directory):
+    """An iterator over everything that `run(item)` yields, item by item,
+    in order. The caller runs `items[0]`; a child forked on entering runs
+    each other item into an anonymous file in `directory`. On leaving,
+    every child not yet reaped is killed and reaped, and every file is
+    closed. With more than one item, the block runs on one BLAS thread."""
     children = []
-    with _one_blas_thread() if jobs else nullcontext():
+    results = _results(run, items, children)
+    with _one_blas_thread() if len(items) > 1 else nullcontext():
         try:
-            for job in jobs:
-                children.append(list(_fork(job, directory)))
-            yield children
+            for item in items[1:]:
+                children.append(list(_fork(partial(_dump, run, item),
+                                           directory)))
+            yield results
         finally:
             for pid, part in children:
                 if pid is not None:
@@ -125,10 +167,4 @@ def forked(jobs, directory):
                     os.waitpid(pid, 0)
                 if part is not None:
                     part.close()
-
-
-def exited(child: list) -> bool:
-    """Reap `child`, a [pid, file] of `forked`: whether it exited 0. A
-    child that was never forked did not."""
-    pid, child[0] = child[0], None
-    return pid is not None and os.waitpid(pid, 0)[1] == 0
+            results.close()  # and the run it stopped in

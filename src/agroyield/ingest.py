@@ -19,8 +19,6 @@ import csv
 import io
 import json
 import os
-import shutil
-import tempfile  # noqa: F401  the parallel tests patch ingest.tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -239,48 +237,22 @@ def _line_starts(fh) -> tuple | None:
     return n + (last != b"\n"), starts
 
 
-def _part_blocks(path, begin: int, start: int, stop: int):
-    """The `_row_blocks` of data rows start, ..., stop - 1 of the CSV file
-    `path`, in which each line is one row and row `start` begins at byte
-    `begin`."""
+def _part_blocks(path, starts: list, bound: tuple):
+    """The `_row_blocks` of data rows start, ..., stop - 1, for `bound` =
+    (start, stop), of the CSV file `path`, in which each line is one row
+    and line k * `_CHUNK_ROWS` begins at byte starts[k]."""
+    start, stop = bound
     with open(path, "rb") as fh:
-        fh.seek(begin)
+        fh.seek(starts[start // _CHUNK_ROWS])
         lines = io.TextIOWrapper(fh, encoding="utf-8", newline="")
         yield from _row_blocks(csv.reader(islice(lines, stop - start)), start)
 
 
-def _write_part(path, begin: int, start: int, stop: int, part) -> None:
-    """Write the `_part_blocks` of rows start, ..., stop - 1 to the binary
-    file `part`, each as its two row counts, its columns and its failed
-    rows, for `_read_part`."""
-    for columns, failed in _part_blocks(path, begin, start, stop):
-        part.write(np.array([len(columns[0]), len(failed)], np.int64))
-        for column in columns:
-            part.write(column)
-        part.write(np.array(failed, np.int64))
-
-
-def _read_part(part, arrays: list, filled: int, log: list) -> int:
-    """Read the blocks that `_write_part` wrote to `part` into `arrays` from
-    row `filled` on and log their failed rows; the rows filled afterwards."""
-    part.seek(0)
-    while counts := part.read(16):
-        kept, failed = np.frombuffer(counts, np.int64).tolist()
-        rows = np.empty(failed, np.int64)
-        for view in [a[filled:filled + kept] for a in arrays] + [rows]:
-            if part.readinto(view) != view.nbytes:
-                raise EOFError("a part file ends inside a block")
-        log.extend((row, "parse failure") for row in rows.tolist())
-        filled += kept
-    return filled
-
-
 def _load_parts(path, source: str) -> Dataset | None:
-    """`load_csv` of the parts that `_part_bounds` gives the data lines of
-    the file at `path`; None where only the one-process parse may decide
-    the result: for a file that is not regular, a header that is not the
-    contract's, a line that need not be one row, a part that cannot be
-    forked and a child that does not exit 0."""
+    """`load_csv` of the data lines of the file at `path`, parsed in the
+    `fork.each` of their ranges; None where only the one-process parse may
+    decide the result: for a file that is not regular, a header that is
+    not the contract's and a line that need not be one row."""
     if not os.path.isfile(path):  # a pipe can be read only once
         return None
     with open(path, "rb") as fh:
@@ -291,19 +263,11 @@ def _load_parts(path, source: str) -> Dataset | None:
     if lines is None:
         return None
     n, starts = lines
-    bounds = _part_bounds(n)
-    jobs = [partial(_write_part, path, starts[start // _CHUNK_ROWS], start,
-                    stop) for start, stop in zip(bounds[1:-1], bounds[2:])]
-    with fork.forked(jobs, os.path.dirname(os.path.abspath(path))) as children:
-        if any(pid is None for pid, _ in children):
-            return None
-        arrays, log = _empty_columns(n), []
-        filled = _fill(arrays, 0, _part_blocks(path, starts[0], 0, bounds[1]),
-                       log)
-        for child in children:
-            if not fork.exited(child):
-                return None
-            filled = _read_part(child[1], arrays, filled, log)
+    arrays, log = _empty_columns(n), []
+    with fork.each(partial(_part_blocks, path, starts),
+                   fork.ranges(n, n // _FORK_ROWS, _CHUNK_ROWS),
+                   os.path.dirname(os.path.abspath(path))) as blocks:
+        filled = _fill(arrays, 0, blocks, log)
     return Dataset(*(a[:filled] for a in arrays), source=source,
                    cleaning_log=log)
 
@@ -312,13 +276,12 @@ def load_csv(path) -> Dataset:
     """`parse_csv` of the file at `path`, parsed on every CPU of the
     affinity mask.
 
-    Where each data line is one row, the lines are split as `_part_bounds`
-    says. The calling process parses the first range into arrays for every
-    line, while one forked child per other range parses it into an
-    anonymous file beside `path`; each part is then read into place, in
-    order. Wherever that cannot be done, or anything fails, the file is
-    parsed again in one process, and what that returns or raises is the
-    result. No child or part file outlives the call."""
+    Where each data line is one row, the lines are parsed in the
+    `fork.each` of their ranges, at most one per `_FORK_ROWS` lines, with
+    part files beside `path`, into arrays for every line; the caller
+    parses the range of a child that failed. Where that cannot be done, or
+    anything raises, the file is parsed again in one process, and what
+    that returns or raises is the result."""
     try:
         dataset = _load_parts(path, str(path))
     except Exception:  # the one-process parse below decides the outcome
@@ -340,9 +303,10 @@ def _format_floats(column: np.ndarray) -> list:
     return text
 
 
-def _format_rows(dataset: Dataset, start: int, stop: int, fh) -> None:
-    """Write rows start, ..., stop - 1 to the binary file `fh` as CSV
-    lines, a block at a time."""
+def _format_rows(dataset: Dataset, bound: tuple):
+    """The CSV lines of rows start, ..., stop - 1, for `bound` = (start,
+    stop), as bytes, a block at a time."""
+    start, stop = bound
     for begin in range(start, stop, _CHUNK_ROWS):
         rows = slice(begin, min(begin + _CHUNK_ROWS, stop))
         columns = [
@@ -350,44 +314,22 @@ def _format_rows(dataset: Dataset, start: int, stop: int, fh) -> None:
             list(map(str, dataset.year[rows].tolist())),
             [_CROP_NAMES[c] for c in dataset.crop[rows].tolist()],
         ] + [_format_floats(col) for col in dataset.values[rows].T]
-        fh.write(("\n".join(map(",".join, zip(*columns))) + "\n").encode())
-
-
-def _part_bounds(n: int) -> list:
-    """Bounds of the row ranges that `write_csv` and `load_csv` handle in
-    parallel: one range per CPU the process may run on, but at most one per
-    `_FORK_ROWS` rows, each starting at a multiple of `_CHUNK_ROWS`."""
-    parts = max(1, min(fork.cpus(), n // _FORK_ROWS))
-    blocks = -(-n // _CHUNK_ROWS)
-    return [min(n, blocks * i // parts * _CHUNK_ROWS)
-            for i in range(parts + 1)]
+        yield ("\n".join(map(",".join, zip(*columns))) + "\n").encode()
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset of valid rows, as `clean` or `generate` makes.
 
-    The rows are split as `_part_bounds` says. The calling process formats
-    the first range into the file while one forked child per other range
-    formats it into an anonymous file beside it; the parts are then
-    appended in order. A part whose child did not exit 0 is formatted by
-    the caller, so the bytes, and any error raised, are those of one
-    process. No child or part file outlives the call."""
-    bounds = _part_bounds(len(dataset))
-    ranges = list(zip(bounds[1:-1], bounds[2:]))
-    jobs = [partial(_format_rows, dataset, start, stop)
-            for start, stop in ranges]
-    directory = os.path.dirname(os.path.abspath(path))
+    The rows are formatted in the `fork.each` of their ranges, at most one
+    per `_FORK_ROWS` rows, with part files beside `path`, so the bytes, and
+    any error raised, are those of one process."""
+    n = len(dataset)
     with open(path, "wb") as fh:
         fh.write(_HEADER_LINE)
-        fh.flush()  # else each child would inherit the header in the buffer
-        with fork.forked(jobs, directory) as children:
-            _format_rows(dataset, 0, bounds[1], fh)
-            for child, (start, stop) in zip(children, ranges):
-                if fork.exited(child):
-                    child[1].seek(0)
-                    shutil.copyfileobj(child[1], fh)
-                else:
-                    _format_rows(dataset, start, stop, fh)
+        with fork.each(partial(_format_rows, dataset),
+                       fork.ranges(n, n // _FORK_ROWS, _CHUNK_ROWS),
+                       os.path.dirname(os.path.abspath(path))) as blocks:
+            fh.writelines(blocks)
 
 
 def cleaning_log_jsonl(dataset: Dataset) -> str:

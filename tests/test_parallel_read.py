@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroyield import ingest, synthgen
+from agroyield import fork, ingest, synthgen
 from agroyield.errors import AgroYieldError
 from helpers import assert_nothing_left, counting_forks, one_cpu, time_limit
 
@@ -26,13 +26,16 @@ forks = pytest.mark.skipif(
 HEADER = ",".join(ingest.CSV_HEADER).encode()
 
 
+def children(n):
+    """The children that `load_csv` forks for `n` lines of one row each."""
+    return len(fork.ranges(n, n // R, ingest._CHUNK_ROWS)) - 1
+
+
 @lru_cache(maxsize=1)
 def good_lines():
     """The data lines of 3 * R generated rows, as `write_csv` writes them."""
     ds = synthgen.generate(synthgen.GenConfig(n_records=3 * R, seed=6))
-    out = io.BytesIO()
-    ingest._format_rows(ds, 0, len(ds), out)
-    return out.getvalue().split(b"\n")[:-1]
+    return b"".join(ingest._format_rows(ds, (0, len(ds)))).split(b"\n")[:-1]
 
 
 def with_field(line, i, text):
@@ -100,12 +103,11 @@ def test_parallel_parse_equals_one_process_parse(
     # a line is a row, so the lines are parsed in parts
     one_row_per_line = b'"' not in data \
         and data.count(b"\r") == data.count(b"\r\n")
-    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+    with mock.patch.object(os, "fork", wraps=os.fork) as forking:
         got = outcome(ingest.load_csv, path)
         with one_cpu():
             want = outcome(ingest.load_csv, path)
-    assert fork.call_count == (len(ingest._part_bounds(n)) - 2
-                               if one_row_per_line else 0)
+    assert forking.call_count == (children(n) if one_row_per_line else 0)
     assert got == want == outcome(one_process_parse, path)
     assert_nothing_left(out, ["d.csv"])
 
@@ -126,10 +128,14 @@ def no_space(*args):
 @pytest.mark.parametrize("where", ["a child", "the caller"])
 def test_an_error_falls_back_to_the_one_process_parse(tmp_path, monkeypatch,
                                                       where):
+    """A child that fails has its range parsed again by the caller; a part
+    that the caller cannot read raises, and the whole file is parsed
+    again in one process."""
     path, want = write_file(tmp_path)
     caller = os.getpid()
-    name = "_write_part" if where == "a child" else "_read_part"
-    real = getattr(ingest, name)
+    module, name = ((ingest, "_part_blocks") if where == "a child"
+                    else (fork.pickle, "load"))
+    real = getattr(module, name)
 
     def fails(*args):
         in_child = os.getpid() != caller
@@ -137,10 +143,10 @@ def test_an_error_falls_back_to_the_one_process_parse(tmp_path, monkeypatch,
             no_space(*args)
         return real(*args)
 
-    monkeypatch.setattr(ingest, name, fails)
+    monkeypatch.setattr(module, name, fails)
     pids = counting_forks(monkeypatch)
     assert outcome(ingest.load_csv, path) == want
-    assert len(pids) == len(ingest._part_bounds(3 * R)) - 2
+    assert len(pids) == children(3 * R)
     assert_nothing_left(tmp_path, ["d.csv"])
 
 
@@ -154,7 +160,7 @@ def test_a_part_that_cannot_be_forked_is_parsed_in_process(
         monkeypatch.setattr(os, "fork", failing)
     else:
         failing = mock.Mock(side_effect=PermissionError(errno.EACCES, "no"))
-        monkeypatch.setattr(ingest.tempfile, "TemporaryFile", failing)
+        monkeypatch.setattr(fork.tempfile, "TemporaryFile", failing)
     assert outcome(ingest.load_csv, path) == want
     assert failing.call_count == 1
     assert_nothing_left(tmp_path, ["d.csv"])
@@ -177,7 +183,7 @@ def test_an_interrupt_kills_and_reaps_every_child(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         ingest.load_csv(path)
     assert time.monotonic() - began < 30
-    assert len(pids) == len(ingest._part_bounds(3 * R)) - 2
+    assert len(pids) == children(3 * R)
     assert_nothing_left(tmp_path, ["d.csv"])
 
 

@@ -1,9 +1,10 @@
 """`report` trains its crops on every CPU of the affinity mask once its
-training work reaches `cli._FORK_WORK` row passes: the caller trains the
-first range of crops and one forked child each other range. The files
-under `--out`, the log lines and the exit code must be those of one
-process, a failed child or fork must not change them, and no child or
-part file may outlive the call."""
+training work reaches `cli._FORK_WORK` row passes: in `fork.each`, the
+caller trains the first range of crops and one forked child each other
+range, each crop split where it is trained. The files under `--out`, the
+log lines and the exit code must be those of one process, a failed child
+or fork must not change them, and no child or part file may outlive the
+call, also when the caller's loop over `fork.each` raises."""
 
 import errno
 import hashlib
@@ -187,18 +188,49 @@ def test_forked_work_runs_on_one_blas_thread(tmp_path):
     set_threads, get_threads = fork._openblas()
     threads = get_threads()
 
-    def child_threads(part):
-        part.write(bytes([get_threads()]))
+    def blas_threads(item):
+        yield item, get_threads()
 
     set_threads(2)
     try:
-        with fork.forked([child_threads], tmp_path) as children:
+        with fork.each(blas_threads, ["caller", "child"], tmp_path) as got:
             assert get_threads() == 1
-            assert fork.exited(children[0])
-            children[0][1].seek(0)
-            assert children[0][1].read() == bytes([1])
+            assert list(got) == [("caller", 1), ("child", 1)]
         assert get_threads() == 2
-        with fork.forked([], tmp_path):  # nothing forks, nothing changes
-            assert get_threads() == 2
+        # one item forks nothing and changes nothing
+        with fork.each(blas_threads, ["caller"], tmp_path) as got:
+            assert list(got) == [("caller", 2)]
     finally:
         set_threads(threads)
+
+
+@forks
+def test_an_error_in_the_callers_loop_leaves_no_child_or_part_file(
+        tmp_path, monkeypatch):
+    """Leaving the block kills and reaps the children still running and
+    closes their part files; cleanup that waited for the iterator to be
+    collected would leave them."""
+    caller = os.getpid()
+
+    def run(item):
+        if os.getpid() != caller:
+            time.sleep(60)  # a child still running when the caller stops
+        yield item
+
+    parts, make = [], fork.tempfile.TemporaryFile
+
+    def made(**kwargs):
+        parts.append(make(**kwargs))
+        return parts[-1]
+
+    monkeypatch.setattr(fork.tempfile, "TemporaryFile", made)
+    pids = counting_forks(monkeypatch)
+    began = time.monotonic()
+    with pytest.raises(OSError, match="No space left"):
+        with fork.each(run, list(range(3)), tmp_path) as results:
+            for _ in results:  # a failing write of what came in
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert time.monotonic() - began < 30
+    assert len(pids) == 2
+    assert_nothing_left(tmp_path, [])
+    assert len(parts) == 2 and all(part.closed for part in parts)

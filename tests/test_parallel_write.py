@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroyield import ingest, synthgen
+from agroyield import fork, ingest, synthgen
 from agroyield.cli import run
 from helpers import assert_nothing_left, counting_forks, one_cpu
 
@@ -41,20 +41,33 @@ def no_space(*args):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-def test_part_bounds_cover_the_rows_in_aligned_ranges(monkeypatch):
-    for n in (0, 1, R - 1, R, 2 * R - 1, 2 * R, 2 * R + 1, 3 * R + 7,
-              100 * R + 3):
-        bounds = ingest._part_bounds(n)
-        assert len(bounds) - 1 == max(1, min(CPUS, n // R))
-        assert bounds[0] == 0 and bounds[-1] == n
-        assert all(b % ingest._CHUNK_ROWS == 0 for b in bounds[:-1])
-        assert all(a < b for a, b in zip(bounds[:-1], bounds[1:])) or n == 0
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 100 * R), most=st.integers(-1, 40),
+       unit=st.integers(1, 2 * R), cpus=st.integers(1, 8))
+def test_ranges_cover_the_items_in_aligned_ranges(n, most, unit, cpus):
+    with mock.patch.object(fork, "cpus", return_value=cpus):
+        got = fork.ranges(n, most, unit)
+        plain = fork.ranges(n, most)
+    parts = max(1, min(cpus, most))
+    assert len(got) == parts
+    assert got[0][0] == 0 and got[-1][1] == n
+    assert all(stop == start for (_, stop), (start, _) in zip(got, got[1:]))
+    assert all(start <= stop and start % unit == 0 for start, stop in got)
+    if n >= parts * unit:  # as `write_csv` and `load_csv` cut their rows
+        assert all(start < stop for start, stop in got)
+    # with unit 1, the split that `report` made of its crops
+    assert plain == [(n * i // parts, n * (i + 1) // parts)
+                     for i in range(parts)]
+
+
+def test_cpus_are_the_affinity_mask(monkeypatch):
+    assert fork.cpus() == CPUS
     with one_cpu():
-        assert ingest._part_bounds(100 * R) == [0, 100 * R]
+        assert fork.cpus() == 1
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert len(ingest._part_bounds(100 * R)) - 1 == min(os.cpu_count(), 100)
+    assert fork.cpus() == os.cpu_count()
     monkeypatch.delattr(os, "fork")
-    assert ingest._part_bounds(100 * R) == [0, 100 * R]
+    assert fork.cpus() == 1
 
 
 ROWS = (st.sampled_from([R - 1, R, 2 * R, 2 * R + 1])
@@ -82,7 +95,7 @@ def test_a_failed_child_leaves_the_bytes_unchanged(tmp_path, monkeypatch):
     caller, real = os.getpid(), ingest._format_rows
 
     def fails_in_a_child(*args):
-        (real if os.getpid() == caller else no_space)(*args)
+        return (real if os.getpid() == caller else no_space)(*args)
 
     monkeypatch.setattr(ingest, "_format_rows", fails_in_a_child)
     pids = counting_forks(monkeypatch)
@@ -105,7 +118,7 @@ def test_a_part_that_cannot_be_forked_is_formatted_in_process(
         monkeypatch.setattr(os, "fork", failing)
     else:
         failing = mock.Mock(side_effect=PermissionError(errno.EACCES, "no"))
-        monkeypatch.setattr(ingest.tempfile, "TemporaryFile", failing)
+        monkeypatch.setattr(fork.tempfile, "TemporaryFile", failing)
     ingest.write_csv(ds, tmp_path / "all.csv")
     assert failing.call_count == 1
     assert (tmp_path / "all.csv").read_bytes() \
@@ -169,7 +182,7 @@ def test_an_interrupt_kills_and_reaps_every_child(tmp_path, monkeypatch):
         if os.getpid() == caller:
             raise KeyboardInterrupt
         time.sleep(60)  # a child still running when the caller stops
-        real(*args)
+        return real(*args)
 
     monkeypatch.setattr(ingest, "_format_rows", interrupted)
     pids = counting_forks(monkeypatch)
