@@ -239,7 +239,7 @@ def _cmd_evaluate(args, cfg):
             _, rows = pipeline.split_crop(
                 dataset, model.crop, cfg["train_ratio"], cfg["seed"])
             test = dataset.take(rows)
-            tests[model.crop] = (ingest.feature_matrix(test),
+            tests[model.crop] = (ingest.feature_matrix(test.year, test.values),
                                  ingest.target_vector(test))
         metrics = evaluation.evaluate(model, *tests[model.crop])
         results[str(path)] = {
@@ -325,7 +325,13 @@ def _cmd_plot_data(args, cfg):
 
 
 def _cmd_select(args, cfg):
-    per_crop = {m.crop: m for m in map(_load_crop_model, args.models)}
+    per_crop, paths = {}, {}
+    for path in args.models:
+        model = _load_crop_model(path)
+        if model.crop in per_crop:
+            raise AgroYieldError(f"crop {model.crop.name} has two model "
+                                 f"files: {paths[model.crop]} and {path}")
+        per_crop[model.crop], paths[model.crop] = model, path
     dataset = _load_records(args.data)
     record = dataset.records[0]
     rec = evaluation.select_crop(per_crop, record)

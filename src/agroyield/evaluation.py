@@ -145,7 +145,7 @@ def select_crop(per_crop_models: dict, record: schema.AgroRecord) -> CropRecomme
     if missing:
         raise AgroYieldError(f"no model for crops: {', '.join(missing)}")
     # crop is not a feature, so one encoding serves every crop's model
-    x = ingest.feature_matrix(ingest.record_dataset(record))
+    x = ingest.feature_matrix([record.year], [record.values])
     predicted = {crop: float(predict_model(per_crop_models[crop], x)[0])
                  for crop in Crop}
     selected = max(Crop, key=lambda c: (predicted[c], -c.value))

@@ -21,7 +21,7 @@ import pickle
 import signal
 import tempfile
 from contextlib import contextmanager, nullcontext
-from functools import lru_cache, partial
+from functools import lru_cache
 
 
 def cpus() -> int:
@@ -34,13 +34,11 @@ def cpus() -> int:
         return os.cpu_count() or 1
 
 
-def ranges(n: int, most: int, unit: int = 1) -> list:
+def ranges(n: int, most: int) -> list:
     """(start, stop) of the contiguous ranges that cover 0, ..., n - 1:
-    one per CPU, but at most `most` and at least one, each starting at a
-    multiple of `unit`."""
+    one per CPU, but at most `most` and at least one."""
     parts = max(1, min(cpus(), most))
-    units = -(-n // unit)
-    bounds = [min(n, units * i // parts * unit) for i in range(parts + 1)]
+    bounds = [n * i // parts for i in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -97,10 +95,10 @@ def _one_blas_thread():
         set_threads(threads)
 
 
-def _fork(fn, directory):
-    """(pid, file) of a forked child that runs `fn(file)` on an anonymous
-    binary file in `directory` and exits 0, or 1 if `fn` raises; (None,
-    None) when the file or the child cannot be made."""
+def _fork(run, item, directory):
+    """(pid, file) of a forked child that pickles each thing `run(item)`
+    yields to an anonymous binary file in `directory` and exits 0, or 1 if
+    `run` raises; (None, None) when the file or the child cannot be made."""
     try:
         part = tempfile.TemporaryFile(dir=directory)
     except OSError:
@@ -113,18 +111,13 @@ def _fork(fn, directory):
     if pid == 0:
         code = 1
         try:
-            fn(part)
+            for result in run(item):
+                pickle.dump(result, part)
             part.flush()
             code = 0
         finally:
             os._exit(code)
     return pid, part
-
-
-def _dump(run, item, part) -> None:
-    """Pickle each thing that `run(item)` yields to the file `part`."""
-    for result in run(item):
-        pickle.dump(result, part)
 
 
 def _results(run, items, children):
@@ -157,8 +150,7 @@ def each(run, items, directory):
     with _one_blas_thread() if len(items) > 1 else nullcontext():
         try:
             for item in items[1:]:
-                children.append(list(_fork(partial(_dump, run, item),
-                                           directory)))
+                children.append(list(_fork(run, item, directory)))
             yield results
         finally:
             for pid, part in children:

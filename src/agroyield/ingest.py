@@ -54,6 +54,8 @@ _BLOCK_BYTES = 1 << 16
 _HASH_SALT = (np.arange(1, 4 + len(schema.VALUE_COLUMNS), dtype=np.uint64)
               * np.uint64(GAMMA))
 _YIELD = schema.VALUE_INDEX["yield"]
+# the year, then the `VALUE_COLUMNS` before production and yield
+_FEATURES = len(schema.schema_columns())
 _DISTRICT_NAMES = [d.name.lower() for d in District]
 _CROP_NAMES = [c.name.lower() for c in Crop]
 
@@ -101,15 +103,6 @@ class Records(Sequence):
         return schema.AgroRecord(
             District(int(ds.district[i])), int(ds.year[i]),
             Crop(int(ds.crop[i])), tuple(ds.values[i].tolist()))
-
-
-def record_dataset(record: schema.AgroRecord) -> Dataset:
-    """A one-row dataset holding `record`, whose year must fit int64."""
-    return Dataset(np.array([record.district.value]),
-                   np.array([record.crop.value]),
-                   np.array([record.year], dtype=np.int64),
-                   np.array([record.values], dtype=float),
-                   np.zeros(1, dtype=np.int64))
 
 
 @lru_cache(maxsize=256)
@@ -211,13 +204,13 @@ def _parse_rows(stream, source: str) -> Dataset:
                    cleaning_log=log)
 
 
-def _line_starts(fh) -> tuple | None:
-    """(n, starts) of the data lines of a binary CSV file `fh`, read from
-    its first data line on: there are n lines, and line k * `_CHUNK_ROWS`
-    starts at byte starts[k]. None when a line need not be one CSV row,
-    which is when the file holds a quote or a CR not followed by LF."""
+def _line_starts(fh) -> np.ndarray | None:
+    """The int64 byte offsets at which the data lines of a binary CSV file
+    `fh` start, one per line, read from its first data line on. None when
+    a line need not be one CSV row, which is when the file holds a quote
+    or a CR not followed by LF."""
     offset = fh.tell()
-    starts, n, cr, last = [offset], 0, False, b"\n"
+    starts, cr, last = [np.array([offset], np.int64)], False, b"\n"
     while block := fh.read(_BLOCK_BYTES):
         if b'"' in block:
             return None
@@ -226,24 +219,22 @@ def _line_starts(fh) -> tuple | None:
             if block.count(b"\r") + cr != crlf + block.endswith(b"\r"):
                 return None
         ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-        # the line after the newline at ends[j] is line n + j + 1
-        starts += (ends[-(n + 1) % _CHUNK_ROWS::_CHUNK_ROWS]
-                   + (offset + 1)).tolist()
-        n += len(ends)
+        starts.append(ends + (offset + 1))  # the lines after the newlines
         offset += len(block)
         cr, last = block.endswith(b"\r"), block[-1:]
     if cr:
         return None
-    return n + (last != b"\n"), starts
+    starts = np.concatenate(starts)
+    return starts[:-1] if last == b"\n" else starts  # no line after a last LF
 
 
-def _part_blocks(path, starts: list, bound: tuple):
+def _part_blocks(path, starts: np.ndarray, bound: tuple):
     """The `_row_blocks` of data rows start, ..., stop - 1, for `bound` =
     (start, stop), of the CSV file `path`, in which each line is one row
-    and line k * `_CHUNK_ROWS` begins at byte starts[k]."""
+    and line k begins at byte starts[k]."""
     start, stop = bound
     with open(path, "rb") as fh:
-        fh.seek(starts[start // _CHUNK_ROWS])
+        fh.seek(int(starts[start]))
         lines = io.TextIOWrapper(fh, encoding="utf-8", newline="")
         yield from _row_blocks(csv.reader(islice(lines, stop - start)), start)
 
@@ -259,13 +250,13 @@ def _load_parts(path, source: str) -> Dataset | None:
         header = fh.readline(len(_HEADER_LINE) + 1)
         if header not in (_HEADER_LINE, _HEADER_LINE[:-1] + b"\r\n"):
             return None
-        lines = _line_starts(fh)
-    if lines is None:
+        starts = _line_starts(fh)
+    if starts is None:
         return None
-    n, starts = lines
+    n = len(starts)
     arrays, log = _empty_columns(n), []
     with fork.each(partial(_part_blocks, path, starts),
-                   fork.ranges(n, n // _FORK_ROWS, _CHUNK_ROWS),
+                   fork.ranges(n, n // _FORK_ROWS),
                    os.path.dirname(os.path.abspath(path))) as blocks:
         filled = _fill(arrays, 0, blocks, log)
     return Dataset(*(a[:filled] for a in arrays), source=source,
@@ -327,7 +318,7 @@ def write_csv(dataset: Dataset, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER_LINE)
         with fork.each(partial(_format_rows, dataset),
-                       fork.ranges(n, n // _FORK_ROWS, _CHUNK_ROWS),
+                       fork.ranges(n, n // _FORK_ROWS),
                        os.path.dirname(os.path.abspath(path))) as blocks:
             fh.writelines(blocks)
 
@@ -398,12 +389,14 @@ def clean(dataset: Dataset) -> Dataset:
     return replace(kept, cleaning_log=log)
 
 
-def feature_matrix(dataset: Dataset) -> np.ndarray:
+def feature_matrix(year, values) -> np.ndarray:
     """The (n, 46) feature matrix, in `schema.schema_columns()` order, of a
-    dataset of valid rows, as `clean` or `generate` makes."""
-    x = np.empty((len(dataset), 46))
-    x[:, 0] = dataset.year
-    x[:, 1:] = dataset.values[:, :45]
+    year column and the matching (n, 47) `schema.VALUE_COLUMNS` values of
+    valid rows, as `clean` or `generate` makes: a dataset's, a part's, or
+    one record's, as `[record.year]` and `[record.values]`."""
+    x = np.empty((len(year), _FEATURES))
+    x[:, 0] = year
+    x[:, 1:] = np.asarray(values, dtype=float)[:, :_FEATURES - 1]
     return x
 
 

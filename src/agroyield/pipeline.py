@@ -50,11 +50,17 @@ def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
 def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
                        train_ratio: float, seed: int) -> CropSplit:
     """Split one crop's rows and encode each part once, for every variant
-    trained and scored on it."""
+    trained and scored on it; AgroYieldError if the ratio leaves no row
+    to train on."""
     train_rows, test_rows = split_crop(dataset, crop, train_ratio, seed)
+    if len(train_rows) == 0:  # every row of the crop is a test row
+        raise AgroYieldError(
+            f"crop {crop.name} has {len(test_rows)} records; train ratio "
+            f"{train_ratio} leaves none to train on")
     train, test = dataset.take(train_rows), dataset.take(test_rows)
-    return CropSplit(crop, ingest.feature_matrix(train),
-                     ingest.target_vector(train), ingest.feature_matrix(test),
+    return CropSplit(crop, ingest.feature_matrix(train.year, train.values),
+                     ingest.target_vector(train),
+                     ingest.feature_matrix(test.year, test.values),
                      ingest.target_vector(test))
 
 

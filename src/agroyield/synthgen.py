@@ -25,7 +25,7 @@ import numpy as np
 from .errors import AgroYieldError
 from .ingest import Dataset
 from .schema import (BLOCK_ROWS, FERTILIZER, INDICATOR_PATTERNS, INDICATORS,
-                     LAND, SOIL, VALUE_COLUMNS, VALUE_INDEX, AgroRecord, Crop,
+                     LAND, SOIL, VALUE_COLUMNS, VALUE_INDEX, Crop,
                      District, json_number, json_numbers, require_valid,
                      sum_in_order)
 
@@ -116,12 +116,6 @@ def _oracle(values: np.ndarray, which: np.ndarray, table: list) -> np.ndarray:
         return (param("base_yield")[which] * g
                 * weighted("soil_weights", SOIL)
                 * weighted("land_weights", LAND) * fert)
-
-
-def ground_truth_yield(record: AgroRecord, response: CropResponse) -> float:
-    """Noise-free yield in t/ha for a record under a crop response."""
-    values = np.array([record.values], dtype=float)
-    return float(_oracle(values, np.zeros(1, dtype=int), [response])[0])
 
 
 # list-valued response keys -> required length

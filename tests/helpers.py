@@ -74,7 +74,8 @@ def encoded(records):
     """(x, y): the raw feature matrix and yields of `records`, as
     `evaluation.evaluate` and `compare` take them."""
     dataset = dataset_of(records)
-    return ingest.feature_matrix(dataset), ingest.target_vector(dataset)
+    return (ingest.feature_matrix(dataset.year, dataset.values),
+            ingest.target_vector(dataset))
 
 
 def scaled_train(crop_split):

@@ -163,7 +163,7 @@ def test_criterion_5_split_exactness():
 def test_criterion_6_normalization():
     rng = np.random.default_rng(6)
     ds = synthgen.generate(synthgen.GenConfig(n_records=200, seed=6))
-    x = ingest.feature_matrix(ds)
+    x = ingest.feature_matrix(ds.year, ds.values)
     norm = ingest.fit_normalizer(x, ingest.target_vector(ds))
     z = ingest.normalize_features(norm, x)
     span = x.max(axis=0) - x.min(axis=0)

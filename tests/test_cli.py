@@ -8,6 +8,7 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +93,19 @@ class TestClean:
         assert len((out / "cleaned.csv").read_text().splitlines()) == 2
 
 
+@pytest.fixture(scope="module")
+def crop_models(data_csv, tmp_path_factory):
+    """One small logistic model file per crop, in crop order."""
+    work = tmp_path_factory.mktemp("crop_models")
+    paths = []
+    for crop in schema.Crop:
+        paths.append(str(work / f"{crop.name.lower()}.json"))
+        assert run(["train", "--data", str(data_csv), "--model", "logistic",
+                    "--crop", crop.name, "--epochs", "5", "--seed", "5",
+                    "--out", paths[-1]]) == 0
+    return paths
+
+
 class TestTrainEvaluateSelect:
     def test_train_then_evaluate(self, data_csv, tmp_path):
         model_path = tmp_path / "jute_forest.json"
@@ -115,22 +129,54 @@ class TestTrainEvaluateSelect:
         history = (tmp_path / "dnn.json.history.csv").read_text()
         assert history.splitlines()[0] == "epoch,train_mse,val_mse"
 
-    def test_select(self, data_csv, tmp_path):
-        model_files = []
-        for crop in ("ausrice", "amanrice", "bororice", "wheat", "potato",
-                     "jute"):
-            path = tmp_path / f"{crop}.json"
-            assert run(["train", "--data", str(data_csv), "--model",
-                        "logistic", "--crop", crop, "--epochs", "5",
-                        "--seed", "5", "--out", str(path)]) == 0
-            model_files.append(str(path))
+    def test_select(self, data_csv, crop_models, tmp_path):
         out = tmp_path / "rec.json"
         assert run(["select", "--data", str(data_csv), "--out", str(out)]
-                   + model_files) == 0
+                   + crop_models) == 0
         doc = json.loads(out.read_text())
         assert doc["selected"] in {"AusRice", "AmanRice", "BoroRice", "Wheat",
                                    "Potato", "Jute"}
         assert len(doc["predicted_yield_t_ha"]) == 6
+
+    def test_select_refuses_two_model_files_for_one_crop(
+            self, data_csv, crop_models, tmp_path, capsys):
+        jute = crop_models[schema.Crop.Jute.value]
+        second = str(tmp_path / "jute2.json")
+        shutil.copy(jute, second)
+        out = tmp_path / "rec.json"
+        assert run(["select", "--data", str(data_csv), "--out", str(out),
+                    *crop_models, second]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"data error: crop Jute has two model files: {jute} and {second}")
+
+    def test_a_ratio_that_leaves_no_train_row_is_named(
+            self, data_csv, crop_models, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(["generate", "--n", "300", "--seed", "1",
+                    "--out", str(data)]) == 0
+        counts = np.bincount(ingest.clean(ingest.load_csv(data)).crop,
+                             minlength=len(schema.Crop))
+
+        def error(crop):
+            return (f"data error: crop {crop.name} has "
+                    f"{counts[crop.value]} records; train ratio 0.001 "
+                    f"leaves none to train on")
+
+        common = ["--data", str(data), "--ratio", "0.001"]
+        assert run(["train", *common, "--model", "logistic", "--crop",
+                    "jute", "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] \
+            == error(schema.Crop.Jute)
+        assert run(["report", *common, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] \
+            == error(schema.Crop.AusRice)
+        # evaluate trains nothing: every row of the crop is a test row
+        metrics = tmp_path / "metrics.json"
+        jute = crop_models[schema.Crop.Jute.value]
+        assert run(["evaluate", "--data", str(data_csv), "--ratio", "0.001",
+                    jute, "--out", str(metrics)]) == 0
+        assert json.loads(metrics.read_text())[jute]["n_test"] == 70
 
     def test_evaluate_encodes_each_crop_once(self, data_csv, tmp_path,
                                              monkeypatch):
@@ -157,9 +203,9 @@ class TestTrainEvaluateSelect:
         encoded = []  # rows per feature_matrix call
         feature_matrix = ingest.feature_matrix
 
-        def counting(dataset):
-            encoded.append(len(dataset))
-            return feature_matrix(dataset)
+        def counting(year, values):
+            encoded.append(len(year))
+            return feature_matrix(year, values)
 
         monkeypatch.setattr(ingest, "feature_matrix", counting)
         together = evaluate(*paths)
@@ -205,13 +251,15 @@ class TestReport:
         data = tmp_path / "coverage.csv"
         assert run(["generate", "--coverage", "--seed", "13",
                     "--out", str(data)]) == 0
-        cleaned = list(ingest.clean(ingest.load_csv(data)).records)
-        encoded = []
+        cleaned = ingest.clean(ingest.load_csv(data))
+        cleaned = list(zip(cleaned.year.tolist(),
+                           map(tuple, cleaned.values.tolist())))
+        encoded = []  # (year, values) of each row encoded
         feature_matrix = ingest.feature_matrix
 
-        def counting(dataset):
-            encoded.extend(dataset.records)
-            return feature_matrix(dataset)
+        def counting(year, values):
+            encoded.extend(zip(year.tolist(), map(tuple, values.tolist())))
+            return feature_matrix(year, values)
 
         monkeypatch.setattr(ingest, "feature_matrix", counting)
         assert run(["report", "--data", str(data), "--seed", "13",
@@ -690,6 +738,20 @@ class TestOutOfRangeValues:
                         str(model), "--out", str(out)]) == 2
         assert not out.exists()
         self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_model_file_without_a_crop_exits_2(self, command, model_docs,
+                                               data_csv, tmp_path, capsys):
+        doc = copy.deepcopy(model_docs["logistic"])
+        doc["crop"] = None
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert run([command, "--data", str(data_csv), str(model),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines()[-1] \
+            == f"data error: model file {model} carries no crop tag"
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe" + _HEADER,

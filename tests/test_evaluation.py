@@ -153,8 +153,9 @@ class TestSelectCrop:
 
     def test_crop_is_not_a_feature(self):
         # select_crop encodes the request once for all six crop models
-        x = ingest.feature_matrix(dataset_of([make_record(crop=c)
-                                              for c in Crop]))
+        records = [make_record(crop=c) for c in Crop]
+        x = ingest.feature_matrix([r.year for r in records],
+                                  [r.values for r in records])
         assert len({tuple(row) for row in x.tolist()}) == 1
 
     def test_all_equal_ties_break_to_first_member(self):

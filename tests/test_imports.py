@@ -1,13 +1,17 @@
-"""Every imported name is read somewhere in its file, and only the fork
-module forks.
+"""Every imported name is read somewhere in its file, every private
+top-level name of the package is read somewhere in the package, and only
+the fork module forks.
 
 The first is a stdlib-only stand-in for a linter's unused-import rule
 (pyflakes F401), over the package, the tests, the scripts and the
 benchmark harness. A name counts as read if it is loaded anywhere in the
 file, in any scope. `from __future__` imports and lines marked
-`# noqa: F401` are skipped. The second keeps one copy of the fork, reap
-and exit logic: outside `agroyield/fork.py`, no module of the package
-calls or imports `os.fork`, `os.waitpid` or `os._exit`.
+`# noqa: F401` are skipped. The second catches the helpers, constants and
+classes named `_name` that a removal leaves behind: such a name counts as
+read if any module of the package loads it, bare or as an attribute. The
+third keeps one copy of the fork, reap and exit logic: outside
+`agroyield/fork.py`, no module of the package calls or imports `os.fork`,
+`os.waitpid` or `os._exit`.
 """
 
 import ast
@@ -45,6 +49,47 @@ def test_every_imported_name_is_read():
     assert paths
     unused = [entry for p in paths for entry in unused_imports(p)]
     assert unused == [], "\n".join(unused)
+
+
+def unread_private_names(paths: list) -> list:
+    """`file:line name` for each `_name`, not a dunder, that a module of
+    `paths` binds at its top level and no module of `paths` loads."""
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [(node.lineno, node.name)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                bound = [(t.lineno, t.id) for target in targets
+                         for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, line, name) for line, name in bound
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return [f"{file}:{line} {name}" for file, line, name in defined
+            if name not in read]
+
+
+def test_every_private_name_is_read_in_the_package(tmp_path):
+    package = sorted((ROOT / "src" / "agroyield").rglob("*.py"))
+    unread = unread_private_names(package)
+    assert unread == [], "\n".join(unread)
+    # the check finds what nothing reads, and takes a read from any module
+    left = tmp_path / "left.py"
+    left.write_text("_A, (_B, _C) = 1, (2, 3)\n_D: int = 4\n"
+                    "def _e():\n    return _C\nclass _F:\n    pass\n"
+                    "_fork = __name__\n", encoding="utf-8")
+    assert unread_private_names(package + [left]) \
+        == ["left.py:1 _A", "left.py:1 _B", "left.py:2 _D", "left.py:3 _e",
+            "left.py:5 _F"]
 
 
 PROCESS_CALLS = {"fork", "waitpid", "_exit"}

@@ -185,7 +185,7 @@ def rainfall_dataset(values):
 
 def fit_on(dataset):
     """The normalizer fitted on `dataset` and its normalized feature matrix."""
-    x = ingest.feature_matrix(dataset)
+    x = ingest.feature_matrix(dataset.year, dataset.values)
     norm = fit_normalizer(x, ingest.target_vector(dataset))
     return norm, normalize_features(norm, x)
 
@@ -229,7 +229,8 @@ class TestNormalizer:
     def test_out_of_range_values_clipped(self):
         train = rainfall_dataset([1523.0, 2385.0])
         norm, _ = fit_on(train)
-        test = ingest.feature_matrix(rainfall_dataset([100.0, 9000.0]))
+        ds = rainfall_dataset([100.0, 9000.0])
+        test = ingest.feature_matrix(ds.year, ds.values)
         out = normalize_features(norm, test)
         i = schema.schema_columns().index("avg_rainfall")
         assert out[0, i] == 0.0
@@ -240,7 +241,7 @@ class TestNormalizer:
                    for i, d in enumerate(schema.District)]
         ds = dataset_of(records)
         norm, x = fit_on(ds)
-        raw = ingest.feature_matrix(ds)
+        raw = ingest.feature_matrix(ds.year, ds.values)
         assert np.array_equal(x[:, -5:], raw[:, -5:])
 
     def test_train_columns_hit_0_and_1(self):
@@ -584,13 +585,16 @@ def test_write_then_load_keeps_the_arrays_of_a_generated_dataset(tmp_path):
 # The row view against the rows it views.
 
 def _assert_rows_round_trip(ds):
-    """`record_dataset` of each row's record holds the row's bytes."""
+    """Each row's record holds the row's bytes, and `feature_matrix` of the
+    record, as `evaluation.select_crop` encodes it, is the row's."""
     assert len(ds.records) == len(ds)
     for i, record in enumerate(ds.records):
-        one, want = ingest.record_dataset(record), ds.take([i])
-        for name in ("district", "crop", "year", "values"):
-            got, row = getattr(one, name), getattr(want, name)
-            assert (got.dtype, got.tobytes()) == (row.dtype, row.tobytes())
+        assert (record.district.value, record.crop.value, record.year) \
+            == (ds.district[i], ds.crop[i], ds.year[i])
+        assert np.array(record.values).tobytes() == ds.values[i].tobytes()
+        got = ingest.feature_matrix([record.year], [record.values])
+        want = ingest.feature_matrix(ds.year[i:i + 1], ds.values[i:i + 1])
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
         assert record.values[schema.INDICATORS] == tuple(
             schema.INDICATOR_PATTERNS[record.district.value].tolist())
 
@@ -603,8 +607,8 @@ def _assert_rows_round_trip(ds):
            [1900, 2 ** 31, 2 ** 62, 2 ** 63 - 2])), max_size=4),
        st.lists(st.tuples(st.integers(0, 299), st.sampled_from(
            [10 ** 400, 2 ** 63 - 1])), min_size=1, max_size=3))
-def test_record_dataset_round_trips_every_row(tmp_path_factory, seed, n,
-                                              zeros, years, coded_years):
+def test_records_round_trip_every_row(tmp_path_factory, seed, n, zeros,
+                                      years, coded_years):
     generated = synthgen.generate(synthgen.GenConfig(n_records=n, seed=seed))
     _assert_rows_round_trip(generated)
     path = tmp_path_factory.mktemp("csv") / "d.csv"

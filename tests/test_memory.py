@@ -81,8 +81,7 @@ forks = pytest.mark.skipif(
 @forks
 def test_forked_load_csv_holds_one_copy_in_the_caller(loaded):
     # forked children parse the other ranges, which tracemalloc cannot see
-    assert len(fork.ranges(RECORDS, RECORDS // ingest._FORK_ROWS,
-                           ingest._CHUNK_ROWS)) > 1
+    assert len(fork.ranges(RECORDS, RECORDS // ingest._FORK_ROWS)) > 1
     dataset, peak = traced_peak(ingest.load_csv, loaded[0].source)
     assert len(dataset) == RECORDS
     assert_within_bound(peak, dataset)
@@ -100,8 +99,8 @@ def test_write_csv_copies_nothing(generated, tmp_path):
 def test_forked_write_csv_copies_nothing_in_the_caller(generated, tmp_path):
     # forked children format the other ranges, which tracemalloc cannot see
     dataset = generated[0]
-    assert len(fork.ranges(len(dataset), len(dataset) // ingest._FORK_ROWS,
-                           ingest._CHUNK_ROWS)) > 1
+    assert len(fork.ranges(len(dataset),
+                           len(dataset) // ingest._FORK_ROWS)) > 1
     _, peak = traced_peak(ingest.write_csv, dataset, tmp_path / "d.csv")
     assert_within_bound(peak, dataset, NO_COPY)
 

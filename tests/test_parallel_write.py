@@ -43,21 +43,20 @@ def no_space(*args):
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(0, 100 * R), most=st.integers(-1, 40),
-       unit=st.integers(1, 2 * R), cpus=st.integers(1, 8))
-def test_ranges_cover_the_items_in_aligned_ranges(n, most, unit, cpus):
+       cpus=st.integers(1, 8))
+def test_ranges_cover_the_items_in_contiguous_ranges(n, most, cpus):
     with mock.patch.object(fork, "cpus", return_value=cpus):
-        got = fork.ranges(n, most, unit)
-        plain = fork.ranges(n, most)
+        got = fork.ranges(n, most)
     parts = max(1, min(cpus, most))
     assert len(got) == parts
     assert got[0][0] == 0 and got[-1][1] == n
     assert all(stop == start for (_, stop), (start, _) in zip(got, got[1:]))
-    assert all(start <= stop and start % unit == 0 for start, stop in got)
-    if n >= parts * unit:  # as `write_csv` and `load_csv` cut their rows
+    assert all(start <= stop for start, stop in got)
+    if n >= parts:  # as `write_csv`, `load_csv` and `report` cut their items
         assert all(start < stop for start, stop in got)
-    # with unit 1, the split that `report` made of its crops
-    assert plain == [(n * i // parts, n * (i + 1) // parts)
-                     for i in range(parts)]
+    # the split that `report` made of its crops before `fork.ranges`
+    assert got == [(n * i // parts, n * (i + 1) // parts)
+                   for i in range(parts)]
 
 
 def test_cpus_are_the_affinity_mask(monkeypatch):

@@ -30,7 +30,8 @@ def messages(record) -> list:
 
 def features(record) -> tuple:
     """`record`'s 46 feature values, as `ingest.feature_matrix` encodes them."""
-    return tuple(ingest.feature_matrix(dataset_of([record]))[0].tolist())
+    return tuple(ingest.feature_matrix([record.year],
+                                       [record.values])[0].tolist())
 
 
 def decode_district(indicators) -> District:

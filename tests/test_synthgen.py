@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from agroyield import ingest, schema, synthgen
 from agroyield.schema import LAND_FRAC_COLUMNS, SOIL_FRAC_COLUMNS, Crop, District
-from agroyield.synthgen import CropResponse, GenConfig, generate, ground_truth_yield, load_responses
+from agroyield.synthgen import CropResponse, GenConfig, generate, load_responses
 from helpers import make_record, record_value
 from test_schema import valid_records
 
@@ -30,19 +30,33 @@ def unit_response(**over):
 NO_FERTILIZER = dict(urea=0.0, tsp=0.0, dap=0.0, mp=0.0)
 
 
+def oracle(response, *records):
+    """The noise-free yields of `records` under `response`, in t/ha, from
+    `synthgen._oracle` on their rows."""
+    return synthgen._oracle(np.array([r.values for r in records]),
+                            np.zeros(len(records), dtype=int), [response])
+
+
+def crop_oracle(dataset, responses):
+    """The noise-free yield of each row of `dataset` under its crop's
+    response, as `generate` draws it."""
+    return synthgen._oracle(dataset.values, dataset.crop,
+                            [responses[c] for c in Crop])
+
+
 class TestGroundTruthYield:
     def test_at_optima_with_unit_suitability_gives_base_yield(self):
         record = make_record(**NO_FERTILIZER)
-        assert ground_truth_yield(record, unit_response()) == pytest.approx(3.0)
+        assert oracle(unit_response(), record)[0] == pytest.approx(3.0)
 
     def test_one_width_off_optimum_scales_by_exp_minus_one(self):
         resp = unit_response()
         record = make_record(**NO_FERTILIZER)
         shifted = make_record(**NO_FERTILIZER,
                               avg_rainfall=2385.0 + resp.width_rainfall)
-        ratio = (ground_truth_yield(shifted, resp)
-                 / ground_truth_yield(record, resp))
-        assert ratio == pytest.approx(math.exp(-1.0), rel=1e-12)
+        shifted_yield, optimal_yield = oracle(resp, shifted, record)
+        assert shifted_yield / optimal_yield \
+            == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_jute_prefers_high_rainfall_and_humidity(self):
         jute = load_responses()[Crop.Jute]
@@ -50,20 +64,21 @@ class TestGroundTruthYield:
                           min_temp=15.0, humidity=71.0)
         dry = make_record(crop=Crop.Jute, avg_rainfall=1150.0, max_temp=33.0,
                           min_temp=15.0, humidity=58.0)
-        assert ground_truth_yield(wet, jute) > ground_truth_yield(dry, jute)
+        wet_yield, dry_yield = oracle(jute, wet, dry)
+        assert wet_yield > dry_yield
 
     def test_strictly_positive_on_generated_records(self):
         responses = load_responses()
         ds = generate(GenConfig(n_records=300, seed=5))
-        assert all(ground_truth_yield(r, responses[r.crop]) > 0
-                   for r in ds.records)
+        assert (crop_oracle(ds, responses) > 0).all()
 
     def test_fertilizer_response_saturates(self):
         resp = unit_response()
         low = make_record(**{**NO_FERTILIZER, "urea": 1000.0})
         high = make_record(**{**NO_FERTILIZER, "urea": 1e9})
         cap = 3.0 * (1.0 + resp.fertilizer_coeffs[0])
-        assert ground_truth_yield(low, resp) < ground_truth_yield(high, resp) <= cap
+        low_yield, high_yield = oracle(resp, low, high)
+        assert low_yield < high_yield <= cap
 
 
 class TestGenerate:
@@ -90,9 +105,8 @@ class TestGenerate:
         responses = load_responses()
         ds = generate(GenConfig(n_records=100, seed=2, noise_sigma=0.0),
                       responses)
-        for r in ds.records:
-            assert record_value(r, "yield") \
-                == ground_truth_yield(r, responses[r.crop])
+        assert ds.values[:, schema.VALUE_INDEX["yield"]].tolist() \
+            == crop_oracle(ds, responses).tolist()
 
     def test_generated_records_are_valid(self):
         ds = generate(GenConfig(n_records=200, seed=4))
@@ -169,7 +183,7 @@ def _reference_ground_truth_yield(record, response):
 @given(valid_records(), st.sampled_from(list(Crop)))
 def test_oracle_equals_scalar_reference(record, crop):
     response = load_responses()[crop]
-    assert ground_truth_yield(record, response) \
+    assert oracle(response, record)[0] \
         == _reference_ground_truth_yield(record, response)
 
 
