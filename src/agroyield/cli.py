@@ -238,9 +238,7 @@ def _cmd_evaluate(args, cfg):
         if model.crop not in tests:
             _, rows = pipeline.split_crop(
                 dataset, model.crop, cfg["train_ratio"], cfg["seed"])
-            test = dataset.take(rows)
-            tests[model.crop] = (ingest.feature_matrix(test.year, test.values),
-                                 ingest.target_vector(test))
+            tests[model.crop] = pipeline.encode_rows(dataset, rows)
         metrics = evaluation.evaluate(model, *tests[model.crop])
         results[str(path)] = {
             "variant": model.variant,

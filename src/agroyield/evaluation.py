@@ -72,9 +72,16 @@ def mape(predictions, actuals) -> float:
 
 
 def evaluate(model: Model, x, actuals) -> Metrics:
-    """Metrics of `model` on raw feature rows `x` with yields `actuals`."""
+    """Metrics of `model` on raw feature rows `x` with yields `actuals`,
+    each of which must be above `NEAR_ZERO_ACTUAL`."""
     if len(actuals) == 0:
         raise AgroYieldError("no test records")
+    near_zero = np.count_nonzero(np.abs(actuals) <= NEAR_ZERO_ACTUAL)
+    if near_zero:
+        raise AgroYieldError(
+            f"crop {getattr(model.crop, 'name', None)} has {near_zero} of "
+            f"{len(actuals)} test rows with a yield of at most "
+            f"{NEAR_ZERO_ACTUAL:g} t/ha; a scored yield must be above it")
     return Metrics(error_pct=mape(predict_model(model, x), actuals),
                    n_test=len(actuals))
 

@@ -1,10 +1,12 @@
-"""CSV parsing, cleaning, min-max normalization, seeded row-index splits.
+"""CSV parsing and writing, cleaning, row encoding, seeded row-index splits.
 
 A `Dataset` holds columns: `district` and `crop` enum values, an int64
 `year`, an (n, 47) float matrix `values` of the features other than the
 year, production and yield (`schema.VALUE_COLUMNS`), and `row`, the 0-based
 data row of the source file, which the cleaning log names. Every layer
 works on the arrays; `Dataset.records[i]` builds row i as an `AgroRecord`.
+`feature_matrix` encodes rows as raw 46-column features; each model scales
+them with its own min-max ranges (`models.Normalizer`).
 
 CSV contract: UTF-8, comma-separated, `.` decimal point, mandatory header
     district, year, crop, <45 remaining schema columns>, production, yield
@@ -54,8 +56,6 @@ _BLOCK_BYTES = 1 << 16
 _HASH_SALT = (np.arange(1, 4 + len(schema.VALUE_COLUMNS), dtype=np.uint64)
               * np.uint64(GAMMA))
 _YIELD = schema.VALUE_INDEX["yield"]
-# the year, then the `VALUE_COLUMNS` before production and yield
-_FEATURES = len(schema.schema_columns())
 _DISTRICT_NAMES = [d.name.lower() for d in District]
 _CROP_NAMES = [c.name.lower() for c in Crop]
 
@@ -394,63 +394,14 @@ def feature_matrix(year, values) -> np.ndarray:
     year column and the matching (n, 47) `schema.VALUE_COLUMNS` values of
     valid rows, as `clean` or `generate` makes: a dataset's, a part's, or
     one record's, as `[record.year]` and `[record.values]`."""
-    x = np.empty((len(year), _FEATURES))
-    x[:, 0] = year
-    x[:, 1:] = np.asarray(values, dtype=float)[:, :_FEATURES - 1]
+    x = np.empty((len(year), schema.N_FEATURES))
+    x[:, 0] = year  # then the `VALUE_COLUMNS` before production and yield
+    x[:, 1:] = np.asarray(values, dtype=float)[:, :schema.N_FEATURES - 1]
     return x
 
 
 def target_vector(dataset: Dataset) -> np.ndarray:
     return dataset.values[:, _YIELD].copy()
-
-
-_INDICATOR_MASK = np.array(
-    [c in schema.INDICATOR_COLUMNS for c in schema.schema_columns()]
-)
-
-
-@dataclass
-class Normalizer:
-    column_mins: np.ndarray  # (46,)
-    column_maxs: np.ndarray  # (46,)
-    target_min: float
-    target_max: float
-
-
-def fit_normalizer(x: np.ndarray, y: np.ndarray) -> Normalizer:
-    """Ranges of an encoded (n, 46) train matrix and its yield vector."""
-    if len(x) == 0:
-        raise AgroYieldError("cannot fit a normalizer on an empty dataset")
-    return Normalizer(
-        column_mins=x.min(axis=0),
-        column_maxs=x.max(axis=0),
-        target_min=float(y.min()),
-        target_max=float(y.max()),
-    )
-
-
-def normalize_features(norm: Normalizer, x: np.ndarray) -> np.ndarray:
-    """x' = clip((x - min) / (max - min), 0, 1); constant columns -> 0;
-    district indicator columns pass through unchanged."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    span = norm.column_maxs - norm.column_mins
-    safe_span = np.where(span > 0, span, 1.0)
-    out = np.clip((x - norm.column_mins) / safe_span, 0.0, 1.0)
-    out[:, span == 0] = 0.0
-    out[:, _INDICATOR_MASK] = x[:, _INDICATOR_MASK]
-    return out
-
-
-def normalize_target(norm: Normalizer, y: np.ndarray) -> np.ndarray:
-    span = norm.target_max - norm.target_min
-    if span == 0:
-        return np.zeros_like(np.asarray(y, dtype=float))
-    return (np.asarray(y, dtype=float) - norm.target_min) / span
-
-
-def denormalize_target(norm: Normalizer, y_norm):
-    span = norm.target_max - norm.target_min
-    return np.asarray(y_norm, dtype=float) * span + norm.target_min
 
 
 def split(n: int, train_ratio: float, seed: int) -> tuple:

@@ -1,15 +1,15 @@
-"""The model-family table, the trained-predictor wrapper and its JSON envelope.
+"""The model-family table, the min-max scaler, the trained-predictor
+wrapper and its JSON envelope: the one module that knows a model file.
 
 `VARIANTS` maps each model family's name to how it is fitted, how it
 predicts and how its payload is stored; its order is the row order of the
 report. Every trained model is stored as
     {"schema_version": 2, "variant": ..., "crop": ..., "normalizer": ...,
      "payload": ...}
-so the CLI loads any model file the same way. A forest payload holds the
-`ForestConfig` fields and, per tree, the `baselines.FlatTree` lists
-`feature`, `value`, `right` and `n_samples`, so loading builds no object per
-node. Schema 1 differs only there: each tree is nested node dicts, which
-`_tree_from_v1` flattens into the same lists.
+so the CLI loads any model file the same way; any other schema_version is
+refused. A forest payload holds the `ForestConfig` fields and, per tree,
+the `baselines.FlatTree` lists `feature`, `value`, `right` and
+`n_samples`, so loading builds no object per node.
 
 `model_from_json` checks every file before it is used: arrays have 46
 finite entries, network weight shapes match `layer_sizes` (46 ... 1), and
@@ -17,12 +17,12 @@ every walk through a tree moves forward to a leaf, with a bounded number
 of NumPy operations per forest. Anything else raises AgroYieldError.
 
 A model maps raw 46-feature rows to yields in t/ha. `fit_model` fits its
-min-max scaling on the raw train rows and yields, and `predict_model` takes
-raw rows and scales them with it; no caller scales rows for a model.
-Predictions are returned in original units (t/ha): every family's raw
-output, a loaded forest's leaf outside [0, 1] included, is clamped to
-[0, 1] before denormalization, so a yield lies in the train yields' range;
-a non-finite prediction raises AgroYieldError.
+`Normalizer` (min-max scaling) on the raw train rows and yields, and
+`predict_model` takes raw rows and scales them with it; no other module
+scales rows for a model. Predictions are returned in original units
+(t/ha): every family's raw output, a loaded forest's leaf outside [0, 1]
+included, is clamped to [0, 1] before it is unscaled, so a yield lies in
+the train yields' range; a non-finite prediction raises AgroYieldError.
 """
 
 from __future__ import annotations
@@ -34,12 +34,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import baselines, ingest, nn, schema
+from . import baselines, nn, schema
 from .errors import AgroYieldError
-from .schema import json_number, json_numbers
+from .schema import N_FEATURES, json_number, json_numbers
 
 SCHEMA_VERSION = 2
-N_FEATURES = len(schema.schema_columns())
+# district indicator columns pass through the scaling unchanged
+_INDICATOR_MASK = np.array(
+    [c in schema.INDICATOR_COLUMNS for c in schema.schema_columns()]
+)
 
 
 @dataclass(frozen=True)
@@ -52,10 +55,59 @@ class Variant:
 
 
 @dataclass
+class Normalizer:
+    """The min-max ranges of a model's raw train rows and yields: its
+    file's "normalizer" section."""
+    column_mins: np.ndarray  # (46,)
+    column_maxs: np.ndarray  # (46,)
+    target_min: float
+    target_max: float
+
+    @classmethod
+    def fit(cls, x: np.ndarray, y: np.ndarray) -> Normalizer:
+        """Ranges of a raw (n, 46) train matrix and its yield vector."""
+        if len(x) == 0:
+            raise AgroYieldError("cannot fit a normalizer on an empty dataset")
+        return cls(
+            column_mins=x.min(axis=0),
+            column_maxs=x.max(axis=0),
+            target_min=float(y.min()),
+            target_max=float(y.max()),
+        )
+
+    def scale(self, x) -> np.ndarray:
+        """x' = clip((x - min) / (max - min), 0, 1); constant columns -> 0;
+        district indicator columns pass through unchanged."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        span = self.column_maxs - self.column_mins
+        safe_span = np.where(span > 0, span, 1.0)
+        out = np.clip((x - self.column_mins) / safe_span, 0.0, 1.0)
+        out[:, span == 0] = 0.0
+        out[:, _INDICATOR_MASK] = x[:, _INDICATOR_MASK]
+        return out
+
+    def scale_target(self, y) -> np.ndarray:
+        """y' = (y - min) / (max - min); a constant target -> 0."""
+        span = self.target_max - self.target_min
+        if span == 0:
+            return np.zeros_like(np.asarray(y, dtype=float))
+        return (np.asarray(y, dtype=float) - self.target_min) / span
+
+    def unscale_target(self, raw) -> np.ndarray:
+        """Yields (t/ha) of raw model outputs: each is clamped to [0, 1],
+        then mapped onto [target_min, target_max]. An overflowed span is
+        left to give a non-finite yield."""
+        span = self.target_max - self.target_min
+        out = np.clip(raw, 0.0, 1.0) * span + self.target_min
+        # rounding can carry a raw 1 one ulp past target_max
+        return np.minimum(out, self.target_max) if np.isfinite(span) else out
+
+
+@dataclass
 class Model:
     variant: str
     payload: object
-    normalizer: ingest.Normalizer
+    normalizer: Normalizer
     crop: schema.Crop | None = None
     history: nn.LossHistory | None = None  # set by training, not serialized
 
@@ -182,32 +234,6 @@ def _forest_from_dict(d: dict) -> baselines.ForestModel:
     return baselines.ForestModel(flat_trees=trees, config=cfg)
 
 
-def _tree_from_v1(root: dict) -> dict:
-    """A schema-1 tree of nested node dicts as schema-2 preorder lists.
-
-    Schema 1 stores no count at an internal node; it is the sum of its
-    children's, as the grower (`baselines._grow`) records it.
-    """
-    tree = {"feature": [], "value": [], "right": [], "n_samples": []}
-
-    def visit(node):
-        i = len(tree["feature"])
-        leaf = "value" in node
-        tree["feature"].append(-1 if leaf else node["feature"])
-        tree["value"].append(node["value"] if leaf else node["threshold"])
-        tree["right"].append(-1)
-        tree["n_samples"].append(node["n_samples"] if leaf else 0)
-        if not leaf:
-            visit(node["left"])
-            tree["right"][i] = right = len(tree["feature"])
-            visit(node["right"])
-            tree["n_samples"][i] = (tree["n_samples"][i + 1]
-                                    + tree["n_samples"][right])
-
-    visit(root)
-    return tree
-
-
 def _fit_logistic(x, y, hyper, seed):
     return baselines.train_logistic(x, y, **_set(
         learning_rate=hyper.learning_rate, epochs=hyper.epochs)), None
@@ -267,11 +293,10 @@ def fit_model(variant: str, x: np.ndarray, y: np.ndarray, seed: int, hyper,
     yields `y` (t/ha): the min-max scaling is fitted on them first, and the
     model is trained on the scaled rows. `hyper` holds the trainer settings
     (`pipeline.Hyperparams`); None leaves the trainer's default."""
-    normalizer = ingest.fit_normalizer(x, y)
+    normalizer = Normalizer.fit(x, y)
     spec = variant_spec(variant)
-    payload, history = spec.fit(ingest.normalize_features(normalizer, x),
-                                ingest.normalize_target(normalizer, y),
-                                hyper, seed)
+    payload, history = spec.fit(normalizer.scale(x),
+                                normalizer.scale_target(y), hyper, seed)
     return Model(variant=variant, payload=payload, normalizer=normalizer,
                  crop=crop, history=history)
 
@@ -284,10 +309,8 @@ def predict_model(model: Model, x) -> np.ndarray:
         raise AgroYieldError(
             f"expected {len(model.normalizer.column_mins)} features, "
             f"got {x.shape[1]}")
-    raw = spec.predict_raw(model.payload,
-                           ingest.normalize_features(model.normalizer, x))
-    yields = ingest.denormalize_target(model.normalizer,
-                                       np.clip(raw, 0.0, 1.0))
+    yields = model.normalizer.unscale_target(
+        spec.predict_raw(model.payload, model.normalizer.scale(x)))
     if not np.isfinite(yields).all():
         raise AgroYieldError(
             f"{model.variant} model predicts a non-finite yield")
@@ -320,13 +343,13 @@ def model_from_json(text: str) -> Model:
         if not isinstance(doc, dict):
             raise AgroYieldError("a model file must be a JSON object")
         version = doc.get("schema_version")
-        if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise AgroYieldError(f"unsupported model schema_version "
-                                 f"{version!r}; expected 1 or 2")
+                                 f"{version!r}; expected {SCHEMA_VERSION}")
         variant = doc["variant"]
         spec = variant_spec(variant)
         d = doc["normalizer"]
-        norm = ingest.Normalizer(
+        norm = Normalizer(
             column_mins=json_numbers(d["column_mins"],
                                      "normalizer column_mins", N_FEATURES),
             column_maxs=json_numbers(d["column_maxs"],
@@ -334,11 +357,7 @@ def model_from_json(text: str) -> Model:
             target_min=json_number(d["target_min"], "normalizer target_min"),
             target_max=json_number(d["target_max"], "normalizer target_max"),
         )
-        payload = doc["payload"]
-        if version == 1 and variant == "forest":
-            payload = {**payload,
-                       "trees": [_tree_from_v1(t) for t in payload["trees"]]}
-        payload = spec.from_dict(payload)
+        payload = spec.from_dict(doc["payload"])
         crop_name = doc.get("crop")
         crop = None if crop_name is None else schema.Crop[crop_name]
     except (KeyError, ValueError, TypeError, OverflowError,

@@ -30,8 +30,9 @@ import numpy as np
 
 from .baselines import sigmoid
 from .errors import AgroYieldError, DivergedLoss
+from .schema import N_FEATURES
 
-DEFAULT_LAYER_SIZES = (46, 64, 32, 16, 1)
+DEFAULT_LAYER_SIZES = (N_FEATURES, 64, 32, 16, 1)
 HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
 
 

@@ -47,6 +47,14 @@ def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
     return rows[train], rows[test]
 
 
+def encode_rows(dataset: ingest.Dataset, rows: np.ndarray) -> tuple:
+    """(x, y): the raw (n, 46) feature matrix and the yields (t/ha) of
+    `dataset`'s rows `rows`."""
+    part = dataset.take(rows)
+    return (ingest.feature_matrix(part.year, part.values),
+            ingest.target_vector(part))
+
+
 def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
                        train_ratio: float, seed: int) -> CropSplit:
     """Split one crop's rows and encode each part once, for every variant
@@ -57,11 +65,8 @@ def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
         raise AgroYieldError(
             f"crop {crop.name} has {len(test_rows)} records; train ratio "
             f"{train_ratio} leaves none to train on")
-    train, test = dataset.take(train_rows), dataset.take(test_rows)
-    return CropSplit(crop, ingest.feature_matrix(train.year, train.values),
-                     ingest.target_vector(train),
-                     ingest.feature_matrix(test.year, test.values),
-                     ingest.target_vector(test))
+    return CropSplit(crop, *encode_rows(dataset, train_rows),
+                     *encode_rows(dataset, test_rows))
 
 
 def train_variant(variant: str, crop_split: CropSplit, seed: int,

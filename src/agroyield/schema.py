@@ -111,7 +111,8 @@ _COLUMNS = (
     + tuple(f"district_{d.name.lower()}" for d in _INDICATOR_DISTRICTS)
 )
 
-assert len(_COLUMNS) == 46
+N_FEATURES = len(_COLUMNS)
+assert N_FEATURES == 46
 
 INDICATOR_COLUMNS = tuple(c for c in _COLUMNS if c.startswith("district_"))
 

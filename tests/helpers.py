@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from agroyield import ingest, schema
+from agroyield import ingest, models, schema
 from agroyield.schema import AgroRecord, Crop, District
 
 # values from the published sample rows (Dhaka 2008)
@@ -81,9 +81,9 @@ def encoded(records):
 def scaled_train(crop_split):
     """The raw train part of a `pipeline.CropSplit`, min-max scaled as
     `models.fit_model` scales it: (normalizer, x, y)."""
-    norm = ingest.fit_normalizer(crop_split.x_train, crop_split.y_train)
-    return (norm, ingest.normalize_features(norm, crop_split.x_train),
-            ingest.normalize_target(norm, crop_split.y_train))
+    norm = models.Normalizer.fit(crop_split.x_train, crop_split.y_train)
+    return (norm, norm.scale(crop_split.x_train),
+            norm.scale_target(crop_split.y_train))
 
 
 class Hung(Exception):

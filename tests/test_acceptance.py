@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agroyield import baselines, evaluation, ingest, nn, pipeline, synthgen
+from agroyield import (baselines, evaluation, ingest, models, nn, pipeline,
+                       synthgen)
 from agroyield.cli import run
 from agroyield.evaluation import METHOD_ORDER, EvalReport, compare, render_markdown
 from agroyield.schema import Crop
@@ -164,11 +165,11 @@ def test_criterion_6_normalization():
     rng = np.random.default_rng(6)
     ds = synthgen.generate(synthgen.GenConfig(n_records=200, seed=6))
     x = ingest.feature_matrix(ds.year, ds.values)
-    norm = ingest.fit_normalizer(x, ingest.target_vector(ds))
-    z = ingest.normalize_features(norm, x)
+    norm = models.Normalizer.fit(x, ingest.target_vector(ds))
+    z = norm.scale(x)
     span = x.max(axis=0) - x.min(axis=0)
     for col in range(46):
-        if ingest._INDICATOR_MASK[col]:
+        if models._INDICATOR_MASK[col]:
             continue
         if span[col] == 0.0:
             assert np.all(z[:, col] == 0.0)
@@ -181,11 +182,11 @@ def test_criterion_6_normalization():
         lo, hi = col.min() - rng.uniform(0.0, 5.0), col.max() + rng.uniform(0.0, 5.0)
         mins, maxs = np.zeros(46), np.ones(46)
         mins[0], maxs[0] = lo, hi
-        norm = ingest.Normalizer(column_mins=mins, column_maxs=maxs,
+        norm = models.Normalizer(column_mins=mins, column_maxs=maxs,
                                  target_min=0.0, target_max=1.0)
         mat = np.zeros((12, 46))
         mat[:, 0] = col
-        scaled = ingest.normalize_features(norm, mat)[:, 0]
+        scaled = norm.scale(mat)[:, 0]
         assert np.array_equal(np.argsort(col, kind="stable"),
                               np.argsort(scaled, kind="stable"))
 

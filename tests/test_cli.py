@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroyield import cli, ingest, schema
+from agroyield import cli, ingest, pipeline, schema
 from agroyield.cli import load_config, resolve_config, run
 from agroyield.errors import AgroYieldError
 from agroyield.models import VARIANTS
@@ -177,6 +177,32 @@ class TestTrainEvaluateSelect:
         assert run(["evaluate", "--data", str(data_csv), "--ratio", "0.001",
                     jute, "--out", str(metrics)]) == 0
         assert json.loads(metrics.read_text())[jute]["n_test"] == 70
+
+    def test_a_zero_test_yield_is_named(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(["generate", "--n", "600", "--seed", "0",
+                    "--out", str(data)]) == 0
+        dataset = ingest.load_csv(data)
+        jute = dataset.crop == schema.Crop.Jute.value
+        for column in ("production", "yield"):
+            dataset.values[jute, schema.VALUE_INDEX[column]] = 0.0
+        ingest.write_csv(dataset, data)
+        assert len(ingest.clean(ingest.load_csv(data))) == 600
+        _, test = pipeline.split_crop(dataset, schema.Crop.Jute, 0.8, 0)
+        error = (f"data error: crop Jute has {len(test)} of {len(test)} "
+                 f"test rows with a yield of at most 1e-09 t/ha; a scored "
+                 f"yield must be above it")
+        assert run(["report", "--data", str(data), "--epochs", "2",
+                    "--trees", "2", "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == error
+        model = str(tmp_path / "jute.json")
+        assert run(["train", "--data", str(data), "--model", "dnn",
+                    "--crop", "jute", "--epochs", "2", "--out", model]) == 0
+        out = tmp_path / "metrics.json"
+        assert run(["evaluate", "--data", str(data), model,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines()[-1] == error
 
     def test_evaluate_encodes_each_crop_once(self, data_csv, tmp_path,
                                              monkeypatch):
@@ -599,6 +625,7 @@ _MODEL_MUTATIONS = {
                                     ("payload", "features_per_split"),
                                     lambda v: 0),
     "forest-n-trees-0": ("forest", ("payload", "n_trees"), lambda v: 0),
+    "schema-version-1": ("forest", ("schema_version",), lambda v: 1),
     "schema-version-3": ("forest", ("schema_version",), lambda v: 3),
 }
 
@@ -752,6 +779,19 @@ class TestOutOfRangeValues:
         assert not out.exists()
         assert capsys.readouterr().err.splitlines()[-1] \
             == f"data error: model file {model} carries no crop tag"
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    def test_schema_1_model_file_is_refused(self, command, model_docs,
+                                            data_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({**model_docs["forest"],
+                                     "schema_version": 1}))
+        out = tmp_path / "out.json"
+        assert run([command, "--data", str(data_csv), str(model),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "data error: unsupported model schema_version 1; expected 2")
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe" + _HEADER,

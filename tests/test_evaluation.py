@@ -18,7 +18,7 @@ from agroyield.evaluation import (
     report_to_dict,
     select_crop,
 )
-from agroyield.models import Model
+from agroyield.models import Model, Normalizer
 from agroyield.schema import Crop, District
 from helpers import dataset_of, encoded, make_record, record_value
 
@@ -30,9 +30,8 @@ def constant_model(value, target_min=0.0, target_max=10.0, crop=None):
                               right=[-1], n_samples=[1])
     forest = baselines.ForestModel(flat_trees=[leaf],
                                    config=baselines.ForestConfig(n_trees=1))
-    norm = ingest.Normalizer(column_mins=np.zeros(46),
-                             column_maxs=np.ones(46),
-                             target_min=target_min, target_max=target_max)
+    norm = Normalizer(column_mins=np.zeros(46), column_maxs=np.ones(46),
+                      target_min=target_min, target_max=target_max)
     return Model("forest", forest, norm, crop)
 
 

@@ -1,6 +1,6 @@
 """Every imported name is read somewhere in its file, every private
-top-level name of the package is read somewhere in the package, and only
-the fork module forks.
+top-level name of the package is read somewhere in the package, every
+public one somewhere in the repository, and only the fork module forks.
 
 The first is a stdlib-only stand-in for a linter's unused-import rule
 (pyflakes F401), over the package, the tests, the scripts and the
@@ -9,9 +9,11 @@ file, in any scope. `from __future__` imports and lines marked
 `# noqa: F401` are skipped. The second catches the helpers, constants and
 classes named `_name` that a removal leaves behind: such a name counts as
 read if any module of the package loads it, bare or as an attribute. The
-third keeps one copy of the fork, reap and exit logic: outside
-`agroyield/fork.py`, no module of the package calls or imports `os.fork`,
-`os.waitpid` or `os._exit`.
+third does the same for public names, read from any file under
+`DIRECTORIES`, so a function or constant that nothing calls any more is
+caught too. The fourth keeps one copy of the fork, reap and exit logic:
+outside `agroyield/fork.py`, no module of the package calls or imports
+`os.fork`, `os.waitpid` or `os._exit`.
 """
 
 import ast
@@ -51,45 +53,72 @@ def test_every_imported_name_is_read():
     assert unused == [], "\n".join(unused)
 
 
-def unread_private_names(paths: list) -> list:
-    """`file:line name` for each `_name`, not a dunder, that a module of
-    `paths` binds at its top level and no module of `paths` loads."""
-    defined, read = [], set()
+def top_level_names(path: Path) -> list:
+    """(line, name) of each name that `path` binds at its top level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            found += [(t.lineno, t.id) for target in targets
+                      for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return found
+
+
+def loaded_names(paths: list) -> set:
+    """Every name that a file of `paths` loads, bare or as an attribute."""
+    read = set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                bound = [(node.lineno, node.name)]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = getattr(node, "targets", None) or [node.target]
-                bound = [(t.lineno, t.id) for target in targets
-                         for t in ast.walk(target) if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined += [(path.name, line, name) for line, name in bound
-                        if name.startswith("_") and not name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
-    return [f"{file}:{line} {name}" for file, line, name in defined
-            if name not in read]
+    return read
+
+
+def unread_names(paths: list, readers: list, private: bool) -> list:
+    """`file:line name` for each private (`_name`, not a dunder) or public
+    name that a module of `paths` binds at its top level and no file of
+    `readers` loads."""
+    read = loaded_names(readers)
+    return [f"{path.name}:{line} {name}" for path in paths
+            for line, name in top_level_names(path)
+            if name.startswith("_") == private
+            and not name.startswith("__") and name not in read]
+
+
+PACKAGE = sorted((ROOT / "src" / "agroyield").rglob("*.py"))
 
 
 def test_every_private_name_is_read_in_the_package(tmp_path):
-    package = sorted((ROOT / "src" / "agroyield").rglob("*.py"))
-    unread = unread_private_names(package)
+    unread = unread_names(PACKAGE, PACKAGE, private=True)
     assert unread == [], "\n".join(unread)
     # the check finds what nothing reads, and takes a read from any module
     left = tmp_path / "left.py"
     left.write_text("_A, (_B, _C) = 1, (2, 3)\n_D: int = 4\n"
                     "def _e():\n    return _C\nclass _F:\n    pass\n"
                     "_fork = __name__\n", encoding="utf-8")
-    assert unread_private_names(package + [left]) \
+    assert unread_names(PACKAGE + [left], PACKAGE + [left], private=True) \
         == ["left.py:1 _A", "left.py:1 _B", "left.py:2 _D", "left.py:3 _e",
             "left.py:5 _F"]
+
+
+def test_every_public_name_is_read_somewhere(tmp_path):
+    readers = sorted(p for d in DIRECTORIES for p in (ROOT / d).rglob("*.py"))
+    unread = unread_names(PACKAGE, readers, private=False)
+    assert unread == [], "\n".join(unread)
+    # the check finds a public name nothing loads, whether it is bound in
+    # the package or read from outside it
+    left = tmp_path / "left.py"
+    left.write_text("LEFT_A, _B = 1, 2\ndef left_e():\n    return LEFT_C\n"
+                    "LEFT_C = fork.ranges\n", encoding="utf-8")
+    assert unread_names(PACKAGE + [left], readers + [left], private=False) \
+        == ["left.py:1 LEFT_A", "left.py:2 left_e"]
 
 
 PROCESS_CALLS = {"fork", "waitpid", "_exit"}

@@ -19,12 +19,11 @@ from agroyield.ingest import (
     CSV_HEADER,
     Dataset,
     clean,
-    fit_normalizer,
-    normalize_features,
     parse_csv,
     split,
     write_csv,
 )
+from agroyield.models import Normalizer
 from helpers import dataset_of, make_record, record_value
 from test_schema import valid_records
 
@@ -186,8 +185,8 @@ def rainfall_dataset(values):
 def fit_on(dataset):
     """The normalizer fitted on `dataset` and its normalized feature matrix."""
     x = ingest.feature_matrix(dataset.year, dataset.values)
-    norm = fit_normalizer(x, ingest.target_vector(dataset))
-    return norm, normalize_features(norm, x)
+    norm = Normalizer.fit(x, ingest.target_vector(dataset))
+    return norm, norm.scale(x)
 
 
 class TestNormalizer:
@@ -208,7 +207,7 @@ class TestNormalizer:
 
     def test_empty_dataset_raises(self):
         with pytest.raises(AgroYieldError, match="empty dataset"):
-            fit_normalizer(np.zeros((0, 46)), np.zeros(0))
+            Normalizer.fit(np.zeros((0, 46)), np.zeros(0))
 
     def test_endpoints_and_interior_value(self):
         train = rainfall_dataset([2385.0, 1930.0, 1523.0])
@@ -231,7 +230,7 @@ class TestNormalizer:
         norm, _ = fit_on(train)
         ds = rainfall_dataset([100.0, 9000.0])
         test = ingest.feature_matrix(ds.year, ds.values)
-        out = normalize_features(norm, test)
+        out = norm.scale(test)
         i = schema.schema_columns().index("avg_rainfall")
         assert out[0, i] == 0.0
         assert out[1, i] == 1.0

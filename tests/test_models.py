@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroyield import baselines, ingest, nn, pipeline, schema, synthgen
+from agroyield import baselines, nn, pipeline, schema, synthgen
 from agroyield.errors import AgroYieldError
 from agroyield.models import (
     VARIANTS,
     Model,
+    Normalizer,
     load_model,
     model_from_json,
     model_to_json,
@@ -76,26 +77,26 @@ class TestPredictModel:
             predict_model(trained_models["dnn"], np.zeros((1, 10)))
 
     def test_logistic_zero_model_denormalizes_midpoint(self):
-        norm = ingest.Normalizer(column_mins=np.zeros(46),
-                                 column_maxs=np.ones(46),
-                                 target_min=0.0, target_max=10.0)
+        norm = Normalizer(column_mins=np.zeros(46),
+                          column_maxs=np.ones(46),
+                          target_min=0.0, target_max=10.0)
         model = Model("logistic", baselines.LogisticModel(np.zeros(46), 0.0),
                       norm)
         assert predict_model(model, np.zeros((1, 46)))[0] == pytest.approx(5.0)
 
     def test_svm_zero_model_clamps_then_denormalizes(self):
-        norm = ingest.Normalizer(column_mins=np.zeros(46),
-                                 column_maxs=np.ones(46),
-                                 target_min=2.0, target_max=4.0)
+        norm = Normalizer(column_mins=np.zeros(46),
+                          column_maxs=np.ones(46),
+                          target_min=2.0, target_max=4.0)
         model = Model("svm", baselines.SvmModel(np.zeros(46), -0.3,
                                                 epsilon=0.05, c=1.0), norm)
         # raw -0.3 clamps to 0 then denormalizes to target_min
         assert predict_model(model, np.zeros((1, 46)))[0] == pytest.approx(2.0)
 
     def test_constant_forest_predicts_denormalized_leaf(self):
-        norm = ingest.Normalizer(column_mins=np.zeros(46),
-                                 column_maxs=np.ones(46),
-                                 target_min=1.0, target_max=3.0)
+        norm = Normalizer(column_mins=np.zeros(46),
+                          column_maxs=np.ones(46),
+                          target_min=1.0, target_max=3.0)
         leaf = baselines.FlatTree(feature=[-1], value=[0.5], right=[-1],
                                   n_samples=[4])
         forest = baselines.ForestModel(flat_trees=[leaf, leaf],
@@ -104,9 +105,9 @@ class TestPredictModel:
         assert predict_model(model, np.ones((1, 46)))[0] == pytest.approx(2.0)
 
     def test_forest_leaves_outside_the_unit_range_are_clamped(self):
-        norm = ingest.Normalizer(column_mins=np.zeros(46),
-                                 column_maxs=np.ones(46),
-                                 target_min=1.0, target_max=3.0)
+        norm = Normalizer(column_mins=np.zeros(46),
+                          column_maxs=np.ones(46),
+                          target_min=1.0, target_max=3.0)
         # feature 0 at most 0.5 reaches the leaf 1.5, else the leaf -0.5
         tree = baselines.FlatTree(feature=[0, -1, -1], value=[0.5, 1.5, -0.5],
                                   right=[2, -1, -1], n_samples=[2, 1, 1])
@@ -121,8 +122,8 @@ class TestPredictModel:
     def test_rows_are_raw_and_scaled_by_the_model(self):
         maxs = np.ones(46)
         maxs[0] = 10.0
-        norm = ingest.Normalizer(column_mins=np.zeros(46), column_maxs=maxs,
-                                 target_min=0.0, target_max=10.0)
+        norm = Normalizer(column_mins=np.zeros(46), column_maxs=maxs,
+                          target_min=0.0, target_max=10.0)
         weights = np.zeros(46)
         weights[0] = 1.0
         model = Model("logistic", baselines.LogisticModel(weights, 0.0), norm)
@@ -133,14 +134,38 @@ class TestPredictModel:
 
     def test_non_finite_prediction_raises(self):
         # finite bounds whose span overflows to infinity
-        norm = ingest.Normalizer(column_mins=np.zeros(46),
-                                 column_maxs=np.ones(46),
-                                 target_min=-1e308, target_max=1e308)
+        norm = Normalizer(column_mins=np.zeros(46),
+                          column_maxs=np.ones(46),
+                          target_min=-1e308, target_max=1e308)
         model = Model("logistic", baselines.LogisticModel(np.zeros(46), 0.0),
                       norm)
         with (pytest.raises(AgroYieldError, match="non-finite yield"),
               np.errstate(over="ignore")):
             predict_model(model, np.zeros((1, 46)))
+
+
+# train yields as `clean` keeps them (finite, at least 0); raw outputs of any
+# family, a loaded forest's leaves or an infinity included
+_TRAIN_YIELDS = st.lists(st.floats(0.0, 1e12), min_size=1, max_size=20)
+_RAW_OUTPUTS = st.lists(st.floats(allow_nan=False), min_size=1, max_size=20)
+
+
+def _target_scaler(yields):
+    """The normalizer fitted on `yields` (features do not matter here)."""
+    return Normalizer.fit(np.zeros((len(yields), 46)), np.array(yields))
+
+
+@given(_TRAIN_YIELDS, _RAW_OUTPUTS)
+def test_unscaled_outputs_lie_in_the_train_yield_range(yields, raw):
+    out = _target_scaler(yields).unscale_target(np.array(raw))
+    assert (out >= min(yields)).all() and (out <= max(yields)).all()
+
+
+@given(st.floats(0.0, 1e12), st.integers(1, 20), _RAW_OUTPUTS)
+def test_a_constant_train_yield_comes_back(value, n, raw):
+    norm = _target_scaler([value] * n)
+    assert (norm.scale_target(np.full(n, value)) == 0.0).all()
+    assert (norm.unscale_target(np.array(raw)) == value).all()
 
 
 class TestSerialization:
@@ -173,32 +198,33 @@ DATA = Path(__file__).parent / "data"
 
 
 def _v1_fixture_recipe():
-    """The data, forest and probe rows behind tests/data/forest_v1.json."""
+    """The data, forest and probe rows behind tests/data/forest_v2.json."""
     rng = np.random.default_rng(505)
     x = rng.integers(0, 4, size=(80, 46)) / 3.0
     y = 0.5 * x[:, 0] + 0.3 * x[:, 5] + 0.1 * rng.uniform(size=80)
     forest = baselines.train_forest(x, y, baselines.ForestConfig(
         n_trees=3, max_depth=4, min_leaf=3, seed=5))
-    norm = ingest.Normalizer(column_mins=np.zeros(46),
-                             column_maxs=np.ones(46),
-                             target_min=1.0, target_max=3.0)
+    norm = Normalizer(column_mins=np.zeros(46),
+                      column_maxs=np.ones(46),
+                      target_min=1.0, target_max=3.0)
     probes = np.vstack([x, rng.uniform(size=(40, 46))])
     return Model("forest", forest, norm, Crop.Jute), probes
 
 
 class TestSchemaV1:
-    """forest_v1.json is a schema-1 forest file; the predictions beside it
-    were computed when that format was current."""
+    """forest_v2.json is a forest file first saved as schema 1 and rewritten
+    as schema 2; the predictions beside it were computed from the schema-1
+    file when that format was current."""
 
     def test_v1_forest_predicts_exactly_as_before(self):
-        model = load_model(DATA / "forest_v1.json")
+        model = load_model(DATA / "forest_v2.json")
         _, probes = _v1_fixture_recipe()
         want = json.loads((DATA / "forest_v1_predictions.json").read_text())
         assert predict_model(model, probes).tolist() == want
 
     def test_v1_forest_loads_as_the_same_forest_trained_now(self):
         trained, _ = _v1_fixture_recipe()
-        loaded = load_model(DATA / "forest_v1.json")
+        loaded = load_model(DATA / "forest_v2.json")
         assert model_to_json(loaded) == model_to_json(trained)
 
 
@@ -206,15 +232,15 @@ class TestSchemaV1:
 
 @pytest.fixture(scope="module")
 def small_docs(crop_split):
-    """A small valid model file of each variant, parsed, plus the schema-1
-    forest fixture."""
+    """A small valid model file of each variant, parsed, plus the forest
+    fixture."""
     hyper = pipeline.Hyperparams(epochs=2, trees=2)
     models = {variant: pipeline.train_variant(variant, crop_split, 17, hyper)
               for variant in VARIANTS}
     models["dnn"].payload = nn.init_network((46, 3, 1), seed=17)
     docs = {variant: json.loads(model_to_json(model))
             for variant, model in models.items()}
-    docs["forest-v1"] = json.loads((DATA / "forest_v1.json").read_text())
+    docs["forest-fixture"] = json.loads((DATA / "forest_v2.json").read_text())
     return docs
 
 
@@ -242,7 +268,7 @@ def _mutate(data, doc):
     nodes = list(_nodes(doc))
     kinds = ["resize", "replace", "schema_version"]
     trees = doc["payload"].get("trees", [])
-    if trees and isinstance(trees[0]["right"], list):  # schema 2
+    if trees:
         kinds.append("right")
     kind = data.draw(st.sampled_from(kinds), label="mutation")
     if kind == "resize":

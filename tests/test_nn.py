@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroyield import ingest, models, nn, pipeline, synthgen
+from agroyield import models, nn, pipeline, schema, synthgen
 from agroyield.errors import AgroYieldError, DivergedLoss
 from agroyield.nn import (
     Network,
@@ -291,10 +291,10 @@ def test_every_network_is_one_buffer(n_inputs, hidden, activation, seed):
     trained, _ = train(net, x, y, TrainConfig(
         batch_size=2, max_epochs=2, seed=seed, validation_fraction=0.0))
     grads = backward_batch(net, forward_batch(net, x)[1], y)
-    norm = ingest.Normalizer(column_mins=np.zeros(models.N_FEATURES),
-                             column_maxs=np.ones(models.N_FEATURES),
+    norm = models.Normalizer(column_mins=np.zeros(schema.N_FEATURES),
+                             column_maxs=np.ones(schema.N_FEATURES),
                              target_min=0.0, target_max=1.0)
-    wide = init_network((models.N_FEATURES, *hidden, 1), activation, seed)
+    wide = init_network((schema.N_FEATURES, *hidden, 1), activation, seed)
     loaded = models.model_from_json(models.model_to_json(
         models.Model("dnn", wide, norm))).payload
     for each in (net, trained, grads, loaded):
