@@ -31,7 +31,8 @@ timed process, so work that the change moves onto another CPU can slow it
 and make `wall_ref` overstate the gain; the two show whether it did.
 
 A run that exits non-zero is listed and its pair counts as lost. The
-temporary directory is removed afterwards.
+temporary directory is removed afterwards. The script exits 1 when any
+end-to-end metric regressed, else 0.
 """
 
 from __future__ import annotations
@@ -115,6 +116,11 @@ def judge(parent: list, change: list, metric: dict, failed: tuple) -> dict:
     else:
         out["verdict"] = "holds"
     return out
+
+
+def exit_status(results: list) -> int:
+    """1 when any `judge` result of `results` regressed, else 0."""
+    return int(any(r["verdict"] == "regressed" for r in results))
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -201,11 +207,13 @@ def main(argv=None) -> int:
     failed = tuple(failed_share(runs[side]) for side in sides)
     print(f"\n{args.workload}: {args.parent} -> {args.change}, "
           f"seeds {' '.join(map(str, args.seeds))}")
+    results = []
     for metric in bench["end_to_end"]:
         name = metric["name"]
         result = judge([r and r[name] for r in runs["parent"]],
                        [r and r[name] for r in runs["change"]],
                        metric, failed)
+        results.append(result)
         if "parent" not in result:
             print(f"  {name}: no successful runs on one side")
             continue
@@ -225,7 +233,7 @@ def main(argv=None) -> int:
           f"change {failed[1]:.6g}")
     for line in failures:
         print(f"  FAILED {line}")
-    return 0
+    return exit_status(results)
 
 
 if __name__ == "__main__":

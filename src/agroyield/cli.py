@@ -254,10 +254,12 @@ def _cmd_evaluate(args, cfg):
 def _train_crops(dataset, cfg, crops):
     """For each crop of `crops`, in order, split where this runs: (crop,
     variant, model) of each of its four variants as it is trained, then
-    (crop, None, metrics by variant) scored on its test rows."""
+    (crop, None, metrics by variant) scored on its test rows. A crop whose
+    test yields cannot be scored raises before its first model."""
     for crop in crops:
         crop_split = pipeline.prepare_crop_split(
             dataset, crop, cfg["train_ratio"], cfg["seed"])
+        evaluation.check_scorable(crop, crop_split.y_test)
         trained = {}
         for variant, _ in evaluation.METHOD_ORDER:
             trained[variant] = pipeline.train_variant(

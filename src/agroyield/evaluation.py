@@ -71,17 +71,23 @@ def mape(predictions, actuals) -> float:
     return float(100.0 * np.mean(np.abs(p - a) / np.abs(a)))
 
 
-def evaluate(model: Model, x, actuals) -> Metrics:
-    """Metrics of `model` on raw feature rows `x` with yields `actuals`,
-    each of which must be above `NEAR_ZERO_ACTUAL`."""
-    if len(actuals) == 0:
-        raise AgroYieldError("no test records")
+def check_scorable(crop: Crop | None, actuals) -> None:
+    """AgroYieldError naming `crop` unless every test yield of `actuals`
+    is above `NEAR_ZERO_ACTUAL`."""
     near_zero = np.count_nonzero(np.abs(actuals) <= NEAR_ZERO_ACTUAL)
     if near_zero:
         raise AgroYieldError(
-            f"crop {getattr(model.crop, 'name', None)} has {near_zero} of "
+            f"crop {getattr(crop, 'name', None)} has {near_zero} of "
             f"{len(actuals)} test rows with a yield of at most "
             f"{NEAR_ZERO_ACTUAL:g} t/ha; a scored yield must be above it")
+
+
+def evaluate(model: Model, x, actuals) -> Metrics:
+    """Metrics of `model` on raw feature rows `x` with yields `actuals`,
+    which `check_scorable` must pass."""
+    if len(actuals) == 0:
+        raise AgroYieldError("no test records")
+    check_scorable(model.crop, actuals)
     return Metrics(error_pct=mape(predict_model(model, x), actuals),
                    n_test=len(actuals))
 

@@ -156,7 +156,8 @@ def _dnn_from_dict(d: dict) -> nn.Network:
                        for row in w)):
             raise AgroYieldError(f"dnn weights must have shape "
                                  f"({fan_out}, {fan_in})")
-    if d["hidden_activation"] not in nn.HIDDEN_ACTIVATIONS:
+    if (type(d["hidden_activation"]) is not str
+            or d["hidden_activation"] not in nn.ACTIVATIONS):
         raise AgroYieldError(f"unknown dnn hidden_activation "
                              f"{d['hidden_activation']!r}")
     return nn.Network(

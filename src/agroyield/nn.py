@@ -1,8 +1,11 @@
 """From-scratch feedforward network trained with backpropagation.
 
 Regression head: identity output unit, squared-error loss
-L = 1/2 (prediction - target)^2. Hidden activations: relu (default) or
-sigmoid. Training is mini-batch SGD with seeded per-epoch shuffles and
+L = 1/2 (prediction - target)^2. The hidden activations are the names
+of one table, `ACTIVATIONS`: relu (the default) and sigmoid, each with
+its function and its derivative, which the forward and the backward
+pass look up once per pass. A `Network` refuses any other name.
+Training is mini-batch SGD with seeded per-epoch shuffles and
 validation-patience early stopping; the parameters returned are those of
 the best validation epoch.
 
@@ -33,26 +36,13 @@ from .errors import AgroYieldError, DivergedLoss
 from .schema import N_FEATURES
 
 DEFAULT_LAYER_SIZES = (N_FEATURES, 64, 32, 16, 1)
-HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
-
-
-def _activate(name, z):
-    """The activation of z; relu overwrites z."""
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "relu":
-        return np.maximum(z, 0.0, out=z)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name, a):
-    # derivative expressed through the post-activation value; relu's is
-    # a boolean mask, which multiplies as 1.0 and 0.0
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "relu":
-        return a > 0
-    raise ValueError(f"unknown activation {name!r}")
+# name -> (activation of z, which may overwrite z; its derivative written
+# through the activation a). relu's derivative is a boolean mask, which
+# multiplies as 1.0 and 0.0.
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0),
+    "sigmoid": (sigmoid, lambda a: a * (1.0 - a)),
+}
 
 
 @dataclass
@@ -62,10 +52,12 @@ class Network:
     layer_sizes: tuple
     weights: list   # per layer, (fan_out, fan_in)
     biases: list    # per layer, (fan_out,)
-    hidden_activation: str
+    hidden_activation: str  # a name of ACTIVATIONS
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.hidden_activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.hidden_activation!r}")
         self.params = np.concatenate(
             [a.ravel() for layer in zip(self.weights, self.biases)
              for a in layer], dtype=float)
@@ -115,7 +107,6 @@ def init_network(layer_sizes=DEFAULT_LAYER_SIZES, hidden_activation="relu",
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise AgroYieldError(f"bad layer sizes {sizes}")
-    _activate(hidden_activation, np.zeros(1))  # validate the name
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -131,25 +122,27 @@ def _forward(net: Network, x: np.ndarray):
     if x.shape[1] != net.layer_sizes[0]:
         raise AgroYieldError(
             f"expected {net.layer_sizes[0]} inputs, got {x.shape[1]}")
+    activate = ACTIVATIONS[net.hidden_activation][0]
     acts = [x]
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts[-1] @ w.T
         z += b
-        acts.append(z if i == last else _activate(net.hidden_activation, z))
+        acts.append(z if i == last else activate(z))
     return acts
 
 
 def _backward(net: Network, acts, targets, grads: Network):
     """Overwrite `grads`, a network of net's shape, with the batch-mean
     gradient of 1/2 (pred - target)^2."""
+    derivative = ACTIVATIONS[net.hidden_activation][1]
     delta = acts[-1] - targets.reshape(-1, 1)  # identity output unit
     for layer in range(len(net.weights) - 1, -1, -1):
         np.matmul(delta.T, acts[layer], out=grads.weights[layer])
         np.add.reduce(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
             delta = delta @ net.weights[layer]
-            delta *= _activation_grad(net.hidden_activation, acts[layer])
+            delta *= derivative(acts[layer])
     grads.params /= acts[0].shape[0]
 
 

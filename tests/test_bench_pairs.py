@@ -90,6 +90,15 @@ def test_a_change_past_the_bound_regressed():
                              NO_FAILURES)["verdict"] == "regressed"
 
 
+def test_a_regressed_metric_exits_1():
+    held = bench_pairs.judge(PARENT, PARENT, LOWER, NO_FAILURES)
+    regressed = bench_pairs.judge(PARENT, [p + 30 for p in PARENT], LOWER,
+                                  NO_FAILURES)
+    assert (held["verdict"], regressed["verdict"]) == ("holds", "regressed")
+    assert bench_pairs.exit_status([held, held]) == 0
+    assert bench_pairs.exit_status([held, regressed]) == 1
+
+
 def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     tight = {"better": "lower", "bound": 0.03}
     result = bench_pairs.judge(PARENT, PARENT, tight, NO_FAILURES)

@@ -589,6 +589,10 @@ _MODEL_MUTATIONS = {
                                  lambda v: v[:-1]),
     "dnn-input-size": ("dnn", ("payload", "layer_sizes", 0), lambda v: 45),
     "dnn-bias-truncated": ("dnn", ("payload", "biases", 0), lambda v: v[:-1]),
+    "dnn-activation-unknown": ("dnn", ("payload", "hidden_activation"),
+                               lambda v: "tanh"),
+    "dnn-activation-list": ("dnn", ("payload", "hidden_activation"),
+                            lambda v: [v]),
     "svm-weights-truncated": ("svm", ("payload", "weights"), lambda v: v[:45]),
     "svm-epsilon-string": ("svm", ("payload", "epsilon"), str),
     "logistic-bias-infinite": ("logistic", ("payload", "bias"),

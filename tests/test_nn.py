@@ -71,6 +71,13 @@ class TestInit:
         with pytest.raises(AgroYieldError, match="bad layer sizes"):
             init_network((4, 0, 1))
 
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            init_network((3, 1), "tanh")
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            Network(layer_sizes=(1, 1), weights=[np.array([[0.5]])],
+                    biases=[np.zeros(1)], hidden_activation="tanh")
+
 
 class TestForward:
     def test_zero_network_predicts_zero(self):
@@ -281,7 +288,7 @@ def _assert_one_buffer(net):
 @settings(max_examples=30, deadline=None)
 @given(n_inputs=st.integers(1, 5),
        hidden=st.lists(st.integers(1, 6), max_size=2),
-       activation=st.sampled_from(nn.HIDDEN_ACTIVATIONS),
+       activation=st.sampled_from(list(nn.ACTIVATIONS)),
        seed=st.integers(0, 2**16))
 def test_every_network_is_one_buffer(n_inputs, hidden, activation, seed):
     net = init_network((n_inputs, *hidden, 1), activation, seed=seed)
@@ -430,7 +437,7 @@ def _reference_train(net, x, y, cfg):
 
 @settings(max_examples=150, deadline=None)
 @given(sizes=st.lists(st.integers(1, 20), min_size=2, max_size=5),
-       activation=st.sampled_from(nn.HIDDEN_ACTIVATIONS),
+       activation=st.sampled_from(list(nn.ACTIVATIONS)),
        n=st.integers(1, 60), batch_extra=st.integers(0, 65),
        validation_fraction=st.sampled_from([0.0, 0.1, 0.3]),
        patience=st.integers(0, 5), epochs=st.integers(1, 15),

@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from agroyield import cli, fork, pipeline
+from agroyield import cli, fork, ingest, pipeline, schema
 from agroyield.cli import run
 from agroyield.errors import DivergedLoss
 from agroyield.schema import Crop
@@ -122,25 +122,50 @@ def test_a_training_error_gives_the_one_process_outcome(
         assert_nothing_left(tmp_path / "all", ["models"])
 
 
-@forks
-@pytest.mark.parametrize("crop", [Crop.AmanRice, Crop.Jute])
-def test_a_crop_that_cannot_be_split_fails_after_the_crops_before_it(
-        tmp_path, monkeypatch, capsys, crop):
-    """AmanRice is in the caller's range, Jute in a child's."""
-    lines = generated(tmp_path, "--n", "1000").read_bytes().splitlines(True)
+def one_row(path, crop):
+    """`path` with only the first row of `crop` left: it cannot be split."""
+    lines = path.read_bytes().splitlines(True)
     name = crop.name.lower().encode()
     rows = [line for line in lines if line.split(b",")[2] == name]
-    path = tmp_path / "one_row.csv"
     path.write_bytes(b"".join(line for line in lines
                               if line not in rows[1:]))
     assert len(lines) - len(rows) >= FORK_AT
+    return f"data error: crop {crop.name} has 1 records; need at least 2"
+
+
+def zero_yields(path, crop):
+    """`path` with every yield and production of `crop` set to 0, which
+    `clean` keeps and which cannot be scored."""
+    dataset = ingest.load_csv(path)
+    rows = dataset.crop == crop.value
+    for column in ("production", "yield"):
+        dataset.values[rows, schema.VALUE_INDEX[column]] = 0.0
+    ingest.write_csv(dataset, path)
+    assert len(ingest.clean(ingest.load_csv(path))) == len(dataset)
+    _, test = pipeline.split_crop(dataset, crop, 0.8, 3)  # TRAINING's seed
+    return (f"data error: crop {crop.name} has {len(test)} of {len(test)} "
+            f"test rows with a yield of at most 1e-09 t/ha; a scored yield "
+            f"must be above it")
+
+
+@forks
+@pytest.mark.parametrize("crop, spoil", [
+    (Crop.AmanRice, one_row), (Crop.Jute, one_row),
+    (Crop.AmanRice, zero_yields), (Crop.Jute, zero_yields)], ids=[
+        "Crop.AmanRice", "Crop.Jute",
+        "Crop.AmanRice-zero_yields", "Crop.Jute-zero_yields"])
+def test_a_crop_that_cannot_be_split_fails_after_the_crops_before_it(
+        tmp_path, monkeypatch, capsys, crop, spoil):
+    """AmanRice is in the caller's range, Jute in a child's. A crop that
+    cannot be split or scored stops the report before its first model."""
+    path = generated(tmp_path, "--n", "1000")
+    error = spoil(path, crop)
     want = outcome(capsys, path, tmp_path / "one", one=True)
     pids = counting_forks(monkeypatch)
     got = outcome(capsys, path, tmp_path / "all")
     assert len(pids) == CHILDREN
     assert got == want
-    assert want[:2] == (2, EVALUATED[:crop.value] + [
-        f"data error: crop {crop.name} has 1 records; need at least 2"])
+    assert want[:2] == (2, EVALUATED[:crop.value] + [error])
     assert len(want[2]) == 4 * crop.value
 
 
