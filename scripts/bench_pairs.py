@@ -23,6 +23,12 @@ interquartile range, and two verdicts:
   wider than that bound, unless every change run beats every parent run;
   else `holds`.
 
+Under each end-to-end metric it also prints, with no verdict, the
+paired ratios: change / parent per seed, over the pairs where both runs
+succeeded, with their median, quartiles and how many are below 1. Both
+runs of a pair share a seed, so the ratio leaves out the spread between
+seeds that the parent's interquartile range holds.
+
 It also prints, with no verdict, the same medians, quartiles and pairs
 won (lower is counted as won) for two diagnostics from the run JSON's
 `extra`: `wall_s`, the median unit in seconds, and `kernel_ms`, the
@@ -118,6 +124,30 @@ def judge(parent: list, change: list, metric: dict, failed: tuple) -> dict:
     return out
 
 
+def paired_ratios(parent: list, change: list) -> dict | None:
+    """The change / parent ratio of each pair whose runs both succeeded
+    (None marks a failed run) and whose parent is not 0: their count,
+    (q1, median, q3) and how many are below 1; None without such a pair."""
+    if len(parent) != len(change):
+        raise ValueError("parent and change need one run per seed each")
+    ratios = [c / p for p, c in zip(parent, change)
+              if p is not None and c is not None and p != 0]
+    if not ratios:
+        return None
+    return {"pairs": len(ratios), "quartiles": quartiles(ratios),
+            "below": sum(r < 1 for r in ratios)}
+
+
+def ratio_line(ratios: dict | None) -> str:
+    """A `paired_ratios` result as printed under its metric."""
+    head = "    paired ratio change/parent (diagnostic, no verdict): "
+    if ratios is None:
+        return head + "no pair with two successful runs"
+    q1, qm, q3 = ratios["quartiles"]
+    return (head + f"median {qm:.4g} [{q1:.4g}, {q3:.4g}]  "
+            f"below 1 in {ratios['below']}/{ratios['pairs']}")
+
+
 def exit_status(results: list) -> int:
     """1 when any `judge` result of `results` regressed, else 0."""
     return int(any(r["verdict"] == "regressed" for r in results))
@@ -210,9 +240,9 @@ def main(argv=None) -> int:
     results = []
     for metric in bench["end_to_end"]:
         name = metric["name"]
-        result = judge([r and r[name] for r in runs["parent"]],
-                       [r and r[name] for r in runs["change"]],
-                       metric, failed)
+        parent = [r and r[name] for r in runs["parent"]]
+        change = [r and r[name] for r in runs["change"]]
+        result = judge(parent, change, metric, failed)
         results.append(result)
         if "parent" not in result:
             print(f"  {name}: no successful runs on one side")
@@ -227,6 +257,7 @@ def main(argv=None) -> int:
                if result["verdict"] == "unresolved" else "")
         print(f"    no regression (bound {100 * metric['bound']:g}%): "
               f"{result['verdict']}{why}")
+        print(ratio_line(paired_ratios(parent, change)))
     for line in diagnostic_lines(runs):
         print(line)
     print(f"  failed operations: parent {failed[0]:.6g}  "

@@ -10,6 +10,9 @@
   preorder lists, the layout of scikit-learn's `Tree`. `train_forest` is
   the one way to grow trees (one tree on all rows is `n_trees=1,
   bootstrap=False`) and `predict_forest_batch` the one way to predict.
+
+Each function computes on the float64 arrays `models` hands it, scaled
+rows `x` (n, k) and targets `y` (n,), and converts neither.
 """
 
 from __future__ import annotations
@@ -48,24 +51,20 @@ class LogisticModel:
     bias: float
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return sigmoid(x @ self.weights + self.bias)
 
 
 def logistic_loss(model: LogisticModel, x, y) -> float:
     p = np.clip(model.predict_raw(x), 1e-12, 1.0 - 1e-12)
-    y = np.asarray(y, dtype=float)
     return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
 
 
 def train_logistic(x, y, learning_rate=0.5,
                    epochs=500) -> LogisticModel:
-    """Full-batch gradient descent on cross-entropy vs soft targets in [0,1]."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
+    """Full-batch gradient descent on cross-entropy of rows x (n, k) vs
+    soft targets y (n,) in [0, 1]."""
     _check_nonempty(x)
-    w = np.zeros(x.shape[1])
-    b = 0.0
+    w, b = np.zeros(x.shape[1]), 0.0
     n = x.shape[0]
     with np.errstate(all="ignore"):  # _check_finite reports divergence
         for epoch in range(epochs):
@@ -86,32 +85,26 @@ class SvmModel:
     c: float
 
     def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return x @ self.weights + self.bias
 
 
 def svm_objective(model: SvmModel, x, y) -> float:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    residual = np.abs(model.predict_raw(x) - np.asarray(y, dtype=float))
+    residual = np.abs(model.predict_raw(x) - y)
     hinge = np.maximum(0.0, residual - model.epsilon)
-    n = x.shape[0]
-    return float(0.5 * np.dot(model.weights, model.weights) / n
+    return float(0.5 * np.dot(model.weights, model.weights) / len(x)
                  + model.c * hinge.mean())
 
 
 def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1,
               epochs=500) -> SvmModel:
-    """Subgradient descent on the epsilon-insensitive linear SVR objective.
-
-    The step size decays as learning_rate / sqrt(t + 1) so the iterates
-    settle instead of oscillating inside the hinge's kink region.
+    """Subgradient descent on the epsilon-insensitive linear SVR objective
+    over rows x (n, k) and targets y (n,). The step size decays as
+    learning_rate / sqrt(t + 1) so the iterates settle instead of
+    oscillating inside the hinge's kink region.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
     _check_nonempty(x)
     n = x.shape[0]
-    w = np.zeros(x.shape[1])
-    b = 0.0
+    w, b = np.zeros(x.shape[1]), 0.0
     with np.errstate(all="ignore"):  # _check_finite reports divergence
         for t in range(epochs):
             step = learning_rate / np.sqrt(t + 1.0)
@@ -337,13 +330,11 @@ def _walk(tree: FlatTree, row) -> float:
 
 
 def train_forest(x, y, config: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bag trees on seeded bootstrap resamples; prediction is the tree mean.
-
-    The columns are ranked once per forest; each tree grows on the rows of
-    its bootstrap resample, so no resample is copied.
+    """Bag trees on seeded bootstrap resamples of rows x (n, k) and targets
+    y (n,); prediction is the tree mean. The columns are ranked once per
+    forest; each tree grows on the rows of its bootstrap resample, so no
+    resample is copied.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
     _check_nonempty(x)
     n = len(y)
     ranks = _ranks(x)
@@ -362,7 +353,6 @@ def train_forest(x, y, config: ForestConfig = ForestConfig()) -> ForestModel:
 
 
 def predict_forest_batch(model: ForestModel, x) -> np.ndarray:
-    """The mean over the trees of each row's leaf value."""
-    rows = np.atleast_2d(np.asarray(x, dtype=float)).tolist()
+    """The mean over the trees of the leaf values of each row of x (n, k)."""
     return np.array([float(np.mean([_walk(t, row) for t in model.flat_trees]))
-                     for row in rows])
+                     for row in x.tolist()])

@@ -21,7 +21,8 @@ from . import baselines, evaluation, fork, ingest, nn, pipeline, synthgen
 from .errors import AgroYieldError, DivergedLoss
 from .models import VARIANTS, load_model, save_model
 from .rng import derive_seed
-from .schema import VALUE_COLUMNS, Crop, District, parse_crop
+from .schema import (VALUE_COLUMNS, VALUE_INDEX, Crop, District, parse_crop,
+                     write_text)
 
 log = logging.getLogger("agroyield")
 
@@ -163,8 +164,7 @@ def _load_crop_model(path):
 
 def _write_text(path, text: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text(path, text)
 
 
 def _emit_json(doc, path) -> None:
@@ -254,12 +254,10 @@ def _cmd_evaluate(args, cfg):
 def _train_crops(dataset, cfg, crops):
     """For each crop of `crops`, in order, split where this runs: (crop,
     variant, model) of each of its four variants as it is trained, then
-    (crop, None, metrics by variant) scored on its test rows. A crop whose
-    test yields cannot be scored raises before its first model."""
+    (crop, None, metrics by variant) scored on its test rows."""
     for crop in crops:
         crop_split = pipeline.prepare_crop_split(
             dataset, crop, cfg["train_ratio"], cfg["seed"])
-        evaluation.check_scorable(crop, crop_split.y_test)
         trained = {}
         for variant, _ in evaluation.METHOD_ORDER:
             trained[variant] = pipeline.train_variant(
@@ -280,6 +278,8 @@ def _training_work(rows: int, cfg: dict) -> int:
 
 def _cmd_report(args, cfg):
     """Train and score each crop's four variants, then write the report.
+    Every crop is checked first, before anything is made under `--out`: it
+    must split with a train row and have test yields that can be scored.
     Each model file is saved as its model comes in, and each crop logged
     once scored, in crop order.
 
@@ -288,9 +288,14 @@ def _cmd_report(args, cfg):
     part files under `--out`, so the files, the log and any error raised
     are those of one process."""
     dataset = _load_records(args.data)
+    crops = [crop for crop in Crop if (dataset.crop == crop.value).any()]
+    for crop in crops:
+        _, test = pipeline.split_trainable(dataset, crop, cfg["train_ratio"],
+                                           cfg["seed"])
+        evaluation.check_scorable(
+            crop, dataset.values[test, VALUE_INDEX["yield"]])
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
-    crops = [crop for crop in Crop if (dataset.crop == crop.value).any()]
     most = (len(crops) if _training_work(len(dataset), cfg) >= _FORK_WORK
             else 1)
     metrics_by_crop = {}

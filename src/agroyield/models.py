@@ -75,10 +75,9 @@ class Normalizer:
             target_max=float(y.max()),
         )
 
-    def scale(self, x) -> np.ndarray:
-        """x' = clip((x - min) / (max - min), 0, 1); constant columns -> 0;
-        district indicator columns pass through unchanged."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def scale(self, x: np.ndarray) -> np.ndarray:
+        """x' = clip((x - min) / (max - min), 0, 1) of float64 rows (n, 46);
+        constant columns -> 0; district indicator columns pass through."""
         span = self.column_maxs - self.column_mins
         safe_span = np.where(span > 0, span, 1.0)
         out = np.clip((x - self.column_mins) / safe_span, 0.0, 1.0)
@@ -86,12 +85,12 @@ class Normalizer:
         out[:, _INDICATOR_MASK] = x[:, _INDICATOR_MASK]
         return out
 
-    def scale_target(self, y) -> np.ndarray:
-        """y' = (y - min) / (max - min); a constant target -> 0."""
+    def scale_target(self, y: np.ndarray) -> np.ndarray:
+        """y' = (y - min) / (max - min) of float64 yields; constant -> 0."""
         span = self.target_max - self.target_min
         if span == 0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return (np.asarray(y, dtype=float) - self.target_min) / span
+            return np.zeros_like(y)
+        return (y - self.target_min) / span
 
     def unscale_target(self, raw) -> np.ndarray:
         """Yields (t/ha) of raw model outputs: each is clamped to [0, 1],
@@ -368,8 +367,7 @@ def model_from_json(text: str) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_json(model) + "\n")
+    schema.write_text(path, model_to_json(model) + "\n")
 
 
 def load_model(path) -> Model:

@@ -21,8 +21,9 @@ into its views, and one pass over the whole buffer: g /= m; g *= lr;
 p -= g. Per element that is the IEEE arithmetic of w -= lr * (sum / m) on
 separate arrays, so the weights and the loss history are bit-identical
 to an update of each array with a copy per step. `forward_batch`,
-`backward_batch`, `mse` and `gradient_check` run the same forward and
-backward code as `train`.
+`backward_batch`, `mse` and `train` compute on the float64 arrays
+`models` hands them, rows x (n, k) and targets y (n,), and convert
+neither; `gradient_check` takes one example and runs the same code.
 """
 
 from __future__ import annotations
@@ -147,36 +148,33 @@ def _backward(net: Network, acts, targets, grads: Network):
 
 
 def forward_batch(net: Network, x: np.ndarray):
-    """Batched forward pass; returns (predictions (n,), activations).
+    """Forward pass of rows x (n, k); returns (predictions (n,), activations).
 
     activations[0] is the input batch; the last entry is the (n, 1)
     linear output.
     """
-    acts = _forward(net, np.atleast_2d(np.asarray(x, dtype=float)))
+    acts = _forward(net, x)
     return acts[-1][:, 0], acts
 
 
 def backward_batch(net: Network, activations, targets) -> Network:
-    """Mean gradient of 1/2 (pred - target)^2 over the batch, as a network
-    of net's shape."""
+    """Mean gradient of 1/2 (pred - target)^2 over the batch, targets (n,),
+    as a network of net's shape."""
     grads = replace(net)
-    _backward(net, activations,
-              np.atleast_1d(np.asarray(targets, dtype=float)), grads)
+    _backward(net, activations, targets, grads)
     return grads
 
 
 def mse(net: Network, x: np.ndarray, y: np.ndarray) -> float:
     preds, _ = forward_batch(net, x)
-    return float(np.mean((preds - np.asarray(y, dtype=float)) ** 2))
+    return float(np.mean((preds - y) ** 2))
 
 
 def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
-    """Mini-batch SGD with early stopping; returns (best network, history).
-
-    `net` is not written to; the returned network owns its arrays.
+    """Mini-batch SGD with early stopping on rows x (n, k) and targets y
+    (n,); returns (best network, history). `net` is not written to; the
+    returned network owns its arrays.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
     n = x.shape[0]
     if n == 0:
         raise AgroYieldError("no training examples")
@@ -234,17 +232,17 @@ def gradient_check(net: Network, x, target: float, epsilon: float = 1e-5) -> flo
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    target = float(target)
-    analytic = backward_batch(net, forward_batch(net, x)[1], [target]).params
+    target = np.full(1, float(target))
+    analytic = backward_batch(net, forward_batch(net, x)[1], target).params
     params = net.params
 
     worst = 0.0
     for k in range(params.size):
         orig = params[k]
         params[k] = orig + epsilon
-        up = 0.5 * (forward_batch(net, x)[0][0] - target) ** 2
+        up = 0.5 * (forward_batch(net, x)[0][0] - target[0]) ** 2
         params[k] = orig - epsilon
-        down = 0.5 * (forward_batch(net, x)[0][0] - target) ** 2
+        down = 0.5 * (forward_batch(net, x)[0][0] - target[0]) ** 2
         params[k] = orig
         numeric = (up - down) / (2.0 * epsilon)
         # the 1e-6 floor compares near-zero gradients at absolute scale,

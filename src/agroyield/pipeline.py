@@ -55,16 +55,23 @@ def encode_rows(dataset: ingest.Dataset, rows: np.ndarray) -> tuple:
             ingest.target_vector(part))
 
 
-def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
-                       train_ratio: float, seed: int) -> CropSplit:
-    """Split one crop's rows and encode each part once, for every variant
-    trained and scored on it; AgroYieldError if the ratio leaves no row
-    to train on."""
+def split_trainable(dataset: ingest.Dataset, crop: Crop,
+                    train_ratio: float, seed: int) -> tuple:
+    """`split_crop`'s (train, test) indices; AgroYieldError if the ratio
+    leaves no row to train on."""
     train_rows, test_rows = split_crop(dataset, crop, train_ratio, seed)
     if len(train_rows) == 0:  # every row of the crop is a test row
         raise AgroYieldError(
             f"crop {crop.name} has {len(test_rows)} records; train ratio "
             f"{train_ratio} leaves none to train on")
+    return train_rows, test_rows
+
+
+def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
+                       train_ratio: float, seed: int) -> CropSplit:
+    """Split one crop's rows with a train row (`split_trainable`) and
+    encode each part once, for every variant trained and scored on it."""
+    train_rows, test_rows = split_trainable(dataset, crop, train_ratio, seed)
     return CropSplit(crop, *encode_rows(dataset, train_rows),
                      *encode_rows(dataset, test_rows))
 

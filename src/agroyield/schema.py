@@ -10,12 +10,19 @@ first member) is the dropped all-zero reference, Narsingdi (the last
 member) folds to the all-ones pattern, and the remaining five districts
 are ordinary one-hot. Decoding is unambiguous: zero ones = Dhaka, five
 ones = Narsingdi, exactly one = that district.
+
+It also holds what the files share: `json_number` and `json_numbers`
+read a model file's numbers, and `write_text` makes every file that
+`report` and the other commands write appear whole.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 
@@ -213,6 +220,37 @@ def json_numbers(values, what, size=None, integer=False) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise AgroYieldError(f"{what} must be finite")
     return arr
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` whole or not at all: into a temporary file in
+    its directory, which is then renamed onto `path`, and removed if
+    anything fails first. A target that exists and is not a regular file
+    (a symlink such as /dev/stdout, a FIFO, a device) is written in place,
+    since a rename would replace it. The file gets the mode a new file
+    opened for writing gets."""
+    path = os.fspath(path)
+    try:
+        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    directory, name = os.path.split(path)
+    fd, part = tempfile.mkstemp(prefix=f".{name}.", suffix=".part",
+                                dir=directory or ".")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            fh.write(text)
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 _NONNEGATIVE = ("area", "production", "yield")

@@ -133,3 +133,39 @@ def test_diagnostics_show_medians_and_wins_without_a_verdict():
     runs["change"] = [None] * 10
     assert bench_pairs.diagnostic_lines(runs)[0].endswith(
         "no successful runs on one side")
+
+
+def test_paired_ratios_are_per_seed():
+    change = [0.9 * p for p in PARENT]
+    change[0] = 2 * PARENT[0]  # one pair lost
+    ratios = bench_pairs.paired_ratios(PARENT, change)
+    assert ratios["pairs"] == 10 and ratios["below"] == 9
+    q1, qm, q3 = ratios["quartiles"]
+    assert qm == pytest.approx(0.9) and q1 == pytest.approx(0.9)
+    assert q3 == pytest.approx(0.9)
+    assert bench_pairs.ratio_line(ratios) == (
+        "    paired ratio change/parent (diagnostic, no verdict): "
+        "median 0.9 [0.9, 0.9]  below 1 in 9/10")
+
+
+def test_paired_ratios_keep_the_pairing_that_medians_lose():
+    # the medians differ by far less than the parent's IQR, but every
+    # pair is 2% faster
+    change = [0.98 * p for p in PARENT]
+    result = bench_pairs.judge(PARENT, change, LOWER, NO_FAILURES)
+    assert not result["holds"]
+    ratios = bench_pairs.paired_ratios(PARENT, change)
+    assert ratios["below"] == 10
+    assert ratios["quartiles"][2] == pytest.approx(0.98)
+
+
+def test_paired_ratios_skip_failed_runs_and_a_zero_parent():
+    parent = [10.0, None, 0.0, 20.0]
+    change = [5.0, 4.0, 3.0, None]
+    ratios = bench_pairs.paired_ratios(parent, change)
+    assert ratios == {"pairs": 1, "quartiles": (0.5, 0.5, 0.5), "below": 1}
+    assert bench_pairs.paired_ratios([None], [1.0]) is None
+    assert bench_pairs.ratio_line(None).endswith(
+        "no pair with two successful runs")
+    with pytest.raises(ValueError):
+        bench_pairs.paired_ratios(PARENT, PARENT[:-1])

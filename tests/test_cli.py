@@ -1,6 +1,8 @@
 import copy
+import errno
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -253,6 +255,39 @@ class TestReport:
         assert len(doc["crops"]) == 6
         assert len(doc["crops"]["Jute"]) == 4
         assert len(list((out / "models").glob("*.json"))) == 24
+
+    def test_a_report_json_that_cannot_be_renamed_keeps_the_old_one(
+            self, data_csv, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "report"
+
+        def report(seed):
+            return run(["report", "--data", str(data_csv), "--seed", seed,
+                        "--epochs", "2", "--trees", "2", "--out", str(out)])
+
+        assert report("3") == 0
+        old = (out / "report.json").read_bytes()
+        real = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == "report.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        capsys.readouterr()
+        assert report("4") == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "data error: [Errno 28] No space left on device")
+        assert (out / "report.json").read_bytes() == old
+        assert sorted(os.listdir(out)) == ["models", "report.json",
+                                           "report.md"]
+        assert len(os.listdir(out / "models")) == 24
+        assert all(name.endswith(".json")
+                   for name in os.listdir(out / "models"))
+        # what the failed run would have written differs from the old bytes
+        monkeypatch.setattr(os, "replace", real)
+        assert report("4") == 0
+        assert (out / "report.json").read_bytes() != old
 
     def test_evaluate_reproduces_every_report_row(self, data_csv, tmp_path):
         out = tmp_path / "report"

@@ -1,6 +1,7 @@
 """Every imported name is read somewhere in its file, every private
 top-level name of the package is read somewhere in the package, every
-public one somewhere in the repository, and only the fork module forks.
+public one somewhere in the repository, only the fork module forks, and
+`nn` and `baselines` convert no input array.
 
 The first is a stdlib-only stand-in for a linter's unused-import rule
 (pyflakes F401), over the package, the tests, the scripts and the
@@ -13,7 +14,10 @@ third does the same for public names, read from any file under
 `DIRECTORIES`, so a function or constant that nothing calls any more is
 caught too. The fourth keeps one copy of the fork, reap and exit logic:
 outside `agroyield/fork.py`, no module of the package calls or imports
-`os.fork`, `os.waitpid` or `os._exit`.
+`os.fork`, `os.waitpid` or `os._exit`. The fifth keeps the array
+contract of the model layer: `models` hands `nn` and `baselines` float64
+arrays, so no function there calls `np.asarray`, `np.atleast_1d` or
+`np.atleast_2d` on them again, `nn.gradient_check` (one example) excepted.
 """
 
 import ast
@@ -150,3 +154,46 @@ def test_only_the_fork_module_forks():
     found = [entry for p in sorted(package.rglob("*.py"))
              if p.name != "fork.py" for entry in process_calls(p)]
     assert found == [], "\n".join(found)
+
+
+CONVERSIONS = {"asarray", "atleast_1d", "atleast_2d"}
+
+
+def conversions(path: Path, allowed=("gradient_check",)) -> list:
+    """`file:line np.name` for each use of a `CONVERSIONS` name of NumPy in
+    `path` outside the functions named in `allowed`: an `np.<name>`
+    attribute or a `from numpy import <name>`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    exempt = {id(inner) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name in allowed
+              for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in CONVERSIONS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "np"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in CONVERSIONS]
+    return [f"{path.name}:{line} np.{name}" for line, name in sorted(found)]
+
+
+def test_nn_and_baselines_convert_no_input(tmp_path):
+    package = ROOT / "src" / "agroyield"
+    found = [entry for name in ("nn.py", "baselines.py")
+             for entry in conversions(package / name)]
+    assert found == [], "\n".join(found)
+    # gradient_check keeps its one conversion, which the check skips
+    assert conversions(package / "nn.py", allowed=()) != []
+    # the check finds a conversion anywhere else, however it is reached
+    left = tmp_path / "left.py"
+    left.write_text("from numpy import atleast_1d\n"
+                    "def f(x):\n    return np.asarray(x, dtype=float)\n"
+                    "def gradient_check(x):\n    return np.atleast_2d(x)\n"
+                    "g = lambda y: np.atleast_2d(y)\n", encoding="utf-8")
+    assert conversions(left) == ["left.py:1 np.atleast_1d",
+                                 "left.py:3 np.asarray",
+                                 "left.py:6 np.atleast_2d"]

@@ -84,11 +84,11 @@ class TestForward:
         net = init_network((3, 4, 1), seed=0)
         for w in net.weights:
             w[:] = 0.0
-        preds, _ = forward_batch(net, [1.0, -2.0, 3.0])
+        preds, _ = forward_batch(net, np.array([[1.0, -2.0, 3.0]]))
         assert preds[0] == 0.0
 
     def test_single_linear_unit(self):
-        preds, _ = forward_batch(linear_unit(0.5), [1.0])
+        preds, _ = forward_batch(linear_unit(0.5), np.array([[1.0]]))
         assert preds[0] == 0.5
 
     def test_relu_clamps_negative_preactivation(self):
@@ -96,14 +96,14 @@ class TestForward:
                       weights=[np.array([[1.0]]), np.array([[1.0]])],
                       biases=[np.array([0.0]), np.array([0.0])],
                       hidden_activation="relu")
-        preds, acts = forward_batch(net, [-3.0])
+        preds, acts = forward_batch(net, np.array([[-3.0]]))
         assert acts[1][0, 0] == 0.0
         assert preds[0] == 0.0
 
     def test_dimension_mismatch(self):
         net = init_network((4, 3, 1))
         with pytest.raises(AgroYieldError, match="expected 4 inputs, got 2"):
-            forward_batch(net, [1.0, 2.0])
+            forward_batch(net, np.array([[1.0, 2.0]]))
 
     def test_linear_scale_consistency(self):
         # bias-free single linear layer: doubling inputs doubles output
@@ -111,7 +111,7 @@ class TestForward:
         net = Network(layer_sizes=(5, 1),
                       weights=[rng.normal(size=(1, 5))],
                       biases=[np.zeros(1)], hidden_activation="relu")
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         p1, _ = forward_batch(net, x)
         p2, _ = forward_batch(net, 2 * x)
         assert p2[0] == pytest.approx(2 * p1[0], rel=1e-12)
@@ -120,14 +120,14 @@ class TestForward:
 class TestBackward:
     def test_single_linear_unit_hand_gradient(self):
         net = linear_unit(0.5)
-        _, acts = forward_batch(net, [1.0])
-        grads = backward_batch(net, acts, [0.0])
+        _, acts = forward_batch(net, np.array([[1.0]]))
+        grads = backward_batch(net, acts, np.array([0.0]))
         # d/dw 1/2 (w*x - t)^2 = (0.5 - 0) * 1
         assert grads.weights[0][0, 0] == pytest.approx(0.5)
 
     def test_zero_error_gives_zero_gradients(self):
         net = init_network((4, 5, 1), "sigmoid", seed=2)
-        x = np.ones(4)
+        x = np.ones((1, 4))
         preds, acts = forward_batch(net, x)
         grads = backward_batch(net, acts, preds)
         assert all(np.allclose(g, 0) for g in grads.weights)
@@ -136,10 +136,10 @@ class TestBackward:
     def test_matches_independent_finite_difference_oracle(self):
         rng = np.random.default_rng(11)
         net = init_network((6, 7, 4, 1), "sigmoid", seed=11)
-        x = rng.normal(size=6)
+        x = rng.normal(size=(1, 6))
         target = rng.normal()
         _, acts = forward_batch(net, x)
-        analytic = backward_batch(net, acts, [target])
+        analytic = backward_batch(net, acts, np.array([target]))
         num_w, num_b = numeric_gradients(net, x, target)
         for a, n_ in zip(analytic.weights + analytic.biases, num_w + num_b):
             np.testing.assert_allclose(a, n_, rtol=1e-4, atol=1e-7)

@@ -9,13 +9,17 @@ call, also when the caller's loop over `fork.each` raises."""
 import errno
 import hashlib
 import os
+import tempfile
 import time
 from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from agroyield import cli, fork, ingest, pipeline, schema
+from agroyield import cli, fork, ingest, models, pipeline, schema
 from agroyield.cli import run
 from agroyield.errors import DivergedLoss
 from agroyield.schema import Crop
@@ -122,6 +126,47 @@ def test_a_training_error_gives_the_one_process_outcome(
         assert_nothing_left(tmp_path / "all", ["models"])
 
 
+# the crops the caller trains itself when the report forks
+CALLER_CROPS = list(Crop)[slice(*fork.ranges(len(Crop), len(Crop))[0])]
+FAMILIES = st.sampled_from(list(models.VARIANTS))
+# (where DivergedLoss is raised, crop, family). A crop of a child's range
+# is trained in the caller only when its child fails, so a failure in the
+# caller alone is drawn for the caller's own crops.
+FAILURES = st.one_of(
+    st.tuples(st.just("the caller"), st.sampled_from(CALLER_CROPS), FAMILIES),
+    st.tuples(st.sampled_from(["a child", "every process"]),
+              st.sampled_from(list(Crop)), FAMILIES))
+
+
+@forks
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(failure=FAILURES)
+def test_a_training_error_anywhere_gives_the_one_process_outcome(
+        data, monkeypatch, capsys, failure):
+    where, crop, family = failure
+    caller, real = os.getpid(), pipeline.train_variant
+
+    def diverges(variant, crop_split, *args):
+        here = "the caller" if os.getpid() == caller else "a child"
+        if ((crop_split.crop, variant) == (crop, family)
+                and where in (here, "every process")):
+            raise DivergedLoss("training MSE became nan")
+        return real(variant, crop_split, *args)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            monkeypatch.context() as patch:
+        patch.setattr(pipeline, "train_variant", diverges)
+        want = outcome(capsys, data, Path(tmp) / "one", one=True)
+        pids = counting_forks(patch)
+        got = outcome(capsys, data, Path(tmp) / "all")
+        assert len(pids) == CHILDREN
+        assert got == want
+        assert want[0] == (0 if where == "a child" else 3)
+        assert_nothing_left(Path(tmp) / "all",
+                            REPORTED if want[0] == 0 else ["models"])
+
+
 def one_row(path, crop):
     """`path` with only the first row of `crop` left: it cannot be split."""
     lines = path.read_bytes().splitlines(True)
@@ -154,19 +199,19 @@ def zero_yields(path, crop):
     (Crop.AmanRice, zero_yields), (Crop.Jute, zero_yields)], ids=[
         "Crop.AmanRice", "Crop.Jute",
         "Crop.AmanRice-zero_yields", "Crop.Jute-zero_yields"])
-def test_a_crop_that_cannot_be_split_fails_after_the_crops_before_it(
+def test_report_checks_every_crop_before_training(
         tmp_path, monkeypatch, capsys, crop, spoil):
-    """AmanRice is in the caller's range, Jute in a child's. A crop that
-    cannot be split or scored stops the report before its first model."""
+    """AmanRice would be in the caller's range, Jute in a child's. A crop
+    that cannot be split or scored stops the report before it trains any
+    crop or makes anything under `--out`, in one process and forked."""
     path = generated(tmp_path, "--n", "1000")
     error = spoil(path, crop)
     want = outcome(capsys, path, tmp_path / "one", one=True)
     pids = counting_forks(monkeypatch)
     got = outcome(capsys, path, tmp_path / "all")
-    assert len(pids) == CHILDREN
-    assert got == want
-    assert want[:2] == (2, EVALUATED[:crop.value] + [error])
-    assert len(want[2]) == 4 * crop.value
+    assert pids == []
+    assert got == want == (2, [error], {})
+    assert not (tmp_path / "all").exists()
 
 
 @forks

@@ -1,4 +1,7 @@
+import errno
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -338,3 +341,60 @@ def test_year_beyond_int64_is_out_of_range(year):
     # the year column is int64; the scalar validator accepted these years
     assert _reference_validate_record(make_record(year=year)) == []
     assert messages(make_record(year=year)) == ["year out of range"]
+
+
+class TestWriteText:
+    """`schema.write_text` makes a regular file appear whole, through a
+    temporary file in its directory, and writes any other target in
+    place."""
+
+    def test_a_new_and_an_old_file_are_written_whole(self, tmp_path):
+        path = tmp_path / "a.json"
+        schema.write_text(path, "first\n")
+        schema.write_text(path, "second\n")
+        assert path.read_bytes() == b"second\n"
+        assert os.listdir(tmp_path) == ["a.json"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_a_failed_rename_keeps_the_old_bytes(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "a.json"
+        path.write_bytes(b"old")
+
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full)
+        with pytest.raises(OSError, match="No space left"):
+            schema.write_text(path, "new")
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["a.json"]
+
+    def test_an_interrupted_write_leaves_no_part_file(self, tmp_path,
+                                                      monkeypatch):
+        made = []
+
+        def interrupted(fd, mode):
+            made.extend(os.listdir(tmp_path))  # the part file, made
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "fchmod", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            schema.write_text(tmp_path / "a.json", "text")
+        assert len(made) == 1 and made[0].startswith(".a.json.")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        schema.write_text(link, "new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+    def test_stdout_is_written_in_place(self, capfd):
+        schema.write_text("/dev/stdout", "to stdout\n")
+        assert capfd.readouterr().out == "to stdout\n"
