@@ -2,12 +2,13 @@
 """Run the benchmark on two commits in alternating pairs and judge them.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \
-        --workload report --seeds 61 62 63 64 65 66 67 68 69 70
+        --workload report prep select --seeds 61 62 63 64 65 66 67 68 69 70
 
-Each commit is exported with `git archive` into a temporary directory,
-and `perfbench/run.py --workload W --seed S --out F` runs there, once
-per seed and side. The side that runs first alternates with the seed, so
-a drift of the host's speed falls on both sides alike.
+Each commit is exported once with `git archive` into a temporary
+directory. For each workload in turn, `perfbench/run.py --workload W
+--seed S --out F` runs there, once per seed and side, and the workload's
+block of verdicts is printed. The side that runs first alternates with
+the seed, so a drift of the host's speed falls on both sides alike.
 
 For every end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles, the pairs the change wins, the parent's
@@ -38,7 +39,7 @@ and make `wall_ref` overstate the gain; the two show whether it did.
 
 A run that exits non-zero is listed and its pair counts as lost. The
 temporary directory is removed afterwards. The script exits 1 when any
-end-to-end metric regressed, else 0.
+end-to-end metric regressed on any workload, else 0.
 """
 
 from __future__ import annotations
@@ -205,37 +206,30 @@ def failed_share(runs: list) -> float:
     return sum(r["failed"] for r in ok) / attempted if attempted else math.nan
 
 
-def main(argv=None) -> int:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="base commit")
-    parser.add_argument("--change", required=True, help="changed commit")
-    parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in bench["workloads"]])
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    args = parser.parse_args(argv)
-
+def run_pairs(trees: dict, workload: str, seeds: list, tmp: Path) -> tuple:
+    """({side: [metrics or None per seed]}, failure lines) of one
+    workload's runs on the exported `trees`, the first side alternating."""
     sides = ("parent", "change")
     runs = {side: [] for side in sides}
     failures = []
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        tmp = Path(tmp)
-        trees = {side: export(getattr(args, side), tmp / side)
-                 for side in sides}
-        for i, seed in enumerate(args.seeds):
-            for side in (sides if i % 2 == 0 else sides[::-1]):
-                metrics, reason = run_side(
-                    trees[side], args.workload, seed,
-                    tmp / f"{side}-{seed}.json")
-                runs[side].append(metrics)
-                if reason:
-                    failures.append(f"seed {seed} {side} {reason}")
-                print(f"seed {seed} {side}: "
-                      + (reason or json.dumps(metrics, sort_keys=True)),
-                      flush=True)
+    for i, seed in enumerate(seeds):
+        for side in (sides if i % 2 == 0 else sides[::-1]):
+            metrics, reason = run_side(trees[side], workload, seed,
+                                       tmp / f"{workload}-{side}-{seed}.json")
+            runs[side].append(metrics)
+            if reason:
+                failures.append(f"seed {seed} {side} {reason}")
+            print(f"{workload} seed {seed} {side}: "
+                  + (reason or json.dumps(metrics, sort_keys=True)),
+                  flush=True)
+    return runs, failures
 
-    failed = tuple(failed_share(runs[side]) for side in sides)
-    print(f"\n{args.workload}: {args.parent} -> {args.change}, "
+
+def report_block(bench: dict, args, workload: str, runs: dict,
+                 failures: list) -> list:
+    """Print one workload's verdicts; its `judge` results."""
+    failed = tuple(failed_share(runs[side]) for side in ("parent", "change"))
+    print(f"\n{workload}: {args.parent} -> {args.change}, "
           f"seeds {' '.join(map(str, args.seeds))}")
     results = []
     for metric in bench["end_to_end"]:
@@ -264,6 +258,27 @@ def main(argv=None) -> int:
           f"change {failed[1]:.6g}")
     for line in failures:
         print(f"  FAILED {line}")
+    return results
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="base commit")
+    parser.add_argument("--change", required=True, help="changed commit")
+    parser.add_argument("--workload", required=True, nargs="+",
+                        choices=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+
+    results = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        tmp = Path(tmp)
+        trees = {side: export(getattr(args, side), tmp / side)
+                 for side in ("parent", "change")}
+        for workload in args.workload:
+            runs, failures = run_pairs(trees, workload, args.seeds, tmp)
+            results += report_block(bench, args, workload, runs, failures)
     return exit_status(results)
 
 

@@ -12,7 +12,8 @@
   bootstrap=False`) and `predict_forest_batch` the one way to predict.
 
 Each function computes on the float64 arrays `models` hands it, scaled
-rows `x` (n, k) and targets `y` (n,), and converts neither.
+rows `x` (n, k) and targets `y` (n,), and converts neither; a train part
+has at least one row, which `models.fit_model` checks.
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AgroYieldError, DivergedLoss
+from .errors import DivergedLoss
 from .rng import derive_seed
-
-
-def _check_nonempty(x):
-    if len(x) == 0:
-        raise AgroYieldError("no training examples")
 
 
 def _check_finite(w, b, name, epoch):
@@ -63,7 +59,6 @@ def train_logistic(x, y, learning_rate=0.5,
                    epochs=500) -> LogisticModel:
     """Full-batch gradient descent on cross-entropy of rows x (n, k) vs
     soft targets y (n,) in [0, 1]."""
-    _check_nonempty(x)
     w, b = np.zeros(x.shape[1]), 0.0
     n = x.shape[0]
     with np.errstate(all="ignore"):  # _check_finite reports divergence
@@ -102,7 +97,6 @@ def train_svm(x, y, epsilon=0.05, c=1.0, learning_rate=0.1,
     learning_rate / sqrt(t + 1) so the iterates settle instead of
     oscillating inside the hinge's kink region.
     """
-    _check_nonempty(x)
     n = x.shape[0]
     w, b = np.zeros(x.shape[1]), 0.0
     with np.errstate(all="ignore"):  # _check_finite reports divergence
@@ -335,7 +329,6 @@ def train_forest(x, y, config: ForestConfig = ForestConfig()) -> ForestModel:
     forest; each tree grows on the rows of its bootstrap resample, so no
     resample is copied.
     """
-    _check_nonempty(x)
     n = len(y)
     ranks = _ranks(x)
     trees = []

@@ -22,7 +22,7 @@ from .errors import AgroYieldError, DivergedLoss
 from .models import VARIANTS, load_model, save_model
 from .rng import derive_seed
 from .schema import (VALUE_COLUMNS, VALUE_INDEX, Crop, District, parse_crop,
-                     write_text)
+                     write_file)
 
 log = logging.getLogger("agroyield")
 
@@ -164,7 +164,7 @@ def _load_crop_model(path):
 
 def _write_text(path, text: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_text(path, text)
+    write_file(path, [text.encode()])
 
 
 def _emit_json(doc, path) -> None:

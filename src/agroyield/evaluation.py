@@ -60,14 +60,10 @@ class PlotSeries:
 
 
 def mape(predictions, actuals) -> float:
-    """(100 / n) * sum |pred - actual| / |actual|."""
+    """(100 / n) * sum |pred - actual| / |actual| of n >= 1 predictions and
+    as many actuals, each above `NEAR_ZERO_ACTUAL`, as `evaluate` checks."""
     p = np.asarray(predictions, dtype=float)
     a = np.asarray(actuals, dtype=float)
-    if p.shape != a.shape or p.ndim != 1 or p.size == 0:
-        raise AgroYieldError(
-            f"predictions {p.shape} vs actuals {a.shape}")
-    if np.any(np.abs(a) <= NEAR_ZERO_ACTUAL):
-        raise AgroYieldError("an actual value is too close to zero")
     return float(100.0 * np.mean(np.abs(p - a) / np.abs(a)))
 
 

@@ -24,7 +24,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -309,18 +309,17 @@ def _format_rows(dataset: Dataset, bound: tuple):
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset of valid rows, as `clean` or `generate` makes.
+    """Write a dataset of valid rows, as `clean` or `generate` makes, whole
+    or not at all (`schema.write_file`).
 
     The rows are formatted in the `fork.each` of their ranges, at most one
     per `_FORK_ROWS` rows, with part files beside `path`, so the bytes, and
     any error raised, are those of one process."""
     n = len(dataset)
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_LINE)
-        with fork.each(partial(_format_rows, dataset),
-                       fork.ranges(n, n // _FORK_ROWS),
-                       os.path.dirname(os.path.abspath(path))) as blocks:
-            fh.writelines(blocks)
+    with fork.each(partial(_format_rows, dataset),
+                   fork.ranges(n, n // _FORK_ROWS),
+                   os.path.dirname(os.path.abspath(path))) as blocks:
+        schema.write_file(path, chain([_HEADER_LINE], blocks))
 
 
 def cleaning_log_jsonl(dataset: Dataset) -> str:
@@ -405,12 +404,9 @@ def target_vector(dataset: Dataset) -> np.ndarray:
 
 
 def split(n: int, train_ratio: float, seed: int) -> tuple:
-    """Seeded shuffle split of rows 0, ..., n - 1 into (train, test) int64
-    index arrays; train gets the first floor(n * ratio) of the order."""
-    if not 0.0 < train_ratio < 1.0:
-        raise ValueError("train_ratio must be in (0, 1)")
-    if n < 2:
-        raise AgroYieldError(f"need at least 2 records to split, got {n}")
+    """Seeded shuffle split of rows 0, ..., n - 1, n >= 2, into (train,
+    test) int64 index arrays; train gets the first floor(n * ratio) of the
+    order. `pipeline.split_crop` checks n and the CLI the ratio."""
     order = np.array(SplitMix64(seed).permutation(n), dtype=np.int64)
     n_train = int(n * train_ratio)
     return order[:n_train], order[n_train:]

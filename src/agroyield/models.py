@@ -367,7 +367,7 @@ def model_from_json(text: str) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    schema.write_text(path, model_to_json(model) + "\n")
+    schema.write_file(path, [(model_to_json(model) + "\n").encode()])
 
 
 def load_model(path) -> Model:

@@ -23,7 +23,9 @@ separate arrays, so the weights and the loss history are bit-identical
 to an update of each array with a copy per step. `forward_batch`,
 `backward_batch`, `mse` and `train` compute on the float64 arrays
 `models` hands them, rows x (n, k) and targets y (n,), and convert
-neither; `gradient_check` takes one example and runs the same code.
+neither; each row has `layer_sizes[0]` columns, and `models.fit_model`
+checks that a train part is not empty. `gradient_check` takes one
+example and runs the same code.
 """
 
 from __future__ import annotations
@@ -120,9 +122,6 @@ def init_network(layer_sizes=DEFAULT_LAYER_SIZES, hidden_activation="relu",
 
 def _forward(net: Network, x: np.ndarray):
     """Activations of every layer for a 2-D float batch."""
-    if x.shape[1] != net.layer_sizes[0]:
-        raise AgroYieldError(
-            f"expected {net.layer_sizes[0]} inputs, got {x.shape[1]}")
     activate = ACTIVATIONS[net.hidden_activation][0]
     acts = [x]
     last = len(net.weights) - 1
@@ -176,15 +175,10 @@ def train(net: Network, x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
     returned network owns its arrays.
     """
     n = x.shape[0]
-    if n == 0:
-        raise AgroYieldError("no training examples")
-
     rng = np.random.default_rng(cfg.seed)
     n_val = int(n * cfg.validation_fraction)
     order = rng.permutation(n)
     val_idx, fit_idx = order[:n_val], order[n_val:]
-    if len(fit_idx) == 0:
-        raise AgroYieldError("validation carve-out left no training examples")
     x_fit, y_fit = x[fit_idx], y[fit_idx]
     x_val, y_val = x[val_idx], y[val_idx]
 

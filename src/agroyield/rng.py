@@ -48,8 +48,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("n must be positive")
+        """A draw from 0, ..., n - 1, for n >= 1."""
         return self.next_u64() % n
 
     def permutation(self, n: int) -> list:

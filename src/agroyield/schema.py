@@ -12,8 +12,8 @@ are ordinary one-hot. Decoding is unambiguous: zero ones = Dhaka, five
 ones = Narsingdi, exactly one = that district.
 
 It also holds what the files share: `json_number` and `json_numbers`
-read a model file's numbers, and `write_text` makes every file that
-`report` and the other commands write appear whole.
+read a model file's numbers, and `write_file` makes every file that the
+commands write, CSVs included, appear whole.
 """
 
 from __future__ import annotations
@@ -222,31 +222,36 @@ def json_numbers(values, what, size=None, integer=False) -> np.ndarray:
     return arr
 
 
-def write_text(path, text: str) -> None:
-    """Write `text` to `path` whole or not at all: into a temporary file in
-    its directory, which is then renamed onto `path`, and removed if
-    anything fails first. A target that exists and is not a regular file
-    (a symlink such as /dev/stdout, a FIFO, a device) is written in place,
-    since a rename would replace it. The file gets the mode a new file
-    opened for writing gets."""
+def write_file(path, chunks) -> None:
+    """Write the byte strings of `chunks` to `path` whole or not at all:
+    into a temporary file in its directory, which is then renamed onto
+    `path`, and removed if anything fails first, an interrupt included. The
+    temporary name is `.<name>.<random>.part`, with `<name>` cut to fit the
+    directory's longest file name. A target that exists and is not a
+    regular file (a symlink such as /dev/stdout, a FIFO, a device) is
+    written in place, since a rename would replace it. The file gets the
+    mode a new file opened for writing gets."""
     path = os.fspath(path)
     try:
         in_place = not stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         in_place = False
     if in_place:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
         return
     directory, name = os.path.split(path)
-    fd, part = tempfile.mkstemp(prefix=f".{name}.", suffix=".part",
-                                dir=directory or ".")
+    directory = directory or "."
+    # the name gains two dots, mkstemp's 8 random characters and ".part"
+    name = os.fsencode(name)[:os.pathconf(directory, "PC_NAME_MAX") - 15]
+    fd, part = tempfile.mkstemp(prefix=f".{os.fsdecode(name)}.",
+                                suffix=".part", dir=directory)
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(fd, "wb") as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(part, path)
     except BaseException:
         os.unlink(part)

@@ -17,7 +17,7 @@ from agroyield.baselines import (
     train_logistic,
     train_svm,
 )
-from agroyield.errors import AgroYieldError, DivergedLoss
+from agroyield.errors import DivergedLoss
 from agroyield.rng import derive_seed
 from agroyield.schema import Crop
 from helpers import leaf_value, scaled_train
@@ -50,10 +50,6 @@ class TestLogistic:
             train_logistic(x, y, learning_rate=1e-3, epochs=k), x, y)
             for k in range(1, 101)]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
-    def test_empty_training_set(self):
-        with pytest.raises(AgroYieldError, match="no training examples"):
-            train_logistic(np.empty((0, 3)), np.empty(0))
 
 
 class TestSvm:
@@ -164,10 +160,6 @@ class TestBuildTree:
         tree = _one_tree(x, y, max_depth=20, min_leaf=5).flat_trees[0]
         assert all(n >= 5 for f, n in zip(tree.feature, tree.n_samples)
                    if f < 0)
-
-    def test_empty_sample(self):
-        with pytest.raises(AgroYieldError, match="no training examples"):
-            _one_tree(np.empty((0, 2)), np.empty(0))
 
     @pytest.mark.parametrize("bound, message", [
         ({"min_leaf": 0}, "min_leaf must be >= 1"),

@@ -169,3 +169,58 @@ def test_paired_ratios_skip_failed_runs_and_a_zero_parent():
         "no pair with two successful runs")
     with pytest.raises(ValueError):
         bench_pairs.paired_ratios(PARENT, PARENT[:-1])
+
+
+def fake_runs(monkeypatch, slower_on=()):
+    """Stub `export` and `run_side`; the change runs twice as long on the
+    workloads of `slower_on`. The calls made, in order."""
+    calls = []
+
+    def export(rev, dest):
+        calls.append(("export", rev))
+        return rev
+
+    def run_side(tree, workload, seed, out):
+        calls.append((workload, seed, tree))
+        slow = 2 if tree == "B" and workload in slower_on else 1
+        return {"wall_ref": 100 * slow, "setup_s": 1.0, "peak_rss_mb": 50.0,
+                "failed": 0, "attempted": 10, "wall_s": 0.5,
+                "kernel_ms": 0.3}, None
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    return calls
+
+
+ARGV = ["--parent", "A", "--change", "B", "--seeds", "1", "2",
+        "--workload"]
+
+
+def test_several_workloads_share_one_export(monkeypatch, capsys):
+    calls = fake_runs(monkeypatch)
+    assert bench_pairs.main(ARGV + ["report", "prep", "select"]) == 0
+    assert calls == [("export", "A"), ("export", "B")] + [
+        (workload, seed, tree) for workload in ("report", "prep", "select")
+        for seed, trees in ((1, "AB"), (2, "BA")) for tree in trees]
+    out = capsys.readouterr().out
+    blocks = [line for line in out.splitlines() if ": A -> B, seeds" in line]
+    assert blocks == [f"{w}: A -> B, seeds 1 2"
+                      for w in ("report", "prep", "select")]
+    assert out.count("): holds\n") == 9  # three metrics per workload
+
+
+def test_a_regression_on_any_workload_exits_1(monkeypatch, capsys):
+    fake_runs(monkeypatch, slower_on=("prep",))
+    assert bench_pairs.main(ARGV + ["report", "prep"]) == 1
+    assert bench_pairs.main(ARGV + ["report"]) == 0
+    assert "regressed" in capsys.readouterr().out
+
+
+def test_an_unknown_workload_is_a_usage_error(monkeypatch, capsys):
+    calls = fake_runs(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(ARGV + ["report", "nope"])
+    assert exc.value.code == 2 and calls == []
+    with pytest.raises(SystemExit):
+        bench_pairs.main(ARGV[:-1])  # --workload is required
+    assert calls == []

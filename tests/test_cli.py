@@ -46,6 +46,28 @@ class TestGenerate:
                     "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 34
 
+    def test_stdout_is_written_in_place(self, tmp_path, capfd):
+        argv = ["generate", "--n", "5", "--seed", "1", "--out"]
+        assert run(argv + [str(tmp_path / "five.csv")]) == 0
+        capfd.readouterr()
+        assert run(argv + ["/dev/stdout"]) == 0
+        assert capfd.readouterr().out == (tmp_path / "five.csv").read_text()
+        assert os.listdir(tmp_path) == ["five.csv"]
+
+
+@pytest.mark.parametrize("command, name", [
+    ("generate", "c" * 247 + ".csv"), ("train", "m" * 246 + ".json")],
+    ids=["generate", "train"])
+def test_an_output_name_near_the_longest_is_written(command, name, data_csv,
+                                                    tmp_path):
+    # the temporary file's name must fit the directory's longest name too
+    argv = (["generate", "--n", "600"] if command == "generate" else
+            ["train", "--data", str(data_csv), "--model", "logistic",
+             "--crop", "jute"])
+    assert run(argv + ["--seed", "0", "--out", str(tmp_path / name)]) == 0
+    assert os.listdir(tmp_path) == [name]
+    assert (tmp_path / name).stat().st_size > 0
+
 
 class TestClean:
     def test_duplicate_removed_and_logged(self, data_csv, tmp_path):

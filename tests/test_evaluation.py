@@ -45,14 +45,6 @@ class TestMape:
     def test_mean_of_two_misses(self):
         assert mape([110.0, 90.0], [100.0, 100.0]) == pytest.approx(10.0)
 
-    def test_length_mismatch(self):
-        with pytest.raises(AgroYieldError, match="vs actuals"):
-            mape([1.0, 2.0], [1.0])
-
-    def test_near_zero_actual(self):
-        with pytest.raises(AgroYieldError, match="too close to zero"):
-            mape([1.0], [1e-12])
-
     @given(st.lists(st.floats(0.5, 100.0), min_size=1, max_size=20),
            st.floats(0.01, 1000.0))
     def test_scale_invariance(self, actuals, c):

@@ -18,6 +18,9 @@ outside `agroyield/fork.py`, no module of the package calls or imports
 contract of the model layer: `models` hands `nn` and `baselines` float64
 arrays, so no function there calls `np.asarray`, `np.atleast_1d` or
 `np.atleast_2d` on them again, `nn.gradient_check` (one example) excepted.
+The sixth keeps one whole-file writer: outside `agroyield/schema.py`, no
+module of the package calls `open` or `os.open` to write, append, create
+or update a file.
 """
 
 import ast
@@ -197,3 +200,66 @@ def test_nn_and_baselines_convert_no_input(tmp_path):
     assert conversions(left) == ["left.py:1 np.atleast_1d",
                                  "left.py:3 np.asarray",
                                  "left.py:6 np.atleast_2d"]
+
+
+WRITE_MODES = set("wax+")
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC",
+               "O_TMPFILE"}
+
+
+def _argument(call: ast.Call, position: int, keyword: str):
+    """The expression passed to `call` at `position` or as `keyword`."""
+    if len(call.args) > position:
+        return call.args[position]
+    return next((k.value for k in call.keywords if k.arg == keyword), None)
+
+
+def file_writes(path: Path) -> list:
+    """`file:line call` for each call in `path` that may open a file for
+    writing: `open` with a mode holding w, a, x or + (or a mode that is not
+    a string constant), and `os.open` with a `WRITE_FLAGS` flag (or a
+    number among its flags)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = _argument(node, 1, "mode")
+            if mode is not None and not (
+                    isinstance(mode, ast.Constant) and type(mode.value) is str
+                    and not WRITE_MODES & set(mode.value)):
+                found.append((node.lineno, "open"))
+        elif (isinstance(func, ast.Attribute) and func.attr == "open"
+              and isinstance(func.value, ast.Name)
+              and func.value.id == "os"):
+            flags = list(ast.walk(_argument(node, 1, "flags")))
+            named = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for n in flags if isinstance(n, (ast.Attribute,
+                                                      ast.Name))}
+            if named & WRITE_FLAGS or any(isinstance(n, ast.Constant)
+                                          for n in flags):
+                found.append((node.lineno, "os.open"))
+    return [f"{path.name}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_only_the_schema_module_writes_files(tmp_path):
+    package = ROOT / "src" / "agroyield"
+    # the check finds the one writer's own opens
+    assert file_writes(package / "schema.py") != []
+    found = [entry for p in sorted(package.rglob("*.py"))
+             if p.name != "schema.py" for entry in file_writes(p)]
+    assert found == [], "\n".join(found)
+    # the check finds a write however the mode or flags are given, and
+    # passes a read
+    left = tmp_path / "left.py"
+    left.write_text(
+        "open(p)\nopen(p, 'rb')\nopen(p, mode='r', encoding='utf-8')\n"
+        "os.open(p, os.O_RDONLY)\n"
+        "open(p, 'wb')\nopen(p, mode='a')\nopen(p, 'r+')\nopen(p, 'xt')\n"
+        "open(p, m)\nos.open(p, os.O_WRONLY | os.O_CREAT, 0o644)\n"
+        "os.open(p, flags=O_RDWR)\nos.open(p, 1)\n", encoding="utf-8")
+    assert file_writes(left) == [f"left.py:{line} {name}" for line, name in (
+        (5, "open"), (6, "open"), (7, "open"), (8, "open"), (9, "open"),
+        (10, "os.open"), (11, "os.open"), (12, "os.open"))]

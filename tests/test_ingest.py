@@ -280,14 +280,6 @@ class TestSplit:
         train, test = split(31, 0.8, 3)
         assert sorted(train.tolist() + test.tolist()) == list(range(31))
 
-    def test_too_few_records(self):
-        with pytest.raises(AgroYieldError, match="need at least 2 records"):
-            split(1, 0.8, 0)
-
-    def test_ratio_bounds(self):
-        with pytest.raises(ValueError, match="train_ratio must be in"):
-            split(10, 1.5, 0)
-
 
 # ------------------------------------------------------------------------
 # The column code against the per-record code it replaced.

@@ -13,6 +13,7 @@ from agroyield.models import (
     VARIANTS,
     Model,
     Normalizer,
+    fit_model,
     load_model,
     model_from_json,
     model_to_json,
@@ -50,6 +51,14 @@ class TestVariantTable:
             predict_model(model, np.zeros((1, 46)))
         with pytest.raises(AgroYieldError, match=unknown):
             model_to_json(model)
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_an_empty_train_part_is_refused(self, variant):
+        # the normalizer's check is the one check of a non-empty train part
+        with pytest.raises(AgroYieldError, match="cannot fit a normalizer "
+                                                 "on an empty dataset"):
+            fit_model(variant, np.empty((0, 46)), np.empty(0), 17,
+                      pipeline.Hyperparams(epochs=1, trees=1), Crop.Wheat)
 
     def test_only_the_network_keeps_a_history(self, trained_models):
         for variant, model in trained_models.items():

@@ -100,11 +100,6 @@ class TestForward:
         assert acts[1][0, 0] == 0.0
         assert preds[0] == 0.0
 
-    def test_dimension_mismatch(self):
-        net = init_network((4, 3, 1))
-        with pytest.raises(AgroYieldError, match="expected 4 inputs, got 2"):
-            forward_batch(net, np.array([[1.0, 2.0]]))
-
     def test_linear_scale_consistency(self):
         # bias-free single linear layer: doubling inputs doubles output
         rng = np.random.default_rng(0)
@@ -192,11 +187,6 @@ class TestTrain:
                           patience=50, seed=0, validation_fraction=0.0)
         with pytest.raises(DivergedLoss):
             train(net, x, y, cfg)
-
-    def test_empty_training_set(self):
-        net = init_network((2, 4, 1))
-        with pytest.raises(AgroYieldError, match="no training examples"):
-            train(net, np.empty((0, 2)), np.empty(0), TrainConfig())
 
     def test_full_batch_step_never_increases_convex_mse(self):
         # single linear layer, 20 full-batch steps of lr = 1e-3

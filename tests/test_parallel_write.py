@@ -1,7 +1,8 @@
 """`write_csv` formats its rows on every CPU of the affinity mask: the
 caller writes the first range and one forked child each other range. The
 file must hold the bytes that one process writes, a failed child must not
-change them, and no child or part file may outlive the call."""
+change them, and no child or part file may outlive the call. A write that
+fails leaves the target as it was: no file, or the old bytes."""
 
 import errno
 import os
@@ -141,7 +142,7 @@ def test_an_error_in_every_process_is_the_one_process_error(tmp_path,
     assert len(pids) == 1
     assert raised["one"] == raised["all"] == (
         OSError, "[Errno 28] No space left on device")
-    assert_nothing_left(tmp_path, ["all.csv", "one.csv", "raw.csv"])
+    assert_nothing_left(tmp_path, ["raw.csv"])
 
 
 @forks
@@ -164,12 +165,48 @@ def test_an_error_in_every_process_exits_as_one_process(
         err = capsys.readouterr().err.splitlines()
         outcome[cpus] = code, [line for line in err
                                if line.startswith("data error:")]
-        assert_nothing_left(out, ["cleaned.csv" if command == "clean"
-                                  else "data.csv"])
+        assert_nothing_left(out, [])
     # the failing write forks once; `clean` also forks once to read raw.csv
     assert len(pids) == (2 if command == "clean" else 1)
     assert outcome["one"] == outcome["all"] == (
         2, ["data error: [Errno 28] No space left on device"])
+
+
+def interrupted(*args):
+    raise KeyboardInterrupt
+
+
+@forks
+@pytest.mark.parametrize("fault, code, errors", [
+    (no_space, 2, ["data error: [Errno 28] No space left on device"]),
+    (interrupted, "interrupted", [])], ids=["full_disk", "interrupt"])
+@pytest.mark.parametrize("command", ["generate", "clean"])
+def test_a_failed_rewrite_keeps_the_old_bytes(tmp_path, monkeypatch, capsys,
+                                              command, fault, code, errors):
+    raw = tmp_path / "raw.csv"
+    ingest.write_csv(dataset(2 * R + 1), raw)
+    name = "cleaned.csv" if command == "clean" else "data.csv"
+    for cpus in ("one", "all"):
+        out = tmp_path / cpus
+        out.mkdir()
+        argv = (["generate", "--n", str(2 * R + 1), "--out", str(out / name)]
+                if command == "generate"
+                else ["clean", "--data", str(raw), "--out", str(out)])
+        assert run(argv) == 0
+        old = {path: path.read_bytes() for path in out.iterdir()}
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_format_rows", fault)
+            capsys.readouterr()
+            with one_cpu() if cpus == "one" else nullcontext():
+                try:
+                    got = run(argv)
+                except KeyboardInterrupt:
+                    got = "interrupted"
+        assert got == code
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("data error:")] == errors
+        assert {path: path.read_bytes() for path in out.iterdir()} == old
+        assert_nothing_left(out, [path.name for path in old])
 
 
 @forks
@@ -190,4 +227,4 @@ def test_an_interrupt_kills_and_reaps_every_child(tmp_path, monkeypatch):
         ingest.write_csv(ds, tmp_path / "d.csv")
     assert time.monotonic() - began < 30
     assert len(pids) == 1
-    assert_nothing_left(tmp_path, ["d.csv"])
+    assert_nothing_left(tmp_path, [])

@@ -344,14 +344,14 @@ def test_year_beyond_int64_is_out_of_range(year):
 
 
 class TestWriteText:
-    """`schema.write_text` makes a regular file appear whole, through a
+    """`schema.write_file` makes a regular file appear whole, through a
     temporary file in its directory, and writes any other target in
     place."""
 
     def test_a_new_and_an_old_file_are_written_whole(self, tmp_path):
         path = tmp_path / "a.json"
-        schema.write_text(path, "first\n")
-        schema.write_text(path, "second\n")
+        schema.write_file(path, [b"first\n"])
+        schema.write_file(path, [b"sec", b"ond\n"])
         assert path.read_bytes() == b"second\n"
         assert os.listdir(tmp_path) == ["a.json"]
         umask = os.umask(0)
@@ -368,7 +368,7 @@ class TestWriteText:
 
         monkeypatch.setattr(os, "replace", full)
         with pytest.raises(OSError, match="No space left"):
-            schema.write_text(path, "new")
+            schema.write_file(path, [b"new"])
         assert path.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["a.json"]
 
@@ -382,7 +382,7 @@ class TestWriteText:
 
         monkeypatch.setattr(os, "fchmod", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            schema.write_text(tmp_path / "a.json", "text")
+            schema.write_file(tmp_path / "a.json", [b"text"])
         assert len(made) == 1 and made[0].startswith(".a.json.")
         assert os.listdir(tmp_path) == []
 
@@ -391,10 +391,10 @@ class TestWriteText:
         target.write_bytes(b"old")
         link = tmp_path / "link.json"
         link.symlink_to(target)
-        schema.write_text(link, "new")
+        schema.write_file(link, [b"new"])
         assert link.is_symlink() and target.read_bytes() == b"new"
         assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
 
     def test_stdout_is_written_in_place(self, capfd):
-        schema.write_text("/dev/stdout", "to stdout\n")
+        schema.write_file("/dev/stdout", [b"to ", b"stdout\n"])
         assert capfd.readouterr().out == "to stdout\n"
