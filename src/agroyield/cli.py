@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate, clean, train, evaluate, report, plot-data, select.
-Flag precedence: command line > --config JSON file > AGROYIELD_SEED env
+Each takes the flags of the config fields it reads (`_FIELDS`), and only
+those. Precedence: command line > --config JSON file > AGROYIELD_SEED env
 var (seed only) > built-in defaults. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 training failure.
 """
@@ -15,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from . import baselines, evaluation, fork, ingest, nn, pipeline, synthgen
@@ -40,36 +42,46 @@ _MAX_RECORDS = sys.maxsize // (8 * len(VALUE_COLUMNS))
 # (2,520), which perfbench traces in process, keeps every span in one.
 _FORK_WORK = 4_000
 
-# field -> (type, default, (allowed range, test) or None). Ranges are
-# checked on config-file values and again on the merged configuration.
-# A default is read from the class that uses the value, the train ratio's
-# excepted; epochs and lr are None because each model family has its own.
+# The one option table, field -> (type, default, range (text, test) or
+# None, flag (None: config file only), help, the commands that read it,
+# choices). A default is read from the class that uses the value, the
+# train ratio's excepted; epochs and lr are None because each model family
+# has its own.
+_Field = namedtuple("_Field", "kind default rule flag help commands choices",
+                    defaults=[None])
+_TRAINING = ("train", "report")
 _FIELDS = {
-    "seed": (int, 0, None),
-    "train_ratio": (float, 0.8, ("in (0, 1)", lambda v: 0 < v < 1)),
-    "n": (int, synthgen.GenConfig.n_records,
-          (f"from 1 to {_MAX_RECORDS}", lambda v: 1 <= v <= _MAX_RECORDS)),
-    "noise_sigma": (float, synthgen.GenConfig.noise_sigma,
-                    ("finite and >= 0", lambda v: 0 <= v < math.inf)),
-    "epochs": (int, None, _POSITIVE),
-    "lr": (float, None, ("finite and > 0", lambda v: 0 < v < math.inf)),
-    "trees": (int, baselines.ForestConfig.n_trees, _POSITIVE),
-    "batch_size": (int, nn.TrainConfig.batch_size, _POSITIVE),
-    "patience": (int, nn.TrainConfig.patience, (">= 0", lambda v: v >= 0)),
-    "model": (str, None, None),
-    "crop": (str, None, None),
-    "responses": (str, None, None),
+    "seed": _Field(int, 0, None, "--seed", "random seed",
+                   ("generate", "train", "evaluate", "report")),
+    "train_ratio": _Field(float, 0.8, ("in (0, 1)", lambda v: 0 < v < 1),
+                          "--ratio", "train fraction",
+                          ("train", "evaluate", "report")),
+    "n": _Field(int, synthgen.GenConfig.n_records,
+                (f"from 1 to {_MAX_RECORDS}",
+                 lambda v: 1 <= v <= _MAX_RECORDS),
+                "--n", "number of records", ("generate",)),
+    "noise_sigma": _Field(float, synthgen.GenConfig.noise_sigma,
+                          ("finite and >= 0", lambda v: 0 <= v < math.inf),
+                          "--noise", "relative noise sigma", ("generate",)),
+    "epochs": _Field(int, None, _POSITIVE, "--epochs", "training epochs",
+                     _TRAINING),
+    "lr": _Field(float, None, ("finite and > 0", lambda v: 0 < v < math.inf),
+                 "--lr", "learning rate", _TRAINING),
+    "trees": _Field(int, baselines.ForestConfig.n_trees, _POSITIVE,
+                    "--trees", "forest size", _TRAINING),
+    "batch_size": _Field(int, nn.TrainConfig.batch_size, _POSITIVE, None,
+                         None, _TRAINING),
+    "patience": _Field(int, nn.TrainConfig.patience,
+                       (">= 0", lambda v: v >= 0), None, None, _TRAINING),
+    "model": _Field(str, None, None, "--model", "model family", ("train",),
+                    tuple(VARIANTS)),
+    "crop": _Field(str, None, None, "--crop", "crop to train", ("train",)),
+    "responses": _Field(str, None, None, "--responses",
+                        "crop-response JSON file", ("generate",)),
 }
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _check_ranges(values: dict, where: str) -> None:
-    for key, (_, _, rule) in _FIELDS.items():
-        value = values.get(key)
-        if rule is not None and value is not None and not rule[1](value):
-            raise AgroYieldError(f"{where}{key} must be {rule[0]}, got {value}")
 
 
 def _typed(key: str, value, where: str):
@@ -78,7 +90,7 @@ def _typed(key: str, value, where: str):
     Nothing else is converted: a bool, 2.9 or 3.0 for an int field, or a
     string for a number raises AgroYieldError.
     """
-    kind = _FIELDS[key][0]
+    kind = _FIELDS[key].kind
     if kind is float and type(value) is int:
         try:
             value = float(value)
@@ -91,7 +103,8 @@ def _typed(key: str, value, where: str):
 
 
 def load_config(path) -> dict:
-    """Parse a JSON config file, validating field names, types and ranges."""
+    """Parse a JSON config file, validating field names and types. Ranges
+    are checked where a command merges the fields it reads."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -108,30 +121,35 @@ def load_config(path) -> dict:
         if value is not None:
             value = _typed(key, value, f"config {path}: ")
         out[key] = value
-    _check_ranges(out, f"config {path}: ")
     return out
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults < env seed < config file < explicit flags."""
-    effective = {key: default for key, (_, default, _) in _FIELDS.items()}
+def _merge(effective: dict, values: dict, where: str) -> None:
+    """Set each field of `effective` that `values` gives a value other
+    than None, once it is checked against the field's range."""
+    for key in effective:
+        value, rule = values.get(key), _FIELDS[key].rule
+        if value is None:
+            continue
+        if rule is not None and not rule[1](value):
+            raise AgroYieldError(f"{where}{key} must be {rule[0]}, got {value}")
+        effective[key] = value
+
+
+def resolve_config(args: argparse.Namespace, command: str) -> dict:
+    """Merge defaults < env seed < config file < explicit flags for the
+    fields `command` reads; the config file's other fields are ignored."""
+    effective = {key: field.default for key, field in _FIELDS.items()
+                 if command in field.commands}
     env_seed = os.environ.get("AGROYIELD_SEED")
-    if env_seed is not None:
+    if "seed" in effective and env_seed is not None:
         try:
             effective["seed"] = int(env_seed)
         except ValueError as exc:
             raise AgroYieldError("AGROYIELD_SEED is not an integer") from exc
     if getattr(args, "config", None):
-        file_values = load_config(args.config)
-        for key, value in file_values.items():
-            if value is not None:
-                effective[key] = value
-    flag_of = {"train_ratio": "ratio", "noise_sigma": "noise"}
-    for key in _FIELDS:
-        value = getattr(args, flag_of.get(key, key), None)
-        if value is not None:
-            effective[key] = value
-    _check_ranges(effective, "")
+        _merge(effective, load_config(args.config), f"config {args.config}: ")
+    _merge(effective, vars(args), "")
     log.info("effective config: %s", json.dumps(effective, sort_keys=True))
     return effective
 
@@ -359,64 +377,39 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Crop selection and yield prediction pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def command(name, func, help, out="output directory", required=True,
+                data=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--ratio", type=float, help="train fraction")
         if data:
             p.add_argument("--data", required=True, help="input CSV")
+        p.add_argument("--out", required=required, help=out)
+        return p
 
-    p = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    common(p, data=False)
-    p.add_argument("--n", type=int)
-    p.add_argument("--noise", type=float, help="relative noise sigma")
-    p.add_argument("--coverage", action="store_true",
-                   help="one record per (district, year, crop)")
-    p.add_argument("--responses", help="crop-response JSON file")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("clean", help="deduplicate and drop invalid records")
-    common(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_clean)
-
-    p = sub.add_parser("train", help="train one model for one crop")
-    common(p)
-    p.add_argument("--model", choices=list(VARIANTS))
-    p.add_argument("--crop")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--out", required=True, help="model JSON path")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("evaluate", help="evaluate saved models")
-    common(p)
+    p = command("generate", _cmd_generate, "write a synthetic dataset CSV",
+                "output CSV", data=False)
+    count = p.add_mutually_exclusive_group()  # --n joins it below
+    count.add_argument("--coverage", action="store_true",
+                       help="one record per (district, year, crop)")
+    command("clean", _cmd_clean, "deduplicate and drop invalid records")
+    command("train", _cmd_train, "train one model for one crop",
+            "model JSON path")
+    p = command("evaluate", _cmd_evaluate, "evaluate saved models",
+                "metrics JSON path (default stdout)", required=False)
     p.add_argument("models", nargs="+", help="model JSON files")
-    p.add_argument("--out", help="metrics JSON path (default stdout)")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("report", help="full 4-model x per-crop comparison")
-    common(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("plot-data", help="emit plot-ready CSV series")
-    common(p)
+    command("report", _cmd_report, "full 4-model x per-crop comparison")
+    p = command("plot-data", _cmd_plot_data, "emit plot-ready CSV series")
     p.add_argument("--kind", choices=list(evaluation.PLOT_KINDS))
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_plot_data)
-
-    p = sub.add_parser("select", help="recommend the best crop for a record")
-    common(p)
+    p = command("select", _cmd_select, "recommend the best crop for a record",
+                "recommendation JSON path (default stdout)", required=False)
     p.add_argument("models", nargs="+", help="six per-crop model files")
-    p.add_argument("--out", help="recommendation JSON path (default stdout)")
-    p.set_defaults(func=_cmd_select)
-
+    for name, p in sub.choices.items():  # each field's flag where it is read
+        for key, field in _FIELDS.items():
+            if field.flag and name in field.commands:
+                into = count if (name, key) == ("generate", "n") else p
+                into.add_argument(field.flag, dest=key, type=field.kind,
+                                  choices=field.choices, help=field.help)
     return parser
 
 
@@ -429,7 +422,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(args, args.command)
         return args.func(args, cfg)
     except DivergedLoss as exc:
         log.error("training failure: %s", exc)

@@ -128,8 +128,9 @@ def _columns(rows: list, start: int) -> tuple:
 
 
 def parse_csv(stream, source: str = "<stream>") -> Dataset:
-    """Parse a CSV stream; malformed rows are logged and skipped, while
-    bytes that are not UTF-8 or an oversized field raise AgroYieldError."""
+    """Parse a CSV stream; malformed rows, and a last row without a line
+    end, are logged and skipped, while bytes that are not UTF-8 or an
+    oversized field raise AgroYieldError."""
     try:
         return _parse_rows(stream, source)
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -194,12 +195,28 @@ def _parse_rows(stream, source: str) -> Dataset:
                                  f"column {i} is {got!r}, expected {want!r}")
     # every data row takes at least one of the lines left: count them, then
     # parse again from the top into arrays of that many rows
-    capacity = sum(1 for _ in stream)
+    capacity, line = 0, "\n"
+    for capacity, line in enumerate(stream, 1):
+        pass
     stream.seek(begin)
     reader = csv.reader(stream)
     next(reader)
     arrays, log = _empty_columns(capacity), []
     filled = _fill(arrays, 0, _row_blocks(reader, 0), log)
+    return _dataset(arrays, filled, log, source,
+                    cut=not line.endswith(("\n", "\r")))
+
+
+def _dataset(arrays: list, filled: int, log: list, source: str,
+             cut: bool) -> Dataset:
+    """The Dataset of the first `filled` rows of `arrays`, with the failed
+    rows that `log` lists. When `cut`, the last row has no line end, which
+    every CSV this program writes has, so it may have been cut short: it
+    is logged as a parse failure too."""
+    last = filled + len(log) - 1
+    if cut and (not log or log[-1][0] != last):
+        filled -= 1
+        log.append((last, "parse failure"))
     return Dataset(*(a[:filled] for a in arrays), source=source,
                    cleaning_log=log)
 
@@ -251,6 +268,8 @@ def _load_parts(path, source: str) -> Dataset | None:
         if header not in (_HEADER_LINE, _HEADER_LINE[:-1] + b"\r\n"):
             return None
         starts = _line_starts(fh)
+        fh.seek(-1, os.SEEK_END)
+        cut = fh.read(1) != b"\n"
     if starts is None:
         return None
     n = len(starts)
@@ -259,8 +278,7 @@ def _load_parts(path, source: str) -> Dataset | None:
                    fork.ranges(n, n // _FORK_ROWS),
                    os.path.dirname(os.path.abspath(path))) as blocks:
         filled = _fill(arrays, 0, blocks, log)
-    return Dataset(*(a[:filled] for a in arrays), source=source,
-                   cleaning_log=log)
+    return _dataset(arrays, filled, log, source, cut)
 
 
 def load_csv(path) -> Dataset:

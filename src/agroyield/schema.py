@@ -229,15 +229,20 @@ def write_file(path, chunks) -> None:
     temporary name is `.<name>.<random>.part`, with `<name>` cut to fit the
     directory's longest file name. A target that exists and is not a
     regular file (a symlink such as /dev/stdout, a FIFO, a device) is
-    written in place, since a rename would replace it. The file gets the
-    mode a new file opened for writing gets."""
+    written in place, since a rename would replace it: through fd 1 itself
+    when it is the file that fd 1 writes, which keeps a shell's `>>`
+    append. The file gets the mode a new file opened for writing gets."""
     path = os.fspath(path)
     try:
         in_place = not stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         in_place = False
     if in_place:
-        with open(path, "wb") as fh:
+        try:
+            stdout = os.path.samestat(os.stat(path), os.fstat(1))
+        except OSError:  # a dangling symlink, or no fd 1
+            stdout = False
+        with open(1 if stdout else path, "wb", closefd=not stdout) as fh:
             fh.writelines(chunks)
         return
     directory, name = os.path.split(path)

@@ -1,9 +1,14 @@
+import argparse
 import copy
 import errno
+import itertools
 import json
 import math
 import os
+import re
+import shlex
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -45,6 +50,26 @@ class TestGenerate:
         assert run(["generate", "--n", "33", "--seed", "1",
                     "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 34
+
+    def test_coverage_excludes_n(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run(["generate", "--coverage", "--n", "5",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_stdout_keeps_a_shell_append(self, tmp_path):
+        argv = ["generate", "--n", "2", "--seed", "1", "--out"]
+        assert run(argv + [str(tmp_path / "two.csv")]) == 0
+        log = tmp_path / "log.csv"
+        log.write_text("an earlier line\n")
+        command = " ".join(map(shlex.quote, [
+            sys.executable, "-m", "agroyield.cli", *argv, "/dev/stdout"]))
+        src = str(Path(cli.__file__).parents[1])
+        subprocess.run(f"{command} >> log.csv", shell=True, cwd=tmp_path,
+                       env={**os.environ, "PYTHONPATH": src}, check=True,
+                       stderr=subprocess.DEVNULL, timeout=60)
+        assert log.read_text() == ("an earlier line\n"
+                                   + (tmp_path / "two.csv").read_text())
 
     def test_stdout_is_written_in_place(self, tmp_path, capfd):
         argv = ["generate", "--n", "5", "--seed", "1", "--out"]
@@ -396,7 +421,7 @@ def test_each_row_is_validated_once_per_command(tmp_path, monkeypatch):
                           "--out", str(tmp_path / "m.json")) == 120
     assert rows_validated("evaluate", *common, model,
                           "--out", str(tmp_path / "metrics.json")) == 120
-    assert rows_validated("plot-data", *common,
+    assert rows_validated("plot-data", "--data", str(data),
                           "--out", str(tmp_path / "plots")) == 120
     one = tmp_path / "one.csv"
     one.write_text(lines[0] + lines[1])
@@ -430,9 +455,8 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text("{}")
         assert load_config(path) == {}
-        import argparse
         args = argparse.Namespace(config=str(path))
-        cfg = resolve_config(args)
+        cfg = resolve_config(args, "report")
         assert cfg["train_ratio"] == 0.8
         assert cfg["trees"] == 100
         assert cfg["seed"] == 0
@@ -440,28 +464,26 @@ class TestConfig:
     def test_flag_overrides_config_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"seed": 42}')
-        import argparse
         args = argparse.Namespace(config=str(path), seed=7)
-        assert resolve_config(args)["seed"] == 7
+        assert resolve_config(args, "train")["seed"] == 7
 
     def test_config_file_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AGROYIELD_SEED", "99")
         path = tmp_path / "c.json"
         path.write_text('{"seed": 42}')
-        import argparse
         args = argparse.Namespace(config=str(path))
-        assert resolve_config(args)["seed"] == 42
+        assert resolve_config(args, "evaluate")["seed"] == 42
 
     def test_env_seed_is_lowest_precedence_source(self, monkeypatch):
         monkeypatch.setenv("AGROYIELD_SEED", "99")
-        import argparse
-        assert resolve_config(argparse.Namespace())["seed"] == 99
+        assert resolve_config(argparse.Namespace(), "generate")["seed"] == 99
 
     def test_out_of_range_ratio_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"train_ratio": 1.5}')
-        with pytest.raises(AgroYieldError, match="train_ratio must be in"):
-            load_config(path)
+        with pytest.raises(AgroYieldError, match=re.escape(
+                f"config {path}: train_ratio must be in (0, 1), got 1.5")):
+            resolve_config(argparse.Namespace(config=str(path)), "train")
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -620,6 +642,102 @@ def test_one_parser_per_process_parses_like_fresh_parsers(
     fresh = _run_calls(tmp_path / "fresh", monkeypatch, capsys, True)
     assert [code for code, _, _ in shared[0]] == [0, 1, 0, 2, 0]
     assert shared == fresh
+
+
+# the field flags each command reads; any other is a usage error
+_READS = {
+    "generate": {"--seed", "--n", "--noise", "--responses"},
+    "clean": set(),
+    "train": {"--seed", "--ratio", "--model", "--crop", "--epochs", "--lr",
+              "--trees"},
+    "evaluate": {"--seed", "--ratio"},
+    "report": {"--seed", "--ratio", "--epochs", "--lr", "--trees"},
+    "plot-data": set(),
+    "select": set(),
+}
+# a value for each field flag; --ratio's is out of range, so a command that
+# does not read it must refuse it as a usage error (1), not a range (2)
+_FIELD_FLAG_VALUES = {
+    "--seed": "1", "--ratio": "5", "--n": "5", "--noise": "0.1",
+    "--responses": "r.json", "--model": "logistic", "--crop": "jute",
+    "--epochs": "1", "--lr": "0.1", "--trees": "1"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, reads in _READS.items()
+    for flag in sorted(set(_FIELD_FLAG_VALUES) - reads)])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        command, flag, data_csv, tmp_path):
+    out = tmp_path / "out"
+    argv = ([command, "--n", "5"] if command == "generate"
+            else [command, "--data", str(data_csv)])
+    argv += ["m.json"] if command in ("evaluate", "select") else []
+    argv += ["--out", str(out)]
+    cli._build_parser().parse_args(argv)  # valid without the flag
+    assert run(argv + [flag, _FIELD_FLAG_VALUES[flag]]) == 1
+    assert not out.exists()
+
+
+def test_a_config_field_the_command_does_not_read_is_ignored(
+        data_csv, crop_models, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"trees": 0}')
+    assert run(["select", "--data", str(data_csv), "--config", str(config),
+                "--out", str(tmp_path / "rec.json"), *crop_models]) == 0
+    config.write_text('{"epochs": 3, "n": 5}')
+    capsys.readouterr()
+    assert run(["plot-data", "--data", str(data_csv), "--config",
+                str(config), "--out", str(tmp_path / "plots")]) == 0
+    assert "effective config: {}" in capsys.readouterr().err.splitlines()
+
+
+def test_an_ill_typed_field_the_command_does_not_read_exits_2(
+        data_csv, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text('{"trees": "many"}')
+    out = tmp_path / "cleaned"
+    assert run(["clean", "--data", str(data_csv), "--config", str(config),
+                "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"data error: config {config}: trees must be an integer, got 'many'")
+
+
+@pytest.mark.parametrize("command", ["clean", "generate"])
+def test_the_env_seed_is_read_only_where_the_seed_is(
+        command, data_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("AGROYIELD_SEED", "x")
+    argv = (["generate", "--n", "5"] if command == "generate"
+            else ["clean", "--data", str(data_csv)])
+    code = run(argv + ["--out", str(tmp_path / "out")])
+    if command == "clean":
+        assert code == 0
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "data error: AGROYIELD_SEED is not an integer")
+
+
+def test_the_readme_option_table_is_the_parser_s():
+    """README's per-command table lists each subparser's options and the
+    config fields that its command reads."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Command | Options | Config fields |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                    lines[start:]):
+        command, options, fields = (re.findall(r"`([^`]+)`", cell)
+                                    for cell in line.split("|")[1:4])
+        table[command[0]] = (sorted(options), sorted(fields))
+    sub = next(action for action in cli._build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert table == {
+        name: (sorted(option for action in p._actions if action.dest != "help"
+                      for option in action.option_strings or [action.dest]),
+               sorted(key for key, field in cli._FIELDS.items()
+                      if name in field.commands))
+        for name, p in sub.choices.items()}
 
 
 def _shipped_responses(**jute):
@@ -915,13 +1033,14 @@ def test_out_of_range_value_exits_2(field, data, data_csv, scratch_dir):
     in_config = flag is None or data.draw(st.booleans(), label="in_config")
     work = Path(tempfile.mkdtemp(dir=scratch_dir))
     out = work / "out"
+    # a command that reads the field
+    argv = (["generate"] if field in ("n", "noise_sigma")
+            else ["report", "--data", str(data_csv)])
     if in_config:
         config = work / "c.json"
         config.write_text(json.dumps({field: value}))
-        argv = ["report", "--data", str(data_csv), "--config", str(config)]
-    elif field in ("n", "noise_sigma", "train_ratio"):
-        argv = ["generate", f"{flag}={value!r}"]
+        argv += ["--config", str(config)]
     else:
-        argv = ["report", "--data", str(data_csv), f"{flag}={value!r}"]
+        argv += [f"{flag}={value!r}"]
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()

@@ -107,14 +107,14 @@ _FLAG_VALUES = {
 
 # the flags each subcommand takes besides --config, --data and --out
 _COMMAND_FLAGS = {
-    "generate": ["--seed", "--ratio", "--n", "--noise"],
-    "clean": ["--seed", "--ratio"],
+    "generate": ["--seed", "--n", "--noise"],
+    "clean": [],
     "train": ["--seed", "--ratio", "--model", "--crop", "--epochs", "--lr",
               "--trees"],
     "evaluate": ["--seed", "--ratio"],
     "report": ["--seed", "--ratio", "--epochs", "--lr", "--trees"],
-    "plot-data": ["--seed", "--ratio", "--kind"],
-    "select": ["--seed", "--ratio"],
+    "plot-data": ["--kind"],
+    "select": [],
 }
 
 _CONFIG_FIELDS = st.sampled_from([
@@ -169,16 +169,18 @@ def _argv(data, inputs, work):
                 if isinstance(doc.get(key), int) and doc[key] > 3:
                     doc[key] = 3
         argv += ["--config", file("c.json", json.dumps(doc).encode())]
-    for flag in data.draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]),
-                                   max_size=2), label="flags"):
+    flags = _COMMAND_FLAGS[command]
+    for flag in data.draw(st.lists(st.sampled_from(flags), max_size=2)
+                          if flags else st.just([]), label="flags"):
         values = _FLAG_VALUES[flag]
         value = values[0] if fault != "flag" else data.draw(
             st.sampled_from(values), label=flag)
         argv += [flag, value]
-    if fault == "foreign":
-        argv += data.draw(st.sampled_from([["--bogus"], ["--kind", "yield"],
-                                           ["--coverage", "x"]]),
-                          label="foreign")
+    if fault == "foreign":  # an unknown flag, or another command's
+        flag = data.draw(st.sampled_from(["--bogus", "--coverage"] + sorted(
+            set(_FLAG_VALUES) - set(_COMMAND_FLAGS[command]))),
+            label="foreign")
+        argv += [flag, _FLAG_VALUES.get(flag, ["x"])[0]]
     if fault == "drop":
         del argv[data.draw(st.integers(1, len(argv) - 1), label="drop at")]
     if fault in ("file", "swap", "missing") and files:
