@@ -154,13 +154,6 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
     return effective
 
 
-def _hyper(cfg: dict) -> pipeline.Hyperparams:
-    return pipeline.Hyperparams(
-        epochs=cfg["epochs"], learning_rate=cfg["lr"], trees=cfg["trees"],
-        batch_size=cfg["batch_size"], patience=cfg["patience"],
-    )
-
-
 def _load_clean(path) -> ingest.Dataset:
     return ingest.clean(ingest.load_csv(path))
 
@@ -236,10 +229,10 @@ def _cmd_train(args, cfg):
     except ValueError as exc:
         raise AgroYieldError(str(exc)) from exc
     dataset = _load_clean(args.data)
-    crop_split = pipeline.prepare_crop_split(
-        dataset, crop, cfg["train_ratio"], cfg["seed"])
-    model = pipeline.train_variant(cfg["model"], crop_split, cfg["seed"],
-                                   _hyper(cfg))
+    rows = pipeline.split_trainable(dataset, crop, cfg["train_ratio"],
+                                    cfg["seed"])
+    crop_split = pipeline.prepare_crop_split(dataset, crop, *rows)
+    model = pipeline.train_variant(cfg["model"], crop_split, cfg["seed"], cfg)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.out)
     if model.history is not None:
@@ -250,13 +243,14 @@ def _cmd_train(args, cfg):
 
 def _cmd_evaluate(args, cfg):
     dataset = _load_clean(args.data)
-    results, tests = {}, {}  # crop -> its encoded test rows, made once
+    results, tests = {}, {}  # crop -> its checked, encoded test rows
     for path in args.models:
         model = _load_crop_model(path)
         if model.crop not in tests:
             _, rows = pipeline.split_crop(
                 dataset, model.crop, cfg["train_ratio"], cfg["seed"])
             tests[model.crop] = pipeline.encode_rows(dataset, rows)
+            evaluation.check_scorable(model.crop, tests[model.crop][1])
         metrics = evaluation.evaluate(model, *tests[model.crop])
         results[str(path)] = {
             "variant": model.variant,
@@ -269,17 +263,18 @@ def _cmd_evaluate(args, cfg):
     return 0
 
 
-def _train_crops(dataset, cfg, crops):
-    """For each crop of `crops`, in order, split where this runs: (crop,
-    variant, model) of each of its four variants as it is trained, then
-    (crop, None, metrics by variant) scored on its test rows."""
-    for crop in crops:
-        crop_split = pipeline.prepare_crop_split(
-            dataset, crop, cfg["train_ratio"], cfg["seed"])
+def _train_crops(dataset, cfg, splits):
+    """For each (crop, train rows, test rows) of `splits`, in order,
+    encoded where this runs: (crop, variant, model) of each of its four
+    variants as it is trained, then (crop, None, metrics by variant) scored
+    on its test rows."""
+    for crop, train_rows, test_rows in splits:
+        crop_split = pipeline.prepare_crop_split(dataset, crop, train_rows,
+                                                 test_rows)
         trained = {}
         for variant, _ in evaluation.METHOD_ORDER:
             trained[variant] = pipeline.train_variant(
-                variant, crop_split, cfg["seed"], _hyper(cfg))
+                variant, crop_split, cfg["seed"], cfg)
             yield crop, variant, trained[variant]
         yield crop, None, evaluation.compare(trained, crop_split.x_test,
                                              crop_split.y_test)
@@ -296,30 +291,32 @@ def _training_work(rows: int, cfg: dict) -> int:
 
 def _cmd_report(args, cfg):
     """Train and score each crop's four variants, then write the report.
-    Every crop is checked first, before anything is made under `--out`: it
-    must split with a train row and have test yields that can be scored.
-    Each model file is saved as its model comes in, and each crop logged
-    once scored, in crop order.
+    Every crop is split and checked once, first, before anything is made
+    under `--out`: it must split with a train row and have test yields that
+    can be scored. Each model file is saved as its model comes in, and each
+    crop logged once scored, in crop order.
 
     From `_FORK_WORK` row passes of training on, the crops are trained in
     the `fork.each` of their ranges, one crop at least per range, with
     part files under `--out`, so the files, the log and any error raised
     are those of one process."""
     dataset = _load_records(args.data)
-    crops = [crop for crop in Crop if (dataset.crop == crop.value).any()]
-    for crop in crops:
-        _, test = pipeline.split_trainable(dataset, crop, cfg["train_ratio"],
-                                           cfg["seed"])
-        evaluation.check_scorable(
-            crop, dataset.values[test, VALUE_INDEX["yield"]])
+    splits = []  # (crop, train rows, test rows) of each crop present
+    for crop in Crop:
+        if (dataset.crop == crop.value).any():
+            train, test = pipeline.split_trainable(
+                dataset, crop, cfg["train_ratio"], cfg["seed"])
+            evaluation.check_scorable(
+                crop, dataset.values[test, VALUE_INDEX["yield"]])
+            splits.append((crop, train, test))
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
-    most = (len(crops) if _training_work(len(dataset), cfg) >= _FORK_WORK
+    most = (len(splits) if _training_work(len(dataset), cfg) >= _FORK_WORK
             else 1)
     metrics_by_crop = {}
     with fork.each(functools.partial(_train_crops, dataset, cfg),
-                   [crops[start:stop]
-                    for start, stop in fork.ranges(len(crops), most)],
+                   [splits[start:stop]
+                    for start, stop in fork.ranges(len(splits), most)],
                    out) as results:
         for crop, variant, result in results:
             if variant is None:

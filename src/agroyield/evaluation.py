@@ -5,7 +5,9 @@ percentage error (accuracy + error = 100). The comparison table keeps
 the literal column name "MSE (%)" for layout compatibility with the
 published tables even though the value is the MAPE; report footnotes say
 so. `evaluate` and `compare` score encoded test rows (raw features and
-yields, as `pipeline.CropSplit` holds them) and encode nothing.
+yields, as `pipeline.CropSplit` holds them) and encode nothing. Each
+command that scores checks every crop's test yields once, where it enters
+(`check_scorable`), so `evaluate` trusts them.
 """
 
 from __future__ import annotations
@@ -61,29 +63,28 @@ class PlotSeries:
 
 def mape(predictions, actuals) -> float:
     """(100 / n) * sum |pred - actual| / |actual| of n >= 1 predictions and
-    as many actuals, each above `NEAR_ZERO_ACTUAL`, as `evaluate` checks."""
+    as many actuals, each above `NEAR_ZERO_ACTUAL` (`check_scorable`)."""
     p = np.asarray(predictions, dtype=float)
     a = np.asarray(actuals, dtype=float)
     return float(100.0 * np.mean(np.abs(p - a) / np.abs(a)))
 
 
-def check_scorable(crop: Crop | None, actuals) -> None:
+def check_scorable(crop: Crop, actuals) -> None:
     """AgroYieldError naming `crop` unless every test yield of `actuals`
     is above `NEAR_ZERO_ACTUAL`."""
     near_zero = np.count_nonzero(np.abs(actuals) <= NEAR_ZERO_ACTUAL)
     if near_zero:
         raise AgroYieldError(
-            f"crop {getattr(crop, 'name', None)} has {near_zero} of "
-            f"{len(actuals)} test rows with a yield of at most "
-            f"{NEAR_ZERO_ACTUAL:g} t/ha; a scored yield must be above it")
+            f"crop {crop.name} has {near_zero} of {len(actuals)} test rows "
+            f"with a yield of at most {NEAR_ZERO_ACTUAL:g} t/ha; a scored "
+            f"yield must be above it")
 
 
 def evaluate(model: Model, x, actuals) -> Metrics:
     """Metrics of `model` on raw feature rows `x` with yields `actuals`,
-    which `check_scorable` must pass."""
+    which the caller has passed through `check_scorable`."""
     if len(actuals) == 0:
         raise AgroYieldError("no test records")
-    check_scorable(model.crop, actuals)
     return Metrics(error_pct=mape(predict_model(model, x), actuals),
                    n_test=len(actuals))
 

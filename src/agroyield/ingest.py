@@ -1,4 +1,5 @@
-"""CSV parsing and writing, cleaning, row encoding, seeded row-index splits.
+"""CSV parsing and writing, cleaning and row encoding. Splits are
+`pipeline`'s.
 
 A `Dataset` holds columns: `district` and `crop` enum values, an int64
 `year`, an (n, 47) float matrix `values` of the features other than the
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import fork, schema
 from .errors import AgroYieldError
-from .rng import GAMMA, MIX1, MIX2, SplitMix64
+from .rng import GAMMA, MIX1, MIX2
 from .schema import Crop, District
 
 CSV_HEADER = (
@@ -420,11 +421,3 @@ def feature_matrix(year, values) -> np.ndarray:
 def target_vector(dataset: Dataset) -> np.ndarray:
     return dataset.values[:, _YIELD].copy()
 
-
-def split(n: int, train_ratio: float, seed: int) -> tuple:
-    """Seeded shuffle split of rows 0, ..., n - 1, n >= 2, into (train,
-    test) int64 index arrays; train gets the first floor(n * ratio) of the
-    order. `pipeline.split_crop` checks n and the CLI the ratio."""
-    order = np.array(SplitMix64(seed).permutation(n), dtype=np.int64)
-    n_train = int(n * train_ratio)
-    return order[:n_train], order[n_train:]

@@ -48,7 +48,7 @@ _INDICATOR_MASK = np.array(
 @dataclass(frozen=True)
 class Variant:
     label: str              # method name in the report tables
-    fit: Callable           # (x, y, hyper, seed) -> (payload, history or None)
+    fit: Callable           # (x, y, settings, seed) -> (payload, history|None)
     predict_raw: Callable   # (payload, x_norm) -> normalized predictions
     to_dict: Callable       # payload -> JSON-ready dict
     from_dict: Callable     # dict -> payload
@@ -111,19 +111,20 @@ class Model:
     history: nn.LossHistory | None = None  # set by training, not serialized
 
 
-def _set(**values) -> dict:
-    """The keyword arguments that were given a value, so that the trainer's
-    own default stands for each one that was not."""
-    return {key: value for key, value in values.items() if value is not None}
+def _set(settings: dict, **names) -> dict:
+    """The trainer arguments of `names` (argument="CLI field") whose field
+    `settings` sets; the trainer's own default stands for the others."""
+    return {arg: settings[key] for arg, key in names.items()
+            if settings.get(key) is not None}
 
 
 # The entries below reach nn and baselines through the module attribute at
 # call time, so a function replaced there (e.g. by a tracer) is the one run.
 
-def _fit_dnn(x, y, hyper, seed):
+def _fit_dnn(x, y, settings, seed):
     cfg = nn.TrainConfig(seed=seed, **_set(
-        learning_rate=hyper.learning_rate, batch_size=hyper.batch_size,
-        max_epochs=hyper.epochs, patience=hyper.patience))
+        settings, learning_rate="lr", batch_size="batch_size",
+        max_epochs="epochs", patience="patience"))
     return nn.train(nn.init_network(seed=seed), x, y, cfg)
 
 
@@ -169,14 +170,14 @@ def _dnn_from_dict(d: dict) -> nn.Network:
     )
 
 
-def _fit_svm(x, y, hyper, seed):
+def _fit_svm(x, y, settings, seed):
     return baselines.train_svm(x, y, **_set(
-        learning_rate=hyper.learning_rate, epochs=hyper.epochs)), None
+        settings, learning_rate="lr", epochs="epochs")), None
 
 
-def _fit_forest(x, y, hyper, seed):
+def _fit_forest(x, y, settings, seed):
     return baselines.train_forest(x, y, baselines.ForestConfig(
-        seed=seed, **_set(n_trees=hyper.trees))), None
+        seed=seed, **_set(settings, n_trees="trees"))), None
 
 
 def _forest_to_dict(p: baselines.ForestModel) -> dict:
@@ -234,9 +235,9 @@ def _forest_from_dict(d: dict) -> baselines.ForestModel:
     return baselines.ForestModel(flat_trees=trees, config=cfg)
 
 
-def _fit_logistic(x, y, hyper, seed):
+def _fit_logistic(x, y, settings, seed):
     return baselines.train_logistic(x, y, **_set(
-        learning_rate=hyper.learning_rate, epochs=hyper.epochs)), None
+        settings, learning_rate="lr", epochs="epochs")), None
 
 
 VARIANTS = {
@@ -287,16 +288,18 @@ def variant_spec(name) -> Variant:
                              f"one of {', '.join(VARIANTS)}") from None
 
 
-def fit_model(variant: str, x: np.ndarray, y: np.ndarray, seed: int, hyper,
-              crop: schema.Crop | None) -> Model:
+def fit_model(variant: str, x: np.ndarray, y: np.ndarray, seed: int,
+              settings: dict, crop: schema.Crop | None) -> Model:
     """Fit one model of `variant` on raw (n, 46) train rows `x` and their
     yields `y` (t/ha): the min-max scaling is fitted on them first, and the
-    model is trained on the scaled rows. `hyper` holds the trainer settings
-    (`pipeline.Hyperparams`); None leaves the trainer's default."""
+    model is trained on the scaled rows. `settings` holds training fields
+    as `cli.resolve_config` gives them (`epochs`, `lr`, `trees`,
+    `batch_size`, `patience`): each `_fit_*` entry maps them to its
+    trainer's arguments, and one missing or None leaves its default."""
     normalizer = Normalizer.fit(x, y)
     spec = variant_spec(variant)
     payload, history = spec.fit(normalizer.scale(x),
-                                normalizer.scale_target(y), hyper, seed)
+                                normalizer.scale_target(y), settings, seed)
     return Model(variant=variant, payload=payload, normalizer=normalizer,
                  crop=crop, history=history)
 

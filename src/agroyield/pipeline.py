@@ -1,5 +1,6 @@
-"""Per-crop splits, as row indices and as encoded arrays, and model
-training for the CLI's `train`, `evaluate` and `report` commands."""
+"""Per-crop splits, made here alone and once per command, as row indices
+and as encoded arrays, and model training for the CLI's `train`,
+`evaluate` and `report` commands, with the settings the CLI resolved."""
 
 from __future__ import annotations
 
@@ -10,19 +11,8 @@ import numpy as np
 from . import ingest
 from .errors import AgroYieldError
 from .models import Model, fit_model
-from .rng import derive_seed
+from .rng import SplitMix64, derive_seed
 from .schema import Crop
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """The training settings the CLI takes. None leaves the default of the
-    trainer, which is the one place each default is written."""
-    epochs: int | None = None
-    learning_rate: float | None = None
-    trees: int | None = None
-    batch_size: int | None = None
-    patience: int | None = None
 
 
 @dataclass
@@ -34,6 +24,15 @@ class CropSplit:
     y_test: np.ndarray   # (n_test,)
 
 
+def split(n: int, train_ratio: float, seed: int) -> tuple:
+    """Seeded shuffle split of rows 0, ..., n - 1, n >= 2, into (train,
+    test) int64 index arrays; train gets the first floor(n * ratio) of the
+    order. `split_crop` checks n and the CLI the ratio."""
+    order = np.array(SplitMix64(seed).permutation(n), dtype=np.int64)
+    n_train = int(n * train_ratio)
+    return order[:n_train], order[n_train:]
+
+
 def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
                seed: int) -> tuple:
     """The (train, test) indices into `dataset` of one crop's rows, split
@@ -42,8 +41,8 @@ def split_crop(dataset: ingest.Dataset, crop: Crop, train_ratio: float,
     if len(rows) < 2:
         raise AgroYieldError(
             f"crop {crop.name} has {len(rows)} records; need at least 2")
-    train, test = ingest.split(len(rows), train_ratio,
-                               derive_seed(seed, f"split.{crop.name}"))
+    train, test = split(len(rows), train_ratio,
+                        derive_seed(seed, f"split.{crop.name}"))
     return rows[train], rows[test]
 
 
@@ -68,17 +67,18 @@ def split_trainable(dataset: ingest.Dataset, crop: Crop,
 
 
 def prepare_crop_split(dataset: ingest.Dataset, crop: Crop,
-                       train_ratio: float, seed: int) -> CropSplit:
-    """Split one crop's rows with a train row (`split_trainable`) and
-    encode each part once, for every variant trained and scored on it."""
-    train_rows, test_rows = split_trainable(dataset, crop, train_ratio, seed)
+                       train_rows: np.ndarray,
+                       test_rows: np.ndarray) -> CropSplit:
+    """Encode one crop's train and test rows (`split_trainable`'s indices)
+    once, for every variant trained and scored on them."""
     return CropSplit(crop, *encode_rows(dataset, train_rows),
                      *encode_rows(dataset, test_rows))
 
 
 def train_variant(variant: str, crop_split: CropSplit, seed: int,
-                  hyper: Hyperparams = Hyperparams()) -> Model:
-    """Fit one model variant on a prepared crop split."""
+                  settings: dict | None = None) -> Model:
+    """Fit one model variant on a prepared crop split with `settings`, the
+    training fields of the CLI's resolved config (`models.fit_model`)."""
     train_seed = derive_seed(seed, f"train.{variant}.{crop_split.crop.name}")
     return fit_model(variant, crop_split.x_train, crop_split.y_train,
-                     train_seed, hyper, crop_split.crop)
+                     train_seed, settings or {}, crop_split.crop)

@@ -1,7 +1,7 @@
 """Shared test helpers: valid records, tiny datasets and their encoding, a
-crop split's scaled train part, a FlatTree walker, a time limit, a one-CPU
-pin, a skip marker for one CPU and the checks of the forking CSV stages
-and `report`."""
+crop split as `train` makes it and its scaled train part, a FlatTree
+walker, a time limit, a one-CPU pin, a skip marker for one CPU and the
+checks of the forking CSV stages and `report`."""
 
 import os
 import signal
@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from agroyield import ingest, models, schema
+from agroyield import ingest, models, pipeline, schema
 from agroyield.schema import AgroRecord, Crop, District
 
 # values from the published sample rows (Dhaka 2008)
@@ -76,6 +76,13 @@ def encoded(records):
     dataset = dataset_of(records)
     return (ingest.feature_matrix(dataset.year, dataset.values),
             ingest.target_vector(dataset))
+
+
+def split_and_encode(dataset, crop, train_ratio, seed):
+    """`crop`'s `pipeline.CropSplit` of `dataset`, split and encoded as the
+    `train` command does."""
+    rows = pipeline.split_trainable(dataset, crop, train_ratio, seed)
+    return pipeline.prepare_crop_split(dataset, crop, *rows)
 
 
 def scaled_train(crop_split):

@@ -19,7 +19,7 @@ from agroyield.cli import run
 from agroyield.evaluation import METHOD_ORDER, EvalReport, compare, render_markdown
 from agroyield.schema import Crop
 from helpers import (dataset_of, encoded, leaf_value, make_record,
-                     record_value)
+                     record_value, split_and_encode)
 from test_evaluation import constant_model
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -92,15 +92,15 @@ def test_criterion_2_oracle_learnability():
         cfg = synthgen.GenConfig(n_records=5000, seed=seed, noise_sigma=0.02,
                                  crops=(Crop.BoroRice,))
         ds = synthgen.generate(cfg)
-        cs = pipeline.prepare_crop_split(ds, Crop.BoroRice, 0.8, seed)
+        cs = split_and_encode(ds, Crop.BoroRice, 0.8, seed)
         errs = {}
-        hypers = {
-            "dnn": pipeline.Hyperparams(epochs=300, learning_rate=0.1),
-            "forest": pipeline.Hyperparams(trees=30),
-            "logistic": pipeline.Hyperparams(),
+        settings = {
+            "dnn": {"epochs": 300, "lr": 0.1},
+            "forest": {"trees": 30},
+            "logistic": {},
         }
-        for variant, hyper in hypers.items():
-            model = pipeline.train_variant(variant, cs, seed, hyper)
+        for variant, setting in settings.items():
+            model = pipeline.train_variant(variant, cs, seed, setting)
             errs[variant] = evaluation.evaluate(
                 model, cs.x_test, cs.y_test).error_pct
         dnn_ok += errs["dnn"] <= 10.0
@@ -149,8 +149,8 @@ def test_criterion_4_report_fidelity():
 @criterion(5, "split sizes exact, disjoint, exhaustive, seed-stable")
 def test_criterion_5_split_exactness():
     for n in (10, 999, 300000):
-        train_a, test_a = ingest.split(n, 0.8, 77)
-        train_b, test_b = ingest.split(n, 0.8, 77)
+        train_a, test_a = pipeline.split(n, 0.8, 77)
+        train_b, test_b = pipeline.split(n, 0.8, 77)
         assert len(train_a) == int(0.8 * n)
         assert len(test_a) == n - int(0.8 * n)
         assert set(train_a.tolist()).isdisjoint(test_a.tolist())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroyield import baselines, evaluation, models, pipeline, synthgen
+from agroyield import baselines, evaluation, models, synthgen
 from agroyield.baselines import (
     ForestConfig,
     predict_forest_batch,
@@ -20,7 +20,7 @@ from agroyield.baselines import (
 from agroyield.errors import DivergedLoss
 from agroyield.rng import derive_seed
 from agroyield.schema import Crop
-from helpers import leaf_value, scaled_train
+from helpers import leaf_value, scaled_train, split_and_encode
 
 
 class TestLogistic:
@@ -216,7 +216,7 @@ class TestForest:
             cfg = synthgen.GenConfig(n_records=2000, seed=100 + seed,
                                      noise_sigma=0.0, crops=(Crop.Jute,))
             ds = synthgen.generate(cfg)
-            cs = pipeline.prepare_crop_split(ds, Crop.Jute, 0.8, 100 + seed)
+            cs = split_and_encode(ds, Crop.Jute, 0.8, 100 + seed)
             norm, x, y = scaled_train(cs)
             forest = train_forest(x, y, ForestConfig(n_trees=20, seed=seed))
             single = train_forest(x, y, ForestConfig(

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from agroyield import cli, ingest, pipeline, schema
+from agroyield import cli, evaluation, ingest, pipeline, schema
 from agroyield.cli import load_config, resolve_config, run
 from agroyield.errors import AgroYieldError
 from agroyield.models import VARIANTS
@@ -177,6 +177,27 @@ class TestTrainEvaluateSelect:
                     "--out", str(model_path)]) == 0
         history = (tmp_path / "dnn.json.history.csv").read_text()
         assert history.splitlines()[0] == "epoch,train_mse,val_mse"
+
+    def test_config_only_settings_reach_the_network(self, data_csv,
+                                                    tmp_path):
+        def train(name, config):
+            model = tmp_path / f"{name}.json"
+            argv = ["train", "--data", str(data_csv), "--model", "dnn",
+                    "--crop", "wheat", "--seed", "5", "--out", str(model)]
+            if config is not None:
+                (tmp_path / f"{name}.cfg").write_text(json.dumps(config))
+                argv += ["--config", str(tmp_path / f"{name}.cfg")]
+            assert run(argv) == 0
+            history = Path(f"{model}.history.csv").read_text().splitlines()
+            return model.read_bytes(), history
+
+        default, default_history = train("default", None)
+        # the same epochs, up to the first that does not improve
+        _, history = train("patience", {"patience": 0})
+        assert 1 < len(history) < len(default_history)
+        assert history == default_history[:len(history)]
+        batched, _ = train("batch", {"batch_size": 7})
+        assert batched != default
 
     def test_select(self, data_csv, crop_models, tmp_path):
         out = tmp_path / "rec.json"
@@ -384,6 +405,36 @@ class TestReport:
                     str(model), "--out", str(metrics)]) == 0
         n_test = json.loads(metrics.read_text())[str(model)]["n_test"]
         assert len(encoded) == n_test
+
+    def test_each_crop_is_split_and_checked_once(self, data_csv, tmp_path,
+                                                 monkeypatch):
+        calls = []  # (function name, crop) of each split and check
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args):
+                calls.append((name, next(a.name for a in args
+                                         if isinstance(a, schema.Crop))))
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(pipeline, "split_crop")
+        counting(evaluation, "check_scorable")
+        monkeypatch.setattr(cli, "_FORK_WORK", math.inf)  # one process
+        once = sorted((name, crop.name) for crop in schema.Crop
+                      for name in ("check_scorable", "split_crop"))
+        out = tmp_path / "report"
+        common = ["--data", str(data_csv), "--seed", "6"]
+        assert run(["report", *common, "--epochs", "2", "--trees", "2",
+                    "--out", str(out)]) == 0
+        assert sorted(calls) == once
+        calls.clear()
+        paths = sorted(str(p) for p in (out / "models").glob("*.json"))
+        assert len(paths) == 24
+        assert run(["evaluate", *common, *paths,
+                    "--out", str(tmp_path / "metrics.json")]) == 0
+        assert sorted(calls) == once
 
 
 def test_each_row_is_validated_once_per_command(tmp_path, monkeypatch):

@@ -21,10 +21,10 @@ from agroyield.ingest import (
     Dataset,
     clean,
     parse_csv,
-    split,
     write_csv,
 )
 from agroyield.models import Normalizer
+from agroyield.pipeline import split
 from helpers import dataset_of, make_record, one_cpu, record_value
 from test_schema import valid_records
 
@@ -263,7 +263,7 @@ class TestNormalizer:
                    for k in range(len(values) - 1))
 
 
-class TestSplit:
+class TestSplit:  # `pipeline.split`, kept here under its test names
     def test_sizes_floor_rule(self):
         train, test = split(10, 0.8, 1)
         assert (train.dtype, test.dtype) == (np.int64, np.int64)

@@ -21,20 +21,21 @@ from agroyield.models import (
     save_model,
 )
 from agroyield.schema import Crop
-from helpers import scaled_train, time_limit
+from helpers import scaled_train, split_and_encode, time_limit
 
 
 @pytest.fixture(scope="module")
 def crop_split():
     ds = synthgen.generate(synthgen.GenConfig(n_records=300, seed=17,
                                               crops=(Crop.Wheat,)))
-    return pipeline.prepare_crop_split(ds, Crop.Wheat, 0.8, 17)
+    return split_and_encode(ds, Crop.Wheat, 0.8, 17)
 
 
 @pytest.fixture(scope="module")
 def trained_models(crop_split):
-    hyper = pipeline.Hyperparams(epochs=5, trees=3)
-    return {variant: pipeline.train_variant(variant, crop_split, 17, hyper)
+    settings = {"epochs": 5, "trees": 3}
+    return {variant:
+            pipeline.train_variant(variant, crop_split, 17, settings)
             for variant in VARIANTS}
 
 
@@ -58,7 +59,7 @@ class TestVariantTable:
         with pytest.raises(AgroYieldError, match="cannot fit a normalizer "
                                                  "on an empty dataset"):
             fit_model(variant, np.empty((0, 46)), np.empty(0), 17,
-                      pipeline.Hyperparams(epochs=1, trees=1), Crop.Wheat)
+                      {"epochs": 1, "trees": 1}, Crop.Wheat)
 
     def test_only_the_network_keeps_a_history(self, trained_models):
         for variant, model in trained_models.items():
@@ -66,8 +67,7 @@ class TestVariantTable:
         assert len(trained_models["dnn"].history.train_mse) == 5
 
     def test_zero_epochs_is_not_replaced_by_the_default(self, crop_split):
-        model = pipeline.train_variant("dnn", crop_split, 17,
-                                       pipeline.Hyperparams(epochs=0))
+        model = pipeline.train_variant("dnn", crop_split, 17, {"epochs": 0})
         assert model.history.train_mse == []
 
 
@@ -243,8 +243,9 @@ class TestSchemaV1:
 def small_docs(crop_split):
     """A small valid model file of each variant, parsed, plus the forest
     fixture."""
-    hyper = pipeline.Hyperparams(epochs=2, trees=2)
-    models = {variant: pipeline.train_variant(variant, crop_split, 17, hyper)
+    settings = {"epochs": 2, "trees": 2}
+    models = {variant:
+              pipeline.train_variant(variant, crop_split, 17, settings)
               for variant in VARIANTS}
     models["dnn"].payload = nn.init_network((46, 3, 1), seed=17)
     docs = {variant: json.loads(model_to_json(model))

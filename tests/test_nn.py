@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agroyield import models, nn, pipeline, schema, synthgen
+from agroyield import models, nn, schema, synthgen
 from agroyield.errors import AgroYieldError, DivergedLoss
 from agroyield.nn import (
     Network,
@@ -17,7 +17,7 @@ from agroyield.nn import (
     train,
 )
 from agroyield.schema import Crop
-from helpers import scaled_train
+from helpers import scaled_train, split_and_encode
 
 
 def linear_unit(w=0.5, b=0.0):
@@ -311,7 +311,7 @@ def _trained_state(net, history):
 
 def _crop_split(n_records, seed, crop):
     ds = synthgen.generate(synthgen.GenConfig(n_records=n_records, seed=seed))
-    _, x, y = scaled_train(pipeline.prepare_crop_split(ds, crop, 0.8, seed))
+    _, x, y = scaled_train(split_and_encode(ds, crop, 0.8, seed))
     return x, y
 
 

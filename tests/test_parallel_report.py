@@ -1,10 +1,11 @@
 """`report` trains its crops on every CPU of the affinity mask once its
 training work reaches `cli._FORK_WORK` row passes: in `fork.each`, the
 caller trains the first range of crops and one forked child each other
-range, each crop split where it is trained. The files under `--out`, the
-log lines and the exit code must be those of one process, a failed child
-or fork must not change them, and no child or part file may outlive the
-call, also when the caller's loop over `fork.each` raises."""
+range, each crop split before any is trained and encoded where it is
+trained. The files under `--out`, the log lines and the exit code must be
+those of one process, a failed child or fork must not change them, and no
+child or part file may outlive the call, also when the caller's loop over
+`fork.each` raises."""
 
 import errno
 import hashlib

@@ -33,9 +33,11 @@ def test_a_crop_split_partitions_the_crop_rows(seed, n, crop, ratio):
         with pytest.raises(AgroYieldError, match=re.escape(
                 f"crop {crop.name} has {len(rows)} records; train ratio "
                 f"{ratio} leaves none to train on")):
-            pipeline.prepare_crop_split(ds, crop, ratio, seed)
+            pipeline.split_trainable(ds, crop, ratio, seed)
         return
-    cs = pipeline.prepare_crop_split(ds, crop, ratio, seed)
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(
+        pipeline.split_trainable(ds, crop, ratio, seed), (train, test)))
+    cs = pipeline.prepare_crop_split(ds, crop, train, test)
     assert cs.crop is crop
     for x, y, index in ((cs.x_train, cs.y_train, train),
                         (cs.x_test, cs.y_test, test)):
